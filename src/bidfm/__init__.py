@@ -8,6 +8,7 @@ and file formats plus a CLI (``fileio``, ``cli``).
 """
 
 from .detect import (
+    ALGORITHMS,
     DetectionResult,
     bisc,
     disim,
@@ -27,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
-    ALGORITHMS,
     PRESET_NAMES,
     ExperimentReport,
     SimulationConfig,

@@ -69,8 +69,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect",
                        help="run a detection algorithm on a matrix file")
     p.add_argument("--input", required=True, help="dense matrix file")
-    p.add_argument("--alg", required=True,
-                   choices=("bisc", "nbisc", "disim", "dscore", "rdscore"))
+    p.add_argument("--alg", required=True, choices=detect_mod.ALGORITHMS)
     p.add_argument("--kr", required=True, type=int, help="row cluster count")
     p.add_argument("--kc", required=True, type=int, help="column cluster count")
     _common_flags(p)
@@ -143,15 +142,11 @@ def _cmd_generate(args):
 
 def _cmd_detect(args):
     a = fileio.read_matrix(args.input)
-    algorithm = getattr(detect_mod, args.alg)
-    shift = 0.0
-    if args.alg in ("disim", "rdscore") and a.min() < 0:
-        a, shift = detect_mod.shift_nonnegative(a)
-        print(f"applied non-negative shift {shift:.6g}", file=sys.stderr)
-    result = algorithm(a, args.kr, args.kc,
-                       seed=args.seed if args.seed is not None else 0)
-    if shift:
-        result.diagnostics["shift"] = shift
+    result = detect_mod.run_algorithm(args.alg, a, args.kr, args.kc,
+                                      seed=args.seed if args.seed is not None else 0)
+    if "shift" in result.diagnostics:
+        print(f"applied non-negative shift {result.diagnostics['shift']:.6g}",
+              file=sys.stderr)
     prefix = args.output or "detected"
     fileio.write_labels(f"{prefix}_row_labels.txt",
                         range(1, len(result.row_labels) + 1),

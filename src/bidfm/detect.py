@@ -1,15 +1,24 @@
 """Community detection for weighted bipartite networks.
 
-``bisc`` clusters the rows of the leading left/right singular-vector
-matrices of the adjacency; ``nbisc`` row-normalizes those matrices first,
-which absorbs per-node degree heterogeneity.  Three reference baselines are
-provided for comparison studies: a regularized-Laplacian co-clustering
-(``disim``), a singular-vector-ratio method (``dscore``), and the ratio
-method applied to the regularized Laplacian (``rdscore``).
+Every method runs one pipeline: form an operator from the matrix, take its
+leading min(k_r, k_c) singular vectors, read each side's rows out, and run
+k-means with ``k_r`` clusters on the left rows and ``k_c`` on the right rows.
+The methods differ only in the operator and the read-out:
 
-All algorithms assume the number of row clusters does not exceed the number
-of column clusters; when called the other way round they transpose the
-problem internally and swap the answer back.
+========  =====================  ============================================
+method    operator               read-out
+========  =====================  ============================================
+bisc      adjacency              raw rows
+nbisc     adjacency              unit-normalized rows
+disim     regularized Laplacian  unit-normalized rows
+dscore    adjacency              ratios of trailing columns to the leading one
+rdscore   regularized Laplacian  ratios of trailing columns to the leading one
+========  =====================  ============================================
+
+``bisc`` and ``nbisc`` are the paper's methods; the other three are
+reference baselines for comparison studies.  The pipeline assumes
+``k_r <= k_c``; called the other way round it transposes the problem and
+swaps the labels and per-side diagnostics back.
 """
 from __future__ import annotations
 
@@ -17,9 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UnsupportedError
+from .errors import DimensionError, DomainError, UnsupportedError, ValidationError
 from .linalg import as_matrix, kmeans, row_normalize, truncated_svd
 from .model import Membership
+
+ALGORITHMS = ("bisc", "nbisc", "disim", "dscore", "rdscore")
 
 
 @dataclass(frozen=True)
@@ -28,99 +39,6 @@ class DetectionResult:
     col_labels: Membership
     singular_values: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-    def transposed(self) -> "DetectionResult":
-        swapped = dict(self.diagnostics)
-        for a, b in (
-            ("row_objective", "col_objective"),
-            ("degenerate_rows", "degenerate_cols"),
-        ):
-            if a in swapped or b in swapped:
-                swapped[a], swapped[b] = swapped.get(b), swapped.get(a)
-                swapped = {k: v for k, v in swapped.items() if v is not None}
-        return DetectionResult(
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-            singular_values=self.singular_values,
-            diagnostics=swapped,
-        )
-
-
-def _check_counts(a, k_r, k_c):
-    n_r, n_c = a.shape
-    if k_r < 1 or k_c < 1:
-        raise DimensionError("cluster counts must be positive")
-    if k_r > n_r or k_c > n_c:
-        raise DimensionError(
-            f"cluster counts ({k_r}, {k_c}) exceed matrix shape {a.shape}"
-        )
-
-
-def _embed(a, k_r, k_c):
-    """Leading min(k_r, k_c)-dimensional singular subspaces of ``a``."""
-    factors = truncated_svd(a, min(k_r, k_c))
-    return factors.left, factors.right, factors.singular_values
-
-
-def bisc(a, k_r: int, k_c: int, seed: int = 0, restarts: int = 10) -> DetectionResult:
-    """Bipartite spectral co-clustering on raw singular vectors.
-
-    Runs k-means with ``k_r`` clusters on the rows of the left factor and
-    ``k_c`` clusters on the rows of the right factor of the
-    min(k_r, k_c)-dimensional SVD of ``a``.
-    """
-    a = as_matrix(a)
-    _check_counts(a, k_r, k_c)
-    if k_r > k_c:
-        return bisc(a.T, k_c, k_r, seed=seed, restarts=restarts).transposed()
-    u, v, sv = _embed(a, k_r, k_c)
-    rows = kmeans(u, k_r, seed=seed, restarts=restarts)
-    cols = kmeans(v, k_c, seed=seed, restarts=restarts)
-    return DetectionResult(
-        row_labels=Membership(rows.labels, n_clusters=k_r),
-        col_labels=Membership(cols.labels, n_clusters=k_c),
-        singular_values=sv,
-        diagnostics={
-            "row_objective": rows.objective,
-            "col_objective": cols.objective,
-        },
-    )
-
-
-def nbisc(
-    a,
-    k_r: int,
-    k_c: int,
-    seed: int = 0,
-    restarts: int = 10,
-    eps: float = 1e-12,
-) -> DetectionResult:
-    """Degree-corrected variant: cluster row-normalized singular vectors.
-
-    Rows whose embedding norm falls below ``eps`` cannot be normalized; they
-    keep their raw coordinates, still receive a label, and are reported under
-    ``diagnostics['degenerate_rows']`` / ``['degenerate_cols']``.
-    """
-    a = as_matrix(a)
-    _check_counts(a, k_r, k_c)
-    if k_r > k_c:
-        return nbisc(a.T, k_c, k_r, seed=seed, restarts=restarts, eps=eps).transposed()
-    u, v, sv = _embed(a, k_r, k_c)
-    nu = row_normalize(u, eps=eps)
-    nv = row_normalize(v, eps=eps)
-    rows = kmeans(nu.matrix, k_r, seed=seed, restarts=restarts)
-    cols = kmeans(nv.matrix, k_c, seed=seed, restarts=restarts)
-    return DetectionResult(
-        row_labels=Membership(rows.labels, n_clusters=k_r),
-        col_labels=Membership(cols.labels, n_clusters=k_c),
-        singular_values=sv,
-        diagnostics={
-            "row_objective": rows.objective,
-            "col_objective": cols.objective,
-            "degenerate_rows": nu.degenerate_rows,
-            "degenerate_cols": nv.degenerate_rows,
-        },
-    )
 
 
 def _laplacian(a, regularizer):
@@ -145,41 +63,6 @@ def _laplacian(a, regularizer):
     return inv_r[:, None] * a * inv_c[None, :], (tau_r, tau_c)
 
 
-def disim(
-    a,
-    k_r: int,
-    k_c: int,
-    regularizer="auto",
-    seed: int = 0,
-    restarts: int = 10,
-) -> DetectionResult:
-    """Regularized-Laplacian co-clustering baseline.
-
-    With ``regularizer='auto'`` each side's regularizer is its mean absolute
-    degree.  Singular-vector rows are unit-normalized before k-means.
-    """
-    a = as_matrix(a)
-    _check_counts(a, k_r, k_c)
-    if k_r > k_c:
-        return disim(
-            a.T, k_c, k_r, regularizer=regularizer, seed=seed, restarts=restarts
-        ).transposed()
-    lap, taus = _laplacian(a, regularizer)
-    u, v, sv = _embed(lap, k_r, k_c)
-    rows = kmeans(row_normalize(u).matrix, k_r, seed=seed, restarts=restarts)
-    cols = kmeans(row_normalize(v).matrix, k_c, seed=seed, restarts=restarts)
-    return DetectionResult(
-        row_labels=Membership(rows.labels, n_clusters=k_r),
-        col_labels=Membership(cols.labels, n_clusters=k_c),
-        singular_values=sv,
-        diagnostics={
-            "row_objective": rows.objective,
-            "col_objective": cols.objective,
-            "regularizers": taus,
-        },
-    )
-
-
 def _ratio_matrix(u, threshold):
     """Entrywise ratios of trailing singular-vector columns to the leading
     one, clipped to ``[-T, T]``; non-finite ratios from a vanishing leading
@@ -191,6 +74,93 @@ def _ratio_matrix(u, threshold):
         ratios = u[:, 1:] / u[:, :1]
     ratios = np.nan_to_num(ratios, nan=0.0, posinf=t, neginf=-t)
     return np.clip(ratios, -t, t)
+
+
+def _cocluster(a, k_r, k_c, operator, readout, seed, restarts,
+               regularizer="auto", threshold="auto", eps=1e-12):
+    """The pipeline behind every method: ``operator`` is ``'adjacency'`` or
+    ``'laplacian'``, ``readout`` is ``'raw'``, ``'normalize'`` or ``'ratio'``."""
+    a = as_matrix(a)
+    if k_r < 1 or k_c < 1:
+        raise DimensionError("cluster counts must be positive")
+    if k_r > a.shape[0] or k_c > a.shape[1]:
+        raise DimensionError(
+            f"cluster counts ({k_r}, {k_c}) exceed matrix shape {a.shape}"
+        )
+    if readout == "ratio" and min(k_r, k_c) < 2:
+        raise UnsupportedError("ratio method needs min(k_r, k_c) >= 2")
+    transposed = k_r > k_c
+    if transposed:
+        a, k_r, k_c = a.T, k_c, k_r
+    if operator == "laplacian":
+        a, regularizers = _laplacian(a, regularizer)
+    factors = truncated_svd(a, k_r)
+    sides = []  # (labels, k-means objective, rows too short to normalize)
+    for x, k in ((factors.left, k_r), (factors.right, k_c)):
+        degenerate = None
+        if readout == "normalize":
+            normalized = row_normalize(x, eps=eps)
+            x, degenerate = normalized.matrix, normalized.degenerate_rows
+        elif readout == "ratio":
+            x = _ratio_matrix(x, threshold)
+        fit = kmeans(x, k, seed=seed, restarts=restarts)
+        sides.append((Membership(fit.labels, n_clusters=k), fit.objective, degenerate))
+    if transposed:
+        sides.reverse()
+    (rows, row_obj, row_degenerate), (cols, col_obj, col_degenerate) = sides
+    diagnostics = {"row_objective": row_obj, "col_objective": col_obj}
+    if readout == "normalize":
+        diagnostics["degenerate_rows"] = row_degenerate
+        diagnostics["degenerate_cols"] = col_degenerate
+    if operator == "laplacian":
+        diagnostics["regularizers"] = regularizers[::-1] if transposed else regularizers
+    return DetectionResult(rows, cols, factors.singular_values, diagnostics)
+
+
+def bisc(a, k_r: int, k_c: int, seed: int = 0, restarts: int = 10) -> DetectionResult:
+    """Bipartite spectral co-clustering on raw singular vectors.
+
+    Runs k-means with ``k_r`` clusters on the rows of the left factor and
+    ``k_c`` clusters on the rows of the right factor of the
+    min(k_r, k_c)-dimensional SVD of ``a``.
+    """
+    return _cocluster(a, k_r, k_c, "adjacency", "raw", seed, restarts)
+
+
+def nbisc(
+    a,
+    k_r: int,
+    k_c: int,
+    seed: int = 0,
+    restarts: int = 10,
+    eps: float = 1e-12,
+) -> DetectionResult:
+    """Degree-corrected variant: cluster row-normalized singular vectors.
+
+    Rows whose embedding norm falls below ``eps`` cannot be normalized; they
+    keep their raw coordinates, still receive a label, and are reported under
+    ``diagnostics['degenerate_rows']`` / ``['degenerate_cols']``.
+    """
+    return _cocluster(a, k_r, k_c, "adjacency", "normalize", seed, restarts, eps=eps)
+
+
+def disim(
+    a,
+    k_r: int,
+    k_c: int,
+    regularizer="auto",
+    seed: int = 0,
+    restarts: int = 10,
+) -> DetectionResult:
+    """Regularized-Laplacian co-clustering baseline.
+
+    With ``regularizer='auto'`` each side's regularizer is its mean absolute
+    degree; both are reported under ``diagnostics['regularizers']`` as
+    ``(row, column)``.  Singular-vector rows are unit-normalized before
+    k-means, and rows too short to normalize are reported as in ``nbisc``.
+    """
+    return _cocluster(a, k_r, k_c, "laplacian", "normalize", seed, restarts,
+                      regularizer=regularizer)
 
 
 def dscore(
@@ -207,26 +177,8 @@ def dscore(
     factors, so the method tolerates degree heterogeneity by construction.
     The default clip threshold is ``log(n)`` for a side with ``n`` nodes.
     """
-    a = as_matrix(a)
-    _check_counts(a, k_r, k_c)
-    if min(k_r, k_c) < 2:
-        raise UnsupportedError("ratio method needs min(k_r, k_c) >= 2")
-    if k_r > k_c:
-        return dscore(
-            a.T, k_c, k_r, threshold=threshold, seed=seed, restarts=restarts
-        ).transposed()
-    u, v, sv = _embed(a, k_r, k_c)
-    rows = kmeans(_ratio_matrix(u, threshold), k_r, seed=seed, restarts=restarts)
-    cols = kmeans(_ratio_matrix(v, threshold), k_c, seed=seed, restarts=restarts)
-    return DetectionResult(
-        row_labels=Membership(rows.labels, n_clusters=k_r),
-        col_labels=Membership(cols.labels, n_clusters=k_c),
-        singular_values=sv,
-        diagnostics={
-            "row_objective": rows.objective,
-            "col_objective": cols.objective,
-        },
-    )
+    return _cocluster(a, k_r, k_c, "adjacency", "ratio", seed, restarts,
+                      threshold=threshold)
 
 
 def rdscore(
@@ -239,24 +191,8 @@ def rdscore(
     restarts: int = 10,
 ) -> DetectionResult:
     """Ratio method on the regularized Laplacian instead of the adjacency."""
-    a = as_matrix(a)
-    _check_counts(a, k_r, k_c)
-    if min(k_r, k_c) < 2:
-        raise UnsupportedError("ratio method needs min(k_r, k_c) >= 2")
-    if k_r > k_c:
-        return rdscore(
-            a.T,
-            k_c,
-            k_r,
-            regularizer=regularizer,
-            threshold=threshold,
-            seed=seed,
-            restarts=restarts,
-        ).transposed()
-    lap, taus = _laplacian(a, regularizer)
-    result = dscore(lap, k_r, k_c, threshold=threshold, seed=seed, restarts=restarts)
-    result.diagnostics["regularizers"] = taus
-    return result
+    return _cocluster(a, k_r, k_c, "laplacian", "ratio", seed, restarts,
+                      regularizer=regularizer, threshold=threshold)
 
 
 def shift_nonnegative(a) -> tuple:
@@ -274,3 +210,21 @@ def shift_nonnegative(a) -> tuple:
     spread = hi - lo
     shift = -lo + 0.01 * (spread if spread > 0 else 1.0)
     return a + shift, shift
+
+
+def run_algorithm(name: str, a, k_r: int, k_c: int, seed: int = 0) -> DetectionResult:
+    """Run the method called ``name`` (one of ``ALGORITHMS``) with default
+    settings.  The Laplacian methods first get ``shift_nonnegative``, and a
+    non-zero shift is recorded under ``diagnostics['shift']``."""
+    if name not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    # Looked up by name on the module at call time, so a wrapper bound over
+    # a method's module attribute (an instrumenting tracer) is what runs.
+    method = globals()[name]
+    shift = 0.0
+    if name in ("disim", "rdscore"):
+        a, shift = shift_nonnegative(a)
+    result = method(a, k_r, k_c, seed=seed)
+    if shift:
+        result.diagnostics["shift"] = shift
+    return result

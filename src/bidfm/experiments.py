@@ -31,8 +31,6 @@ from .model import (
 )
 from .sampling import DistributionSpec, sample_adjacency
 
-ALGORITHMS = ("bisc", "nbisc", "disim", "dscore", "rdscore")
-
 # Per-point parameter seeds stride by this prime so they never collide
 # with the per-replicate draw seeds (base_seed + rep).
 _POINT_SEED_STRIDE = 100003
@@ -60,7 +58,7 @@ class SimulationConfig:
     n_grid: tuple = None
     sigma2_grid: tuple = None
     replicates: int = 50
-    algorithms: tuple = ALGORITHMS
+    algorithms: tuple = detect.ALGORITHMS
     base_seed: int = 0
     population: bool = False
     theta_floor: float = 0.05
@@ -87,7 +85,7 @@ class SimulationConfig:
             raise ValidationError(
                 f"{self.kind} law needs a non-negative mixing matrix"
             )
-        unknown = set(self.algorithms) - set(ALGORITHMS)
+        unknown = set(self.algorithms) - set(detect.ALGORITHMS)
         if unknown:
             raise ValidationError(f"unknown algorithms: {sorted(unknown)}")
 
@@ -155,20 +153,6 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def _run_algorithm(name, a, k_r, k_c, seed):
-    """Dispatch one detection; Laplacian methods get the non-negative shift
-    when the matrix has negative entries."""
-    if name in ("disim", "rdscore"):
-        shifted, shift = detect.shift_nonnegative(a)
-        fn = detect.disim if name == "disim" else detect.rdscore
-        result = fn(shifted, k_r, k_c, seed=seed)
-        if shift:
-            result.diagnostics["shift"] = shift
-        return result
-    fn = getattr(detect, name)
-    return fn(a, k_r, k_c, seed=seed)
-
-
 def _point_params(config, index, n_r, n_c, rho):
     base = config.base_seed + _POINT_SEED_STRIDE * (index + 1)
     rows = sample_memberships(n_r, config.k_r, base)
@@ -209,7 +193,7 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
             a = omega if config.population else sample_adjacency(omega, spec, seed)
             for alg in config.algorithms:
                 try:
-                    result = _run_algorithm(alg, a, config.k_r, config.k_c, seed)
+                    result = detect.run_algorithm(alg, a, config.k_r, config.k_c, seed)
                 except BidfmError:
                     failures[alg] += 1
                     continue

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 import warnings
 
 import numpy as np
@@ -26,9 +26,14 @@ EDGES_HEADER = "# bidfm edge list v1"
 
 
 def atomic_write_text(path, text: str):
-    """Write ``text`` to ``path`` via a temporary file in the same directory."""
+    """Write ``text`` to ``path`` via a temporary file in the same directory.
+
+    The temporary file is created with mode 0666 less the umask, the mode
+    ``open(path, "w")`` gives a new file, and the rename keeps it.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bidfm-", suffix=".tmp")
+    tmp = os.path.join(directory, f".bidfm-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -68,15 +68,19 @@ def truncated_svd(m, k: int, tol: float = 1e-10) -> SvdFactors:
     so the result is deterministic either way.
 
     Raises ``DimensionError`` when ``k`` is out of range and
-    ``ConvergenceError`` (with the achieved residual) if the iterative path
-    exhausts its iteration cap.
+    ``ConvergenceError`` if the iterative path fails: with the achieved
+    residual when it exhausts its iteration cap, without one for any other
+    ARPACK error (for instance an overflow on entries near the float limit).
     """
     a = as_matrix(m)
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise DimensionError(f"k={k} out of range [1, {min(n, p)}]")
 
-    use_dense = min(n, p) <= _DENSE_SIDE or k > 25 or 5 * k >= min(n, p)
+    # An all-zero matrix gives Lanczos a zero starting vector, which it
+    # rejects; LAPACK returns its (zero) spectrum like any other.
+    use_dense = (min(n, p) <= _DENSE_SIDE or k > 25 or 5 * k >= min(n, p)
+                 or not a.any())
     if use_dense:
         u, s, vt = scipy.linalg.svd(a, full_matrices=False)
         u, s, vt = u[:, :k], s[:k], vt[:k, :]
@@ -94,6 +98,8 @@ def truncated_svd(m, k: int, tol: float = 1e-10) -> SvdFactors:
                 f"({achieved}/{k} triplets found)",
                 residual=achieved,
             ) from exc
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise ConvergenceError(f"SVD failed: {exc}") from exc
         order = np.argsort(s)[::-1]
         u, s, vt = u[:, order], s[order], vt[order, :]
 

@@ -11,7 +11,6 @@ plain 1-based label sequences.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,10 +19,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError
 from .model import Membership
-
-# Exhaustive permutation search is used up to this many clusters; beyond it
-# an exact bottleneck-assignment search takes over (criterion_f only).
-_ENUMERATION_LIMIT = 8
 
 
 def _coerce_pair(estimated, truth):
@@ -203,17 +198,7 @@ def criterion_f(estimated, truth) -> float:
     relabeling: min over permutations of max_k
     ``(|C_k \\ Chat_pi(k)| + |Chat_pi(k) \\ C_k|) / |C_k|``.
 
-    Exact by full enumeration for up to 8 clusters and by bottleneck
-    assignment beyond that.
+    Exact for any number of clusters: a bottleneck-assignment search finds
+    the smallest cost level that admits a complete matching.
     """
-    costs = _criterion_costs(estimated, truth)
-    k = costs.shape[0]
-    if k <= _ENUMERATION_LIMIT:
-        best = np.inf
-        idx = np.arange(k)
-        for perm in itertools.permutations(range(k)):
-            worst = costs[idx, perm].max()
-            if worst < best:
-                best = worst
-        return float(best)
-    return _bottleneck_assignment(costs)
+    return _bottleneck_assignment(_criterion_costs(estimated, truth))

@@ -23,6 +23,9 @@ P2 = np.array([[-1.0, 0.3, -0.5], [-0.4, 0.8, 0.2]])
 
 _MAX_ABS_TOL = 1e-12
 _RANK_TOL = 1e-10
+# sample_memberships redraws at most this often: at n = k a draw hits every
+# cluster with probability k!/k^k, about 2e-8 at k = 20.
+_MEMBERSHIP_DRAWS = 1000
 
 
 class Membership:
@@ -215,14 +218,20 @@ def expected_adjacency(params) -> np.ndarray:
 
 def sample_memberships(n: int, k: int, seed: int) -> Membership:
     """Draw node labels i.i.d. uniform over ``1..k``, resampling the whole
-    vector until every cluster is hit.  Deterministic given ``seed``."""
+    vector until every cluster is hit.  Deterministic given ``seed``.
+
+    After 1000 draws that all miss a cluster, the last draw is repaired
+    instead: ``k`` randomly chosen nodes are given the labels ``1..k``.
+    """
     if n < k:
         raise InfeasibleError(f"cannot place {n} nodes into {k} nonempty clusters")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    while True:
+    for _ in range(_MEMBERSHIP_DRAWS):
         labels = rng.integers(1, k + 1, size=n)
         if len(np.unique(labels)) == k:
             return Membership(labels, n_clusters=k)
+    labels[rng.permutation(n)[:k]] = np.arange(1, k + 1)
+    return Membership(labels, n_clusters=k)
 
 
 def sample_theta(n: int, rho: float, seed: int, floor: float = 0.05) -> np.ndarray:

@@ -67,15 +67,32 @@ class TestBisc:
         assert set(result.row_labels.labels) == {1}
         assert set(result.col_labels.labels) == {1}
 
-    def test_transpose_consistency(self):
+    @pytest.mark.parametrize(
+        "method", [bisc, nbisc, disim, dscore, rdscore], ids=lambda f: f.__name__
+    )
+    def test_transpose_consistency(self, method):
         params = plain_instance(3)
         a = expected_adjacency(params) + 0.01 * np.random.default_rng(3).standard_normal(
             params.shape
         )
-        forward = bisc(a, 2, 3, seed=5)
-        swapped = bisc(a.T, 3, 2, seed=5)
+        forward = method(a, 2, 3, seed=5)
+        swapped = method(a.T, 3, 2, seed=5)
         assert np.array_equal(forward.row_labels.labels, swapped.col_labels.labels)
         assert np.array_equal(forward.col_labels.labels, swapped.row_labels.labels)
+        assert np.array_equal(forward.singular_values, swapped.singular_values)
+        # per-side diagnostics swap sides with the labels
+        fd, sd = forward.diagnostics, swapped.diagnostics
+        assert set(fd) == set(sd)
+        for row_key, col_key in (
+            ("row_objective", "col_objective"),
+            ("degenerate_rows", "degenerate_cols"),
+        ):
+            assert fd.get(row_key) == sd.get(col_key)
+            assert fd.get(col_key) == sd.get(row_key)
+        if "regularizers" in fd:
+            tau_r, tau_c = fd["regularizers"]
+            assert tau_r != tau_c  # 60 x 90: the mean degrees differ per side
+            assert sd["regularizers"] == (tau_c, tau_r)
 
     def test_permutation_equivariance(self):
         params = plain_instance(4)

@@ -122,11 +122,11 @@ class TestRunSimulation:
         assert report.points[0].seeds == (11, 12, 13, 14)
 
     def test_laplacian_methods_get_shifted_negatives(self):
-        from bidfm.experiments import _run_algorithm
+        from bidfm.detect import run_algorithm
 
         rng = np.random.default_rng(3)
         a = rng.standard_normal((20, 30))
-        result = _run_algorithm("disim", a, 2, 3, seed=0)
+        result = run_algorithm("disim", a, 2, 3, seed=0)
         assert result.diagnostics["shift"] > 0
         assert len(result.row_labels) == 20
 

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -25,6 +27,15 @@ class TestMatrixFormat:
         back = fileio.read_matrix(path)
         assert back.dtype == a.dtype
         assert np.array_equal(back, a)
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "m.txt"
+        old = os.umask(0o022)
+        try:
+            fileio.write_matrix(path, np.eye(2))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -347,6 +358,16 @@ class TestCli:
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         assert main(["detect", "--input", str(tmp_path / "nope.txt"),
                      "--alg", "bisc", "--kr", "2", "--kc", "2"]) == 2
+
+    def test_detect_on_large_zero_matrix(self, tmp_path, capsys):
+        # above the dense-SVD size cutoff, where Lanczos cannot start
+        path = tmp_path / "zeros.txt"
+        fileio.write_matrix(path, np.zeros((700, 800)))
+        prefix = str(tmp_path / "det")
+        assert main(["detect", "--input", str(path), "--alg", "nbisc",
+                     "--kr", "2", "--kc", "3", "--output", prefix]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(fileio.read_labels(prefix + "_row_labels.txt")[1]) == 700
 
     def test_bad_matrix_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

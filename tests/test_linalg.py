@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidfm.errors import DimensionError
+from bidfm.errors import ConvergenceError, DimensionError
 from bidfm.linalg import (
     _lloyd,
     kmeans,
@@ -69,6 +69,12 @@ class TestTruncatedSvd:
     def test_rejects_non_finite(self):
         with pytest.raises(DimensionError):
             truncated_svd(np.array([[1.0, np.nan]]), k=1)
+
+    def test_iterative_path_failure_is_convergence_error(self):
+        # 700 x 800 takes the Lanczos path, whose products overflow here
+        a = np.random.default_rng(0).uniform(size=(700, 800)) * 1e300
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+            truncated_svd(a, k=2)
 
     def test_iterative_path_matches_dense(self):
         rng = np.random.default_rng(3)

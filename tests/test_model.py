@@ -117,6 +117,11 @@ class TestSampleMemberships:
         m = sample_memberships(4, 4, seed=1)
         assert sorted(m.labels) == [1, 2, 3, 4]
 
+    def test_n_equals_k_past_the_redraw_cap(self):
+        # a draw covers all 20 clusters with probability 20!/20^20 ~ 2e-8
+        m = sample_memberships(20, 20, seed=0)
+        assert sorted(m.labels) == list(range(1, 21))
+
     def test_uniform_concentration(self):
         m = sample_memberships(3000, 3, seed=2)
         bound = 3 * np.sqrt(3000 * (1 / 3) * (2 / 3))
