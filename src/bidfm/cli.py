@@ -20,6 +20,7 @@ from . import detect as detect_mod
 from . import fileio
 from .errors import BidfmError, ConvergenceError
 from .experiments import (
+    FILTER_MODES,
     PRESET_NAMES,
     estimate_k_eigengap,
     filter_zero_degree,
@@ -48,13 +49,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
 
-def _common_flags(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (default 0)")
+def _common_flags(parser, seed=False, report=False):
+    """``--output``, plus ``--seed`` and ``--format`` for the commands that
+    draw random numbers and the ones that print a report."""
+    if seed:
+        parser.add_argument("--seed", type=int, default=None,
+                            help="random seed (default 0)")
     parser.add_argument("--output", help="output file or prefix")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv", help="report format"
-    )
+    if report:
+        parser.add_argument(
+            "--format", choices=("csv", "json"), default="csv", help="report format"
+        )
 
 
 def build_parser() -> _Parser:
@@ -64,7 +69,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate",
                        help="build expected and sampled matrices from a model config")
     p.add_argument("--config", required=True, help="JSON model parameters")
-    _common_flags(p)
+    _common_flags(p, seed=True)
 
     p = sub.add_parser("detect",
                        help="run a detection algorithm on a matrix file")
@@ -72,7 +77,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alg", required=True, choices=detect_mod.ALGORITHMS)
     p.add_argument("--kr", required=True, type=int, help="row cluster count")
     p.add_argument("--kc", required=True, type=int, help="column cluster count")
-    _common_flags(p)
+    _common_flags(p, seed=True)
 
     p = sub.add_parser("evaluate",
                        help="score estimated labels against the truth")
@@ -80,7 +85,7 @@ def build_parser() -> _Parser:
     p.add_argument("--truth-rows", required=True)
     p.add_argument("--est-cols", required=True)
     p.add_argument("--truth-cols", required=True)
-    _common_flags(p)
+    _common_flags(p, report=True)
 
     p = sub.add_parser("simulate",
                        help="run a simulation sweep and report averages")
@@ -88,25 +93,24 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON simulation configuration")
     p.add_argument("--replicates", type=int, help="override the replicate count")
     p.add_argument("--algorithms", help="comma-separated algorithm subset")
-    _common_flags(p)
+    _common_flags(p, seed=True, report=True)
 
     p = sub.add_parser("estimate-k",
                        help="suggest a cluster count from singular-value gaps")
     p.add_argument("--input", required=True)
     p.add_argument("--m", type=int, default=8, help="singular values to inspect")
-    _common_flags(p)
+    _common_flags(p, report=True)
 
     p = sub.add_parser("preprocess",
                        help="drop zero-degree nodes from a matrix")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", required=True,
-                   choices=("rows", "cols", "both-and", "both-or"))
+    p.add_argument("--mode", required=True, choices=FILTER_MODES)
     _common_flags(p)
 
     p = sub.add_parser("theory",
                        help="evaluate assumption checks and bound envelopes")
     p.add_argument("--config", required=True, help="JSON theory inputs")
-    _common_flags(p)
+    _common_flags(p, report=True)
 
     return parser
 
@@ -116,6 +120,15 @@ def _emit(args, text):
         fileio.atomic_write_text(args.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_label_pair(prefix, row_labels, col_labels):
+    """Write ``{prefix}_row_labels.txt`` and ``{prefix}_col_labels.txt`` with
+    node ids 1..n and return their paths."""
+    paths = [f"{prefix}_row_labels.txt", f"{prefix}_col_labels.txt"]
+    for path, labels in zip(paths, (row_labels, col_labels)):
+        fileio.write_labels(path, range(1, len(labels) + 1), labels)
+    return paths
 
 
 def _cmd_generate(args):
@@ -130,12 +143,8 @@ def _cmd_generate(args):
         a = sample_adjacency(omega, spec, args.seed if args.seed is not None else 0)
         fileio.write_matrix(f"{prefix}_adjacency.txt", a)
         written.append(f"{prefix}_adjacency.txt")
-    n_r, n_c = params.shape
-    fileio.write_labels(f"{prefix}_row_labels.txt", range(1, n_r + 1),
-                        params.row_membership.labels)
-    fileio.write_labels(f"{prefix}_col_labels.txt", range(1, n_c + 1),
-                        params.col_membership.labels)
-    written += [f"{prefix}_row_labels.txt", f"{prefix}_col_labels.txt"]
+    written += _write_label_pair(prefix, params.row_membership.labels,
+                                 params.col_membership.labels)
     print("\n".join(written))
     return 0
 
@@ -147,14 +156,9 @@ def _cmd_detect(args):
     if "shift" in result.diagnostics:
         print(f"applied non-negative shift {result.diagnostics['shift']:.6g}",
               file=sys.stderr)
-    prefix = args.output or "detected"
-    fileio.write_labels(f"{prefix}_row_labels.txt",
-                        range(1, len(result.row_labels) + 1),
-                        result.row_labels.labels)
-    fileio.write_labels(f"{prefix}_col_labels.txt",
-                        range(1, len(result.col_labels) + 1),
-                        result.col_labels.labels)
-    print(f"{prefix}_row_labels.txt\n{prefix}_col_labels.txt")
+    paths = _write_label_pair(args.output or "detected", result.row_labels.labels,
+                              result.col_labels.labels)
+    print("\n".join(paths))
     return 0
 
 

@@ -54,9 +54,9 @@ class SimulationConfig:
     n_c: int | None = None
     rho: float | None = None
     sigma2: float | None = None
-    rho_grid: tuple = None
-    n_grid: tuple = None
-    sigma2_grid: tuple = None
+    rho_grid: tuple | None = None
+    n_grid: tuple | None = None
+    sigma2_grid: tuple | None = None
     replicates: int = 50
     algorithms: tuple = detect.ALGORITHMS
     base_seed: int = 0

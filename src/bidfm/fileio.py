@@ -6,9 +6,12 @@ round-trips IEEE doubles exactly.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import secrets
+import typing
 import warnings
 
 import numpy as np
@@ -44,61 +47,66 @@ def atomic_write_text(path, text: str):
         raise
 
 
+def _records(path, header: bool = False):
+    """Yield ``(line number, stripped text)`` for every line of ``path`` that
+    is neither blank nor a ``#`` comment, skipping line 1 when ``header``."""
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if text and not text.startswith("#") and not (header and lineno == 1):
+                yield lineno, text
+
+
+def _write_records(path, header: str, records):
+    """Write ``header``, then one record per line, atomically."""
+    atomic_write_text(path, "\n".join([header, *records]) + "\n")
+
+
+def _parse(convert, value, lineno, message=None):
+    """``convert(value)``; a value it rejects is a ``ParseError`` at ``lineno``."""
+    try:
+        return convert(value)
+    except ValueError as exc:
+        raise ParseError(message or str(exc), line=lineno) from None
+
+
 def write_matrix(path, m):
     a = as_matrix(m)
-    lines = [MATRIX_HEADER, f"{a.shape[0]} {a.shape[1]}"]
-    lines.extend(" ".join(repr(v) for v in row) for row in a.tolist())
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_records(path, f"{MATRIX_HEADER}\n{a.shape[0]} {a.shape[1]}",
+                   (" ".join(repr(v) for v in row) for row in a.tolist()))
 
 
 def read_matrix(path) -> np.ndarray:
     """Parse the dense text format; raises ``ParseError`` with the offending
     line number on truncation, shape mismatch, or non-finite values."""
-    with open(path) as handle:
-        lines = handle.readlines()
-    body = [
-        (i + 1, line.strip())
-        for i, line in enumerate(lines)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+    body = list(_records(path))
     if not body:
         raise ParseError("empty matrix file")
     lineno, dims = body[0]
     parts = dims.split()
     if len(parts) != 2:
         raise ParseError(f"expected 'rows cols', got {dims!r}", line=lineno)
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"non-integer dimensions {dims!r}", line=lineno) from None
+    rows, cols = (_parse(int, v, lineno, f"non-integer dimensions {dims!r}")
+                  for v in parts)
     if rows < 1 or cols < 1:
         raise ParseError(f"dimensions must be positive, got {dims!r}", line=lineno)
     if len(body) - 1 != rows:
-        raise ParseError(
-            f"expected {rows} data rows, found {len(body) - 1}", line=lineno
-        )
+        raise ParseError(f"expected {rows} data rows, found {len(body) - 1}",
+                         line=lineno)
     out = np.empty((rows, cols))
     for r, (lineno, line) in enumerate(body[1:]):
         values = line.split()
         if len(values) != cols:
-            raise ParseError(
-                f"expected {cols} values, found {len(values)}", line=lineno
-            )
-        try:
-            out[r] = [float(v) for v in values]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+            raise ParseError(f"expected {cols} values, found {len(values)}",
+                             line=lineno)
+        out[r] = _parse(lambda vs: [float(v) for v in vs], values, lineno)
         if not np.all(np.isfinite(out[r])):
             raise ParseError("non-finite value", line=lineno)
     return out
 
 
-def read_edge_list(
-    path,
-    delimiter: str | None = None,
-    header: bool = False,
-    directed_as_bipartite: bool = True,
-):
+def read_edge_list(path, delimiter: str | None = None, header: bool = False,
+                   directed_as_bipartite: bool = True):
     """Build a dense adjacency matrix from a (source, target, weight) file.
 
     With ``directed_as_bipartite`` (the default) all node ids share one
@@ -107,74 +115,41 @@ def read_edge_list(
     independent universes.  Duplicate (source, target) pairs are summed with
     a warning.  Returns ``(matrix, row_ids, col_ids)``.
     """
-    with open(path) as handle:
-        lines = handle.readlines()
-    records = []
-    start = 1 if header else 0
-    for lineno, line in enumerate(lines, start=1):
-        if lineno == 1 and header:
-            continue
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
+    sources, targets, weights = [], [], []
+    for lineno, text in _records(path, header):
         parts = text.split(delimiter) if delimiter else text.split()
         if len(parts) < 3:
-            raise ParseError(
-                f"expected 'source target weight', got {text!r}", line=lineno
-            )
-        try:
-            weight = float(parts[2])
-        except ValueError:
-            raise ParseError(f"bad weight {parts[2]!r}", line=lineno) from None
-        if not np.isfinite(weight):
+            raise ParseError(f"expected 'source target weight', got {text!r}",
+                             line=lineno)
+        weight = _parse(float, parts[2], lineno, f"bad weight {parts[2]!r}")
+        if not math.isfinite(weight):
             raise ParseError(f"non-finite weight {parts[2]!r}", line=lineno)
-        records.append((parts[0], parts[1], weight))
-    if not records:
+        sources.append(parts[0])
+        targets.append(parts[1])
+        weights.append(weight)
+    if not weights:
         raise ParseError("edge list contains no records")
 
-    def index_of(ids):
-        return {node: i for i, node in enumerate(ids)}
+    def first_seen(ids):  # index of each id, in first-appearance order
+        return {node: i for i, node in enumerate(dict.fromkeys(ids))}
 
     if directed_as_bipartite:
-        universe = []
-        seen = set()
-        for s, t, _ in records:
-            for node in (s, t):
-                if node not in seen:
-                    seen.add(node)
-                    universe.append(node)
-        row_ids = col_ids = universe
-        row_index = col_index = index_of(universe)
+        row_index = col_index = first_seen(n for p in zip(sources, targets) for n in p)
     else:
-        row_ids, col_ids, seen_r, seen_c = [], [], set(), set()
-        for s, t, _ in records:
-            if s not in seen_r:
-                seen_r.add(s)
-                row_ids.append(s)
-            if t not in seen_c:
-                seen_c.add(t)
-                col_ids.append(t)
-        row_index, col_index = index_of(row_ids), index_of(col_ids)
-
-    matrix = np.zeros((len(row_ids), len(col_ids)))
-    duplicates = 0
-    filled = set()
-    for s, t, w in records:
-        key = (row_index[s], col_index[t])
-        if key in filled:
-            duplicates += 1
-        filled.add(key)
-        matrix[key] += w
+        row_index, col_index = first_seen(sources), first_seen(targets)
+    rows = np.array([row_index[s] for s in sources])
+    cols = np.array([col_index[t] for t in targets])
+    matrix = np.zeros((len(row_index), len(col_index)))
+    np.add.at(matrix, (rows, cols), weights)  # in record order, as read
+    duplicates = len(weights) - len(np.unique(rows * len(col_index) + cols))
     if duplicates:
-        warnings.warn(
-            f"{duplicates} duplicate (source, target) pairs were summed",
-            stacklevel=2,
-        )
-    return matrix, list(row_ids), list(col_ids)
+        warnings.warn(f"{duplicates} duplicate (source, target) pairs were summed",
+                      stacklevel=2)
+    return matrix, list(row_index), list(col_index)
 
 
 def write_edge_list(path, m, row_ids=None, col_ids=None, delimiter="\t"):
-    """Write nonzero entries as ``source target weight`` records.
+    """Write nonzero entries, row by row, as ``source target weight`` records.
 
     Default ids are the canonical 1-based node numbers.  Zero entries are not
     written, so a matrix round-trips through :func:`read_edge_list` exactly
@@ -188,48 +163,71 @@ def write_edge_list(path, m, row_ids=None, col_ids=None, delimiter="\t"):
     col_ids = list(col_ids) if col_ids is not None else [str(j + 1) for j in range(n_c)]
     if len(row_ids) != n_r or len(col_ids) != n_c:
         raise ValidationError("id lists must match the matrix shape")
-    lines = [EDGES_HEADER]
-    for i, row in enumerate(a.tolist()):
-        for j, value in enumerate(row):
-            if value != 0.0:
-                lines.append(f"{row_ids[i]}{delimiter}{col_ids[j]}{delimiter}{value!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows, cols = np.nonzero(a)
+    _write_records(path, EDGES_HEADER, (
+        f"{row_ids[i]}{delimiter}{col_ids[j]}{delimiter}{value!r}"
+        for i, j, value in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
+    ))
 
 
 def write_labels(path, ids, labels):
     labels = np.asarray(labels, dtype=int)
     if len(ids) != len(labels):
-        raise ValidationError(
-            f"{len(ids)} node ids but {len(labels)} labels"
-        )
-    lines = [LABELS_HEADER]
-    lines.extend(f"{node}\t{label}" for node, label in zip(ids, labels))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        raise ValidationError(f"{len(ids)} node ids but {len(labels)} labels")
+    _write_records(path, LABELS_HEADER,
+                   (f"{node}\t{label}" for node, label in zip(ids, labels)))
 
 
 def read_labels(path):
     """Return ``(ids, labels)`` from a label file (one ``id<TAB>label`` per
     line; label order on disk is the node order)."""
     ids, labels = [], []
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise ParseError(f"expected 'id label', got {text!r}", line=lineno)
-            try:
-                labels.append(int(parts[1]))
-            except ValueError:
-                raise ParseError(f"bad label {parts[1]!r}", line=lineno) from None
-            ids.append(parts[0])
+    for lineno, text in _records(path):
+        parts = text.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected 'id label', got {text!r}", line=lineno)
+        labels.append(_parse(int, parts[1], lineno, f"bad label {parts[1]!r}"))
+        ids.append(parts[0])
     if not ids:
         raise ParseError("label file contains no records")
     return ids, np.array(labels, dtype=int)
 
 
 _NAMED_MIXINGS = {"P1": P1, "P2": P2}
+
+# JSON values a config field admits, by the types in its annotation; a
+# mixing matrix (np.ndarray) is given by name or as a list
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool,
+               tuple: (list, tuple), type(None): type(None),
+               np.ndarray: (str, list, tuple)}
+
+
+def _convert(key, convert, value):
+    """``convert(value)``; a value it rejects is a ``ValidationError``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"config key {key!r}: {exc}") from None
+
+
+def _field_kwargs(cls, data, what: str, **defaults) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a JSON object whose
+    keys are its fields, each value of a JSON type the field's annotation
+    admits (lists become tuples); ``defaults`` fill in absent keys."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {data!r}")
+    data, hints = {**defaults, **data}, typing.get_type_hints(cls)
+    violations = [f"unknown {what} key {key!r}" for key in data if key not in hints]
+    for f in dataclasses.fields(cls):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        value = data.get(f.name, f.default)
+        if value is dataclasses.MISSING:
+            violations.append(f"missing {what} key {f.name!r}")
+        elif not isinstance(value, tuple(_JSON_TYPES[kind] for kind in kinds)):
+            violations.append(f"{what} key {f.name!r} has the wrong type: {value!r}")
+    if violations:
+        raise ValidationError(violations)
+    return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
 def mixing_from_config(value, k_r=None, k_c=None) -> np.ndarray:
@@ -239,22 +237,20 @@ def mixing_from_config(value, k_r=None, k_c=None) -> np.ndarray:
         if value not in _NAMED_MIXINGS:
             raise ValidationError(f"unknown named mixing matrix {value!r}")
         return _NAMED_MIXINGS[value].copy()
-    arr = np.asarray(value, dtype=float)
+    arr = _convert("mixing", lambda v: np.asarray(v, dtype=float), value)
     if arr.ndim == 1:
         if k_r is None or k_c is None:
             raise ValidationError(
                 "flat row-major mixing values need k_r and k_c to reshape"
             )
         if arr.size != k_r * k_c:
-            raise ValidationError(
-                f"expected {k_r * k_c} mixing values, got {arr.size}"
-            )
+            raise ValidationError(f"expected {k_r * k_c} mixing values, got {arr.size}")
         arr = arr.reshape(k_r, k_c)
     return arr
 
 
 def distribution_from_config(data: dict) -> DistributionSpec:
-    return DistributionSpec(data["kind"], sigma2=data.get("sigma2"))
+    return DistributionSpec(**_field_kwargs(DistributionSpec, data, "distribution"))
 
 
 def params_from_config(data: dict):
@@ -267,30 +263,30 @@ def params_from_config(data: dict):
     ``{"seed": ..., "floor": ...}``.
     """
     model = data.get("model", "bidfm")
-    k_r, k_c = int(data["k_r"]), int(data["k_c"])
+    k_r, k_c = _convert("k_r", int, data["k_r"]), _convert("k_c", int, data["k_c"])
     mixing = mixing_from_config(data["mixing"], k_r, k_c)
+    membership_seed = _convert("membership_seed", int, data.get("membership_seed", 0))
 
-    def side(labels_key, n_key, seed_offset):
+    def side(labels_key, n_key, k, seed_offset):
         if labels_key in data:
             return Membership(np.asarray(data[labels_key], dtype=int))
-        seed = int(data.get("membership_seed", 0)) + seed_offset
-        k = k_r if seed_offset == 0 else k_c
-        return sample_memberships(int(data[n_key]), k, seed)
+        n = _convert(n_key, int, data[n_key])
+        return sample_memberships(n, k, membership_seed + seed_offset)
 
-    rows = side("row_labels", "n_r", 0)
-    cols = side("col_labels", "n_c", 1)
+    rows = side("row_labels", "n_r", k_r, 0)
+    cols = side("col_labels", "n_c", k_c, 1)
     if model == "bidfm":
-        return BiDFMParams(rows, cols, mixing, float(data["rho"]))
+        return BiDFMParams(rows, cols, mixing, _convert("rho", float, data["rho"]))
     if model != "bidcdfm":
         raise ValidationError(f"unknown model {model!r}")
     if "theta_row" in data and "theta_col" in data:
         theta_r = np.asarray(data["theta_row"], dtype=float)
         theta_c = np.asarray(data["theta_col"], dtype=float)
     else:
-        gen = data.get("theta", {})
-        rho = float(data["rho"])
-        seed = int(gen.get("seed", int(data.get("membership_seed", 0)) + 2))
-        floor = float(gen.get("floor", 0.05))
+        gen = _convert("theta", dict, data.get("theta", {}))
+        rho = _convert("rho", float, data["rho"])
+        seed = _convert("theta", int, gen.get("seed", membership_seed + 2))
+        floor = _convert("theta", float, gen.get("floor", 0.05))
         theta_r = sample_theta(len(rows), rho, seed, floor=floor)
         theta_c = sample_theta(len(cols), rho, seed + 1, floor=floor)
     return BiDCDFMParams(rows, cols, mixing, theta_r, theta_c)
@@ -300,59 +296,41 @@ def params_to_config(params) -> dict:
     """Serialize model parameters to a config dictionary (explicit labels and
     thetas, mixing as a nested row-major list); inverse of
     :func:`params_from_config`."""
-    data = {
-        "k_r": params.row_membership.n_clusters,
-        "k_c": params.col_membership.n_clusters,
-        "n_r": len(params.row_membership),
-        "n_c": len(params.col_membership),
-        "mixing": params.mixing.tolist(),
-        "row_labels": params.row_membership.labels.tolist(),
-        "col_labels": params.col_membership.labels.tolist(),
-    }
+    rows, cols = params.row_membership, params.col_membership
+    data = {"k_r": rows.n_clusters, "k_c": cols.n_clusters, "n_r": len(rows),
+            "n_c": len(cols), "mixing": params.mixing.tolist(),
+            "row_labels": rows.labels.tolist(), "col_labels": cols.labels.tolist()}
     if isinstance(params, BiDFMParams):
-        data["model"] = "bidfm"
-        data["rho"] = params.rho
-    else:
-        data["model"] = "bidcdfm"
-        data["theta_row"] = params.theta_row.tolist()
-        data["theta_col"] = params.theta_col.tolist()
-    return data
+        return {**data, "model": "bidfm", "rho": params.rho}
+    return {**data, "model": "bidcdfm", "theta_row": params.theta_row.tolist(),
+            "theta_col": params.theta_col.tolist()}
 
 
 def simulation_config_from_config(data: dict) -> SimulationConfig:
-    known = {
-        "model", "kind", "sigma2", "k_r", "k_c", "n_r", "n_c", "rho",
-        "rho_grid", "n_grid", "sigma2_grid", "replicates", "algorithms",
-        "base_seed", "population", "theta_floor", "name",
-    }
-    unknown = set(data) - known - {"mixing"}
-    if unknown:
-        raise ValidationError(f"unknown simulation config keys: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k in known}
-    for grid in ("rho_grid", "n_grid", "sigma2_grid"):
-        if kwargs.get(grid) is not None:
-            kwargs[grid] = tuple(kwargs[grid])
-    if "algorithms" in kwargs:
-        kwargs["algorithms"] = tuple(kwargs["algorithms"])
-    mixing = mixing_from_config(
-        data.get("mixing", "P1"), data.get("k_r", 2), data.get("k_c", 3)
-    )
-    return SimulationConfig(mixing=mixing, **kwargs)
+    """A sweep from a config whose keys are :class:`SimulationConfig`'s
+    fields; ``mixing`` defaults to ``"P1"``."""
+    kwargs = _field_kwargs(SimulationConfig, data, "simulation config", mixing="P1")
+    k_r, k_c = kwargs.get("k_r", 2), kwargs.get("k_c", 3)
+    kwargs["mixing"] = mixing_from_config(kwargs["mixing"], k_r, k_c)
+    return SimulationConfig(**kwargs)
 
 
 def theory_inputs_from_config(data: dict) -> TheoryInputs:
-    tau = data.get("tau", "unbounded")
-    if isinstance(tau, str):
-        if tau != "unbounded":
-            raise ValidationError(f"tau must be a number or 'unbounded', got {tau!r}")
-        tau = float("inf")
-    fields = {k: v for k, v in data.items() if k != "tau"}
-    return TheoryInputs(tau=float(tau), **fields)
+    """Scalar inputs from a config whose keys are :class:`TheoryInputs`'
+    fields; ``tau`` may also be ``"unbounded"``, its default."""
+    if isinstance(data, dict) and data.get("tau") == "unbounded":
+        data = {**data, "tau": math.inf}
+    return TheoryInputs(**_field_kwargs(TheoryInputs, data, "theory inputs",
+                                        tau=math.inf))
 
 
 def load_json(path) -> dict:
+    """The JSON object in ``path``; any other top-level value is a ParseError."""
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno) from None
+    if not isinstance(data, dict):
+        raise ParseError(f"expected a JSON object, got {type(data).__name__}")
+    return data

@@ -67,15 +67,22 @@ def truncated_svd(m, k: int, tol: float = 1e-10) -> SvdFactors:
     few requested triplets use Lanczos iteration with a fixed start vector,
     so the result is deterministic either way.
 
+    Both paths decompose the matrix scaled by the power of two that brings
+    its largest entry into [0.5, 1), which is exact and keeps the products
+    clear of overflow and underflow, and scale the singular values back;
+    none comes back negative or ``-0.0``.
+
     Raises ``DimensionError`` when ``k`` is out of range and
     ``ConvergenceError`` if the iterative path fails: with the achieved
     residual when it exhausts its iteration cap, without one for any other
-    ARPACK error (for instance an overflow on entries near the float limit).
+    ARPACK error.
     """
     a = as_matrix(m)
     n, p = a.shape
     if not 1 <= k <= min(n, p):
         raise DimensionError(f"k={k} out of range [1, {min(n, p)}]")
+    scale = np.ldexp(1.0, -int(np.frexp(max(a.max(), -a.min()))[1]))
+    a = a * scale
 
     # An all-zero matrix gives Lanczos a zero starting vector, which it
     # rejects; LAPACK returns its (zero) spectrum like any other.
@@ -104,6 +111,7 @@ def truncated_svd(m, k: int, tol: float = 1e-10) -> SvdFactors:
         u, s, vt = u[:, order], s[order], vt[order, :]
 
     u, vt = _canonicalize_signs(u, vt)
+    s = np.where(s > 0.0, s, 0.0) / scale
     return SvdFactors(left=u, singular_values=s, right=vt.T)
 
 

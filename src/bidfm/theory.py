@@ -15,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-from .linalg import SvdFactors, as_matrix, row_normalize, truncated_svd
+from .linalg import (
+    SvdFactors,
+    _canonicalize_signs,
+    as_matrix,
+    row_normalize,
+    truncated_svd,
+)
 from .model import (
     BiDCDFMParams,
     BiDFMParams,
@@ -521,13 +527,8 @@ def population_svd_oracle(params) -> SvdFactors:
     k = min(core.shape)
     u_r = basis_r @ v_r[:, :k]
     u_c = basis_c @ v_c_t[:k, :].T
-    # same sign convention as truncated_svd: peak entry of each left vector
-    # positive
-    peaks = np.abs(u_r).argmax(axis=0)
-    signs = np.sign(u_r[peaks, np.arange(k)])
-    signs[signs == 0] = 1.0
+    # same sign convention as truncated_svd
+    u_r, u_c_t = _canonicalize_signs(u_r, u_c.T)
     return SvdFactors(
-        left=u_r * signs,
-        singular_values=total_r * total_c * sigma[:k],
-        right=u_c * signs,
+        left=u_r, singular_values=total_r * total_c * sigma[:k], right=u_c_t.T
     )

@@ -369,6 +369,31 @@ class TestCli:
         assert "Traceback" not in capsys.readouterr().err
         assert len(fileio.read_labels(prefix + "_row_labels.txt")[1]) == 700
 
+    @pytest.mark.parametrize("command, config", [
+        ("theory", {"inputs": {"n_r": 10, "bogus": 1}}),
+        ("generate", {"n_r": "abc", "n_c": 6, "k_r": 2, "k_c": 3,
+                      "mixing": "P1", "rho": 0.5}),
+        ("generate", [1, 2]),
+        ("theory", [1, 2]),
+        ("simulate", {"model": "bidfm", "kind": "bernoulli", "n_r": 30,
+                      "n_c": 45, "rho_grid": 5}),
+        ("generate", {"n_r": 6, "n_c": 6, "k_r": 2, "k_c": 3, "mixing": "P1",
+                      "rho": 0.5, "distribution": 5}),
+        ("generate", {"model": "bidcdfm", "n_r": 6, "n_c": 6, "k_r": 2, "k_c": 3,
+                      "mixing": "P1", "rho": 0.5, "theta": 5}),
+    ], ids=["unknown-key", "string-count", "list-model", "list-theory", "number-grid",
+            "number-distribution", "number-theta"])
+    def test_malformed_config_is_data_error(self, tmp_path, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        result = subprocess.run(
+            [sys.executable, "-m", "bidfm", command, "--config", str(path),
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
     def test_bad_matrix_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 2\n")

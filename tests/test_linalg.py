@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,11 +71,33 @@ class TestTruncatedSvd:
         with pytest.raises(DimensionError):
             truncated_svd(np.array([[1.0, np.nan]]), k=1)
 
-    def test_iterative_path_failure_is_convergence_error(self):
-        # 700 x 800 takes the Lanczos path, whose products overflow here
-        a = np.random.default_rng(0).uniform(size=(700, 800)) * 1e300
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+    def test_iterative_path_failure_is_convergence_error(self, monkeypatch):
+        # 700 x 800 takes the Lanczos path; any ARPACK error it raises is
+        # reported as a ConvergenceError
+        def failing_svds(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        a = np.random.default_rng(0).uniform(size=(700, 800))
+        with pytest.raises(ConvergenceError):
             truncated_svd(a, k=2)
+
+    @pytest.mark.parametrize("shape", [(50, 60), (700, 800)], ids=["dense", "lanczos"])
+    @pytest.mark.parametrize("factor", [1e300, 1e-200])
+    def test_extreme_scales_match_unscaled(self, shape, factor):
+        # near the float limits the products would overflow or underflow
+        u = np.random.default_rng(0).uniform(size=shape)
+        expected = truncated_svd(u, k=2).singular_values * factor
+        got = truncated_svd(u * factor, k=2).singular_values
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_no_negative_zero_singular_values(self):
+        from bidfm.detect import dscore
+
+        a = np.zeros((700, 800))
+        a[:, 0] = 1.0  # rank one: the second singular value is zero
+        assert not np.signbit(dscore(a, 2, 3).singular_values).any()
+        assert not np.signbit(truncated_svd(a, k=2).singular_values).any()
 
     def test_iterative_path_matches_dense(self):
         rng = np.random.default_rng(3)
