@@ -40,15 +40,15 @@ params = BiDCDFMParams(
 a = sample_adjacency(expected_adjacency(params), DistributionSpec.poisson(), seed=35)
 a[:3, :] = 0.0  # a few dead senders, as real snapshots have
 
-workdir = tempfile.mkdtemp(prefix="bidfm-demo-")
-edges = os.path.join(workdir, "network.tsv")
-write_edge_list(edges, a)
-print("wrote", edges)
+with tempfile.TemporaryDirectory(prefix="bidfm-demo-") as workdir:
+    edges = os.path.join(workdir, "network.tsv")
+    write_edge_list(edges, a)
+    print("wrote", edges)
 
-# --- ingest ------------------------------------------------------------------
-# CLI: none needed; matrices also load via `read_matrix`. Edge lists with a
-# shared node universe come back square with rows and columns aligned.
-matrix, node_ids, _ = read_edge_list(edges)
+    # --- ingest ----------------------------------------------------------------
+    # CLI: none needed; matrices also load via `read_matrix`. Edge lists with a
+    # shared node universe come back square with rows and columns aligned.
+    matrix, node_ids, _ = read_edge_list(edges)
 print("loaded", matrix.shape, "network,", len(node_ids), "nodes")
 
 # --- degree structure ---------------------------------------------------------

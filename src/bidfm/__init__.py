@@ -62,8 +62,6 @@ from .model import (
     BiDFMParams,
     Membership,
     expected_adjacency,
-    expected_adjacency_bidcdfm,
-    expected_adjacency_bidfm,
     sample_memberships,
     sample_theta,
     validate,

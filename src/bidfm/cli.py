@@ -251,10 +251,7 @@ def _cmd_preprocess(args):
 
 def _cmd_theory(args):
     config = fileio.load_json(args.config)
-    inputs = fileio.theory_inputs_from_config(config["inputs"])
-    model = config.get("model", "bidfm")
-    c_alpha = float(config.get("c_alpha", 1.0))
-    c = float(config.get("c", 1.0))
+    model, inputs, c_alpha, c = fileio.theory_config_from_config(config)
     if model == "bidfm":
         check = check_assumption1(inputs)
         bound = deviation_bound_bidfm(inputs, c_alpha)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import detect
-from .errors import BidfmError, DimensionError, ValidationError
+from .errors import BidfmError, DimensionError, DomainError, ValidationError
 from .linalg import as_matrix, truncated_svd
 from .metrics import ari, combined_report, hamming_error, nmi
 from .model import (
@@ -29,7 +29,7 @@ from .model import (
     sample_memberships,
     sample_theta,
 )
-from .sampling import DistributionSpec, sample_adjacency
+from .sampling import DistributionSpec, check_omega_range, sample_adjacency
 
 # Per-point parameter seeds stride by this prime so they never collide
 # with the per-replicate draw seeds (base_seed + rep).
@@ -54,11 +54,11 @@ class SimulationConfig:
     n_c: int | None = None
     rho: float | None = None
     sigma2: float | None = None
-    rho_grid: tuple | None = None
-    n_grid: tuple | None = None
-    sigma2_grid: tuple | None = None
+    rho_grid: tuple[float, ...] | None = None
+    n_grid: tuple[int, ...] | None = None
+    sigma2_grid: tuple[float, ...] | None = None
     replicates: int = 50
-    algorithms: tuple = detect.ALGORITHMS
+    algorithms: tuple[str, ...] = detect.ALGORITHMS
     base_seed: int = 0
     population: bool = False
     theta_floor: float = 0.05
@@ -79,12 +79,12 @@ class SimulationConfig:
             raise ValidationError("fixed dimensions n_r, n_c are required")
         if self.rho_grid is None and self.rho is None:
             raise ValidationError("rho is required when not swept")
-        if self.kind == "normal" and self.sigma2_grid is None and self.sigma2 is None:
-            raise ValidationError("sigma2 is required for the normal law")
-        if self.kind in ("bernoulli", "poisson") and self.mixing.min() < 0:
-            raise ValidationError(
-                f"{self.kind} law needs a non-negative mixing matrix"
-            )
+        # each point's law must be valid and admit the mixing's signs (thetas > 0)
+        specs = [spec for *_, spec in self._points()]
+        try:
+            check_omega_range(np.sign(self.mixing), specs[0])
+        except DomainError as exc:
+            raise ValidationError(f"mixing signs do not suit the law: {exc}") from None
         unknown = set(self.algorithms) - set(detect.ALGORITHMS)
         if unknown:
             raise ValidationError(f"unknown algorithms: {sorted(unknown)}")
@@ -97,6 +97,16 @@ class SimulationConfig:
         if self.n_grid is not None:
             return "n", tuple(self.n_grid)
         return "sigma2", tuple(self.sigma2_grid)
+
+    def _points(self):
+        """``(value, n_r, n_c, rho, DistributionSpec)`` at each swept value."""
+        swept_name, values = self.swept
+        for value in values:
+            n_r = int(value) if swept_name == "n" else self.n_r
+            n_c = int(value) if swept_name == "n" else self.n_c
+            rho = value if swept_name == "rho" else self.rho
+            sigma2 = value if swept_name == "sigma2" else self.sigma2
+            yield value, n_r, n_c, rho, DistributionSpec(self.kind, sigma2=sigma2)
 
 
 @dataclass(frozen=True)
@@ -174,14 +184,8 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
     Individual algorithm failures (for instance the ratio method with a
     single cluster) count as missing replicates instead of aborting the run.
     """
-    swept_name, values = config.swept
     points = []
-    for index, value in enumerate(values):
-        n_r = int(value) if swept_name == "n" else config.n_r
-        n_c = int(value) if swept_name == "n" else config.n_c
-        rho = value if swept_name == "rho" else config.rho
-        sigma2 = value if swept_name == "sigma2" else config.sigma2
-        spec = DistributionSpec(config.kind, sigma2=sigma2)
+    for index, (value, n_r, n_c, rho, spec) in enumerate(config._points()):
         params = _point_params(config, index, n_r, n_c, rho)
         omega = expected_adjacency(params)
         scores = {alg: [] for alg in config.algorithms}
@@ -212,7 +216,7 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
     return ExperimentReport(
         model=config.model,
         kind=config.kind,
-        swept_name=swept_name,
+        swept_name=config.swept[0],
         points=tuple(points),
     )
 

@@ -198,8 +198,18 @@ _NAMED_MIXINGS = {"P1": P1, "P2": P2}
 # JSON values a config field admits, by the types in its annotation; a
 # mixing matrix (np.ndarray) is given by name or as a list
 _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool,
-               tuple: (list, tuple), type(None): type(None),
-               np.ndarray: (str, list, tuple)}
+               type(None): type(None), np.ndarray: (str, list, tuple)}
+
+
+def _admits(hint, value) -> bool:
+    """Whether a JSON value fits a field annotation: a plain type, a union,
+    or a ``tuple[T, ...]`` given as a list of ``T`` values."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_admits(item, v) for v in value)
+    if typing.get_args(hint):
+        return any(_admits(option, value) for option in typing.get_args(hint))
+    return isinstance(value, _JSON_TYPES[hint])
 
 
 def _convert(key, convert, value):
@@ -219,11 +229,10 @@ def _field_kwargs(cls, data, what: str, **defaults) -> dict:
     data, hints = {**defaults, **data}, typing.get_type_hints(cls)
     violations = [f"unknown {what} key {key!r}" for key in data if key not in hints]
     for f in dataclasses.fields(cls):
-        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
         value = data.get(f.name, f.default)
         if value is dataclasses.MISSING:
             violations.append(f"missing {what} key {f.name!r}")
-        elif not isinstance(value, tuple(_JSON_TYPES[kind] for kind in kinds)):
+        elif not _admits(hints[f.name], value):
             violations.append(f"{what} key {f.name!r} has the wrong type: {value!r}")
     if violations:
         raise ValidationError(violations)
@@ -322,6 +331,16 @@ def theory_inputs_from_config(data: dict) -> TheoryInputs:
         data = {**data, "tau": math.inf}
     return TheoryInputs(**_field_kwargs(TheoryInputs, data, "theory inputs",
                                         tau=math.inf))
+
+
+def theory_config_from_config(data: dict) -> tuple:
+    """``(model, inputs, c_alpha, c)`` from a theory config; ``model`` is
+    ``"bidfm"`` (the default) or ``"bidcdfm"`` and the constants default to 1."""
+    model = data.get("model", "bidfm")
+    if model not in ("bidfm", "bidcdfm"):
+        raise ValidationError(f"unknown model {model!r}")
+    c_alpha, c = (_convert(key, float, data.get(key, 1.0)) for key in ("c_alpha", "c"))
+    return model, theory_inputs_from_config(data["inputs"]), c_alpha, c
 
 
 def load_json(path) -> dict:

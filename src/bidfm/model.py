@@ -191,29 +191,16 @@ def require_valid(params):
         raise ValidationError(violations)
 
 
-def expected_adjacency_bidfm(params: BiDFMParams) -> np.ndarray:
-    """Expected adjacency ``rho * Z_r @ P @ Z_c.T``; entry (i, j) equals
-    ``rho * P(g_i, g_j)`` and the matrix has rank ``min(K_r, K_c)``."""
-    require_valid(params)
-    block = params.rho * params.mixing
-    return block[
-        np.ix_(params.row_membership.labels - 1, params.col_membership.labels - 1)
-    ]
-
-
-def expected_adjacency_bidcdfm(params: BiDCDFMParams) -> np.ndarray:
-    """Expected adjacency ``diag(theta_r) @ Z_r @ P @ Z_c.T @ diag(theta_c)``."""
-    require_valid(params)
-    block = params.mixing[
-        np.ix_(params.row_membership.labels - 1, params.col_membership.labels - 1)
-    ]
-    return params.theta_row[:, None] * block * params.theta_col[None, :]
-
-
 def expected_adjacency(params) -> np.ndarray:
+    """Expected adjacency: ``rho * Z_r @ P @ Z_c.T`` for the plain model
+    (entry (i, j) equals ``rho * P(g_i, g_j)``; the matrix has rank
+    ``min(K_r, K_c)``), ``diag(theta_r) @ Z_r @ P @ Z_c.T @ diag(theta_c)``
+    for the degree-corrected one."""
+    require_valid(params)
+    cells = np.ix_(params.row_membership.labels - 1, params.col_membership.labels - 1)
     if isinstance(params, BiDFMParams):
-        return expected_adjacency_bidfm(params)
-    return expected_adjacency_bidcdfm(params)
+        return (params.rho * params.mixing)[cells]
+    return params.theta_row[:, None] * params.mixing[cells] * params.theta_col[None, :]
 
 
 def sample_memberships(n: int, k: int, seed: int) -> Membership:

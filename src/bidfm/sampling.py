@@ -1,10 +1,12 @@
 """Distribution-free edge samplers.
 
-Given an expected adjacency and a distribution choice, draw an observed
-matrix whose entries are independent with the prescribed means.  The
-Bernoulli and signed laws constrain the admissible range of the expected
-entries; range violations are rejected outright, because clamping would
-silently break unbiasedness.
+Given an expected adjacency and a distribution choice (bernoulli, normal,
+signed +/-1 or poisson), draw an observed matrix whose entries are
+independent with the prescribed means.  A law enters only through the
+interval its means may lie in, its entry variance as a function of the mean
+``w`` and its draw; ``_LAWS`` states each once, and the README tabulates
+them.  Means outside the interval are rejected outright, because clamping
+would silently break unbiasedness.
 
 Random numbers come from numpy's counter-based Philox generator keyed by the
 caller's seed, so a fixed ``(omega, spec, seed)`` triple always reproduces
@@ -13,6 +15,7 @@ is a pure function of the seed and its position in the stream.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +23,35 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .linalg import as_matrix
 
-KINDS = ("bernoulli", "normal", "signed", "poisson")
+
+# A law: its admissible mean interval [lo, hi], its entry variance
+# ``variance(means, spec)`` and its sampler ``draw(generator, means, spec)``.
+_Law = namedtuple("_Law", "lo hi variance draw")
+
+_LAWS = {
+    "bernoulli": _Law(
+        0.0, 1.0,
+        lambda w, spec: w * (1.0 - w),
+        lambda rng, w, spec: (rng.random(w.shape) < w).astype(float),
+    ),
+    "normal": _Law(
+        -np.inf, np.inf,
+        lambda w, spec: np.full_like(w, spec.sigma2),
+        lambda rng, w, spec: w + np.sqrt(spec.sigma2) * rng.standard_normal(w.shape),
+    ),
+    "signed": _Law(
+        -1.0, 1.0,
+        lambda w, spec: 1.0 - w * w,
+        lambda rng, w, spec: np.where(rng.random(w.shape) < (1.0 + w) / 2.0, 1.0, -1.0),
+    ),
+    "poisson": _Law(
+        0.0, np.inf,
+        lambda w, spec: w,
+        lambda rng, w, spec: rng.poisson(w).astype(float),
+    ),
+}
+
+KINDS = tuple(_LAWS)
 
 
 @dataclass(frozen=True)
@@ -62,68 +93,42 @@ class DistributionSpec:
         return cls("poisson")
 
 
-def _check_range(omega, lo, hi, kind):
-    bad = (omega < lo) | (omega > hi)
+def check_omega_range(omega, spec: DistributionSpec):
+    """Reject expected entries outside the law's admissible interval."""
+    law = _LAWS[spec.kind]
+    bad = ~((law.lo <= omega) & (omega <= law.hi))
     if bad.any():
-        i, j = np.argwhere(bad)[0]
+        where = tuple(np.argwhere(bad)[0])
+        entry = f"entry {tuple(int(i) + 1 for i in where)} = " if where else "got "
         raise DomainError(
-            f"{kind} law requires expected entries in [{lo}, {hi}]; "
-            f"entry ({i + 1}, {j + 1}) = {omega[i, j]:.6g}"
+            f"{spec.kind} law requires expected entries in [{law.lo}, {law.hi}]; "
+            f"{entry}{omega[where]:.6g}"
         )
 
 
-def check_omega_range(omega, spec: DistributionSpec):
-    """Reject expected matrices outside the law's admissible interval."""
-    if spec.kind == "bernoulli":
-        _check_range(omega, 0.0, 1.0, "bernoulli")
-    elif spec.kind == "signed":
-        _check_range(omega, -1.0, 1.0, "signed")
-    elif spec.kind == "poisson":
-        _check_range(omega, 0.0, np.inf, "poisson")
-
-
 def sample_adjacency(omega, spec: DistributionSpec, seed: int) -> np.ndarray:
-    """Draw an adjacency matrix with independent entries and mean ``omega``.
-
-    Laws: Bernoulli(omega); Normal(omega, sigma2); signed +/-1 with
-    ``P(+1) = (1 + omega) / 2``; Poisson(omega).
-    """
+    """Draw an adjacency matrix with independent entries from ``spec``'s law
+    and mean ``omega``."""
     omega = as_matrix(omega, "omega")
     check_omega_range(omega, spec)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    if spec.kind == "bernoulli":
-        return (rng.random(omega.shape) < omega).astype(float)
-    if spec.kind == "normal":
-        return omega + np.sqrt(spec.sigma2) * rng.standard_normal(omega.shape)
-    if spec.kind == "signed":
-        return np.where(rng.random(omega.shape) < (1.0 + omega) / 2.0, 1.0, -1.0)
-    return rng.poisson(omega).astype(float)
+    return _LAWS[spec.kind].draw(rng, omega, spec)
 
 
-def distribution_moments(
-    spec: DistributionSpec, omega_entry: float, scale: float
-) -> tuple:
+def distribution_moments(spec: DistributionSpec, omega_entry, scale) -> tuple:
     """Exact entry variance and its contribution to the noise-scale constant.
 
     ``scale`` is ``rho`` for the plain model or ``theta_r(i) * theta_c(j)``
     for the degree-corrected one; the second return value is
-    ``variance / scale``.
+    ``variance / scale``.  ``omega_entry`` and ``scale`` may be arrays, which
+    give arrays back; scalars give floats.
     """
-    if not scale > 0:
+    if not np.all(np.asarray(scale) > 0):
         raise DomainError(f"scale must be positive, got {scale}")
-    w = float(omega_entry)
-    if spec.kind == "bernoulli":
-        if not 0.0 <= w <= 1.0:
-            raise DomainError(f"bernoulli mean must lie in [0, 1], got {w}")
-        variance = w * (1.0 - w)
-    elif spec.kind == "normal":
-        variance = float(spec.sigma2)
-    elif spec.kind == "signed":
-        if not -1.0 <= w <= 1.0:
-            raise DomainError(f"signed mean must lie in [-1, 1], got {w}")
-        variance = 1.0 - w * w
-    else:
-        if w < 0.0:
-            raise DomainError(f"poisson mean must be non-negative, got {w}")
-        variance = w
-    return variance, variance / scale
+    w = np.asarray(omega_entry, dtype=float)
+    check_omega_range(w, spec)
+    variance = _LAWS[spec.kind].variance(w, spec)
+    contribution = variance / scale
+    if np.ndim(contribution) == 0:
+        return float(variance), float(contribution)
+    return variance, contribution

@@ -28,7 +28,7 @@ from .model import (
     expected_adjacency,
     require_valid,
 )
-from .sampling import DistributionSpec, check_omega_range
+from .sampling import DistributionSpec, distribution_moments
 
 _RANK_TOL = 1e-9
 
@@ -57,35 +57,22 @@ def gamma_tau(spec: DistributionSpec, params) -> GammaTau:
     """Exact noise-scale constant and deviation bound for a model/law pair."""
     require_valid(params)
     omega = expected_adjacency(params)
-    check_omega_range(omega, spec)
     if isinstance(params, BiDFMParams):
         scale = params.rho
-        min_scale = params.rho
     else:
         scale = np.outer(params.theta_row, params.theta_col)
-        min_scale = float(params.theta_row.min() * params.theta_col.min())
-
+    gamma = float(distribution_moments(spec, omega, scale)[1].max())
+    # tau and the quoted bound are facts of the theory, not of the sampler
     if spec.kind == "bernoulli":
-        variance = omega * (1.0 - omega)
-        return GammaTau(
-            gamma=float((variance / scale).max()), tau=1.0, gamma_bound=1.0
-        )
-    if spec.kind == "normal":
-        g = spec.sigma2 / min_scale
-        return GammaTau(gamma=float(g), tau=math.inf, gamma_bound=float(g))
+        return GammaTau(gamma=gamma, tau=1.0, gamma_bound=1.0)
     if spec.kind == "signed":
-        variance = 1.0 - omega**2
         return GammaTau(
-            gamma=float((variance / scale).max()),
+            gamma=gamma,
             tau=1.0 + float(np.abs(omega).max()),
-            gamma_bound=1.0 / min_scale,
+            gamma_bound=1.0 / float(np.min(scale)),
         )
-    # poisson: variance equals the mean, support is unbounded
-    return GammaTau(
-        gamma=float((omega / scale).max()),
-        tau=math.inf,
-        gamma_bound=float((omega / scale).max()),
-    )
+    # normal and poisson: unbounded support, and the exact value is the bound
+    return GammaTau(gamma=gamma, tau=math.inf, gamma_bound=gamma)
 
 
 def empirical_tau(a, omega) -> float:

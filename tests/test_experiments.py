@@ -87,6 +87,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             tiny_config(kind="normal", mixing=P2)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(kind="cauchy"),
+        dict(kind="bernoulli", sigma2=1.0),
+        dict(kind="normal", mixing=P2, n_r=200, n_c=300, rho=0.5, rho_grid=None,
+             sigma2_grid=(1.0, 2.0, -1.0)),
+    ], ids=["unknown-kind", "sigma2-on-bernoulli", "negative-sigma2-in-grid"])
+    def test_bad_law_rejected_when_built(self, overrides):
+        with pytest.raises(ValidationError):
+            tiny_config(**overrides)
+
 
 class TestRunSimulation:
     def test_deterministic_reports(self):

@@ -13,6 +13,15 @@ from bidfm.errors import ParseError, ValidationError
 from bidfm.model import P2
 
 
+# every field the assumption checks, bounds and envelopes of both models read
+THEORY_INPUTS = {
+    "n_r": 200, "n_c": 300, "k_r": 2, "k_c": 2, "sigma_min_mixing": 0.5,
+    "gamma": 1.0, "tau": 1.0, "n_r_min": 90, "n_r_max": 110, "n_c_min": 140,
+    "n_c_max": 160, "rho": 0.5, "theta_r_min": 0.5, "theta_r_max": 0.9,
+    "theta_c_min": 0.5, "theta_c_max": 0.9, "theta_r_l1": 140.0, "theta_c_l1": 210.0,
+}
+
+
 class TestMatrixFormat:
     def test_round_trip_identity(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -381,8 +390,19 @@ class TestCli:
                       "rho": 0.5, "distribution": 5}),
         ("generate", {"model": "bidcdfm", "n_r": 6, "n_c": 6, "k_r": 2, "k_c": 3,
                       "mixing": "P1", "rho": 0.5, "theta": 5}),
+        ("theory", {"inputs": THEORY_INPUTS, "c_alpha": "x"}),
+        ("theory", {"inputs": THEORY_INPUTS, "c": "x"}),
+        ("theory", {"inputs": THEORY_INPUTS, "model": "foo"}),
+        ("simulate", {"model": "bidfm", "kind": "bernoulli", "n_r": 30,
+                      "n_c": 45, "rho_grid": ["a"]}),
+        ("simulate", {"model": "bidfm", "kind": "bernoulli", "rho": 0.5,
+                      "n_grid": ["a"]}),
+        ("simulate", {"model": "bidfm", "kind": "normal", "mixing": "P2", "n_r": 30,
+                      "n_c": 45, "rho": 0.5, "sigma2_grid": ["a"]}),
     ], ids=["unknown-key", "string-count", "list-model", "list-theory", "number-grid",
-            "number-distribution", "number-theta"])
+            "number-distribution", "number-theta", "string-c-alpha", "string-c",
+            "unknown-theory-model", "string-rho-grid", "string-n-grid",
+            "string-sigma2-grid"])
     def test_malformed_config_is_data_error(self, tmp_path, command, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

@@ -8,8 +8,7 @@ from bidfm.model import (
     BiDCDFMParams,
     BiDFMParams,
     Membership,
-    expected_adjacency_bidcdfm,
-    expected_adjacency_bidfm,
+    expected_adjacency,
     sample_memberships,
     sample_theta,
     validate,
@@ -49,14 +48,14 @@ class TestExpectedAdjacency:
         params = BiDFMParams(
             Membership([1, 1]), Membership([1, 1, 1]), np.array([[1.0]]), rho=0.5
         )
-        omega = expected_adjacency_bidfm(params)
+        omega = expected_adjacency(params)
         assert omega.shape == (2, 3)
         assert np.all(omega == 0.5)
 
     def test_block_entry_from_p1(self):
         # row node in cluster 2 and column node in cluster 2: 0.5 * 0.8
         params = small_instance()
-        omega = expected_adjacency_bidfm(params)
+        omega = expected_adjacency(params)
         i = np.nonzero(params.row_membership.labels == 2)[0][0]
         j = np.nonzero(params.col_membership.labels == 2)[0][0]
         assert omega[i, j] == pytest.approx(0.4, abs=1e-15)
@@ -64,7 +63,7 @@ class TestExpectedAdjacency:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force(self, seed):
         params = small_instance(seed=seed, p=P2, n_r=15, n_c=20)
-        omega = expected_adjacency_bidfm(params)
+        omega = expected_adjacency(params)
         ref = brute_force_expected_adjacency(
             params.row_membership.labels, params.col_membership.labels, P2, rho=0.5
         )
@@ -74,7 +73,7 @@ class TestExpectedAdjacency:
         rows = Membership([2, 1])
         cols = Membership([1, 2, 3])
         params = BiDCDFMParams(rows, cols, P2, np.array([2.0, 1.0]), np.array([3.0, 1.0, 1.0]))
-        omega = expected_adjacency_bidcdfm(params)
+        omega = expected_adjacency(params)
         # theta_r = 2, theta_c = 3, block strength P(2, 1) = -0.4
         assert omega[0, 0] == pytest.approx(-2.4, abs=1e-15)
 
@@ -89,18 +88,18 @@ class TestExpectedAdjacency:
         ref = brute_force_expected_adjacency(
             rows.labels, cols.labels, P1, theta_r=theta_r, theta_c=theta_c
         )
-        assert np.abs(expected_adjacency_bidcdfm(params) - ref).max() < 1e-12
+        assert np.abs(expected_adjacency(params) - ref).max() < 1e-12
 
     def test_constant_theta_reduces_to_plain(self):
         params = small_instance(seed=4)
-        plain = expected_adjacency_bidfm(params)
-        lifted = expected_adjacency_bidcdfm(BiDCDFMParams.from_bidfm(params))
+        plain = expected_adjacency(params)
+        lifted = expected_adjacency(BiDCDFMParams.from_bidfm(params))
         assert np.abs(lifted - plain).max() <= 1e-14 * np.abs(plain).max()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rank_equals_min_cluster_count(self, seed):
         params = small_instance(seed=seed, n_r=20, n_c=30)
-        sv = np.linalg.svd(expected_adjacency_bidfm(params), compute_uv=False)
+        sv = np.linalg.svd(expected_adjacency(params), compute_uv=False)
         assert sv[2] < 1e-9 * sv[0]
 
     def test_invalid_params_rejected(self):
@@ -109,7 +108,7 @@ class TestExpectedAdjacency:
             params.row_membership, params.col_membership, P1 * 0.5, rho=0.5
         )
         with pytest.raises(ValidationError, match="max"):
-            expected_adjacency_bidfm(bad)
+            expected_adjacency(bad)
 
 
 class TestSampleMemberships:

@@ -150,3 +150,22 @@ class TestDistributionMoments:
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
             distribution_moments(DistributionSpec.bernoulli(), 1.2, 1.0)
+
+    @pytest.mark.parametrize(
+        "spec, omega",
+        [
+            (DistributionSpec.bernoulli(), BASE),
+            (DistributionSpec.normal(1.7), 2.0 * BASE - 1.0),
+            (DistributionSpec.signed(), 2.0 * BASE - 1.0),
+            (DistributionSpec.poisson(), 3.0 * BASE),
+        ],
+        ids=["bernoulli", "normal", "signed", "poisson"],
+    )
+    def test_array_matches_entrywise(self, spec, omega):
+        scale = np.linspace(0.5, 2.0, omega.size).reshape(omega.shape)
+        variance, contribution = distribution_moments(spec, omega, scale)
+        assert variance.shape == contribution.shape == omega.shape
+        for (i, j), w in np.ndenumerate(omega):
+            assert (variance[i, j], contribution[i, j]) == distribution_moments(
+                spec, w, scale[i, j]
+            )
