@@ -10,9 +10,11 @@ and file formats plus a CLI (``fileio``, ``cli``).
 from .detect import (
     ALGORITHMS,
     DetectionResult,
+    Embedding,
     bisc,
     disim,
     dscore,
+    embed,
     nbisc,
     rdscore,
     shift_nonnegative,

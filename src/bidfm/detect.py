@@ -1,9 +1,9 @@
 """Community detection for weighted bipartite networks.
 
 Every method runs one pipeline: form an operator from the matrix, take its
-leading min(k_r, k_c) singular vectors, read each side's rows out, and run
-k-means with ``k_r`` clusters on the left rows and ``k_c`` on the right rows.
-The methods differ only in the operator and the read-out:
+leading min(k_r, k_c) singular vectors (``embed``), read each side's rows
+out, and run k-means with ``k_r`` clusters on the left rows and ``k_c`` on
+the right rows.  The methods differ only in the operator and the read-out:
 
 ========  =====================  ============================================
 method    operator               read-out
@@ -18,7 +18,9 @@ rdscore   regularized Laplacian  ratios of trailing columns to the leading one
 ``bisc`` and ``nbisc`` are the paper's methods; the other three are
 reference baselines for comparison studies.  The pipeline assumes
 ``k_r <= k_c``; called the other way round it transposes the problem and
-swaps the labels and per-side diagnostics back.
+swaps the labels and per-side diagnostics back.  Each method takes a matrix
+or an ``Embedding`` of it, so methods on one operator can share one SVD;
+``run_algorithms`` does that for several methods on one matrix.
 """
 from __future__ import annotations
 
@@ -26,11 +28,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, UnsupportedError, ValidationError
-from .linalg import as_matrix, kmeans, row_normalize, truncated_svd
+from .errors import BidfmError, DimensionError, DomainError, UnsupportedError, ValidationError
+from .linalg import SvdFactors, as_matrix, kmeans, row_normalize, truncated_svd
 from .model import Membership
 
-ALGORITHMS = ("bisc", "nbisc", "disim", "dscore", "rdscore")
+# (operator, read-out) of each method, as in the table above
+_PIPELINES = {
+    "bisc": ("adjacency", "raw"),
+    "nbisc": ("adjacency", "normalize"),
+    "disim": ("laplacian", "normalize"),
+    "dscore": ("adjacency", "ratio"),
+    "rdscore": ("laplacian", "ratio"),
+}
+ALGORITHMS = tuple(_PIPELINES)
+_OPERATORS = ("adjacency", "laplacian")
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,26 @@ class DetectionResult:
     col_labels: Membership
     singular_values: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Embedding:
+    """Leading ``min(k_r, k_c)`` singular triplets of one operator of a
+    matrix: what every method on that operator reads out.
+
+    When ``transposed`` (``k_r > k_c``) the factors decompose the operator of
+    the transposed matrix, so the left factor always belongs to the side with
+    fewer clusters.  ``regularizers`` are the Laplacian's ``(row, column)``
+    degree regularizers and ``None`` for the adjacency; ``factors.path`` says
+    which SVD path ran.
+    """
+
+    operator: str
+    k_r: int
+    k_c: int
+    factors: SvdFactors
+    transposed: bool
+    regularizers: tuple | None
 
 
 def _laplacian(a, regularizer):
@@ -76,10 +107,7 @@ def _ratio_matrix(u, threshold):
     return np.clip(ratios, -t, t)
 
 
-def _cocluster(a, k_r, k_c, operator, readout, seed, restarts,
-               regularizer="auto", threshold="auto", eps=1e-12):
-    """The pipeline behind every method: ``operator`` is ``'adjacency'`` or
-    ``'laplacian'``, ``readout`` is ``'raw'``, ``'normalize'`` or ``'ratio'``."""
+def _checked(a, k_r, k_c):
     a = as_matrix(a)
     if k_r < 1 or k_c < 1:
         raise DimensionError("cluster counts must be positive")
@@ -87,34 +115,89 @@ def _cocluster(a, k_r, k_c, operator, readout, seed, restarts,
         raise DimensionError(
             f"cluster counts ({k_r}, {k_c}) exceed matrix shape {a.shape}"
         )
+    return a
+
+
+def _check_readout(readout, k_r, k_c):
     if readout == "ratio" and min(k_r, k_c) < 2:
         raise UnsupportedError("ratio method needs min(k_r, k_c) >= 2")
+
+
+def _embed(a, k_r, k_c, operator, regularizer):
+    """``embed`` of a matrix that passed ``_checked``; the one transpose site."""
     transposed = k_r > k_c
     if transposed:
-        a, k_r, k_c = a.T, k_c, k_r
+        a = a.T
+    regularizers = None
     if operator == "laplacian":
         a, regularizers = _laplacian(a, regularizer)
-    factors = truncated_svd(a, k_r)
-    sides = []  # (labels, k-means objective, rows too short to normalize)
-    for x, k in ((factors.left, k_r), (factors.right, k_c)):
-        degenerate = None
+        if transposed:
+            regularizers = regularizers[::-1]
+    factors = truncated_svd(a, min(k_r, k_c))
+    return Embedding(operator, k_r, k_c, factors, transposed, regularizers)
+
+
+def embed(a, k_r: int, k_c: int, operator: str = "adjacency",
+          regularizer="auto") -> Embedding:
+    """Decompose one operator of ``a`` for ``k_r`` row and ``k_c`` column
+    clusters: ``'adjacency'`` is ``a`` itself, ``'laplacian'`` its
+    regularized Laplacian (``regularizer`` as in ``disim``; ``a`` must be
+    non-negative).  Every method on that operator and those counts accepts
+    the result in place of ``a``.
+    """
+    if operator not in _OPERATORS:
+        raise ValidationError(f"unknown operator {operator!r}; choose from {_OPERATORS}")
+    return _embed(_checked(a, k_r, k_c), k_r, k_c, operator, regularizer)
+
+
+def _read_out(embedding, readout, seed, restarts, threshold, eps):
+    """Read each side's singular-vector rows out (``'raw'``, ``'normalize'``
+    or ``'ratio'``) and run k-means on them."""
+    factors = embedding.factors
+    sides = ("col", "row") if embedding.transposed else ("row", "col")
+    counts = {"row": embedding.k_r, "col": embedding.k_c}
+    fits, degenerate = {}, {}
+    for side, x in zip(sides, (factors.left, factors.right)):
         if readout == "normalize":
             normalized = row_normalize(x, eps=eps)
-            x, degenerate = normalized.matrix, normalized.degenerate_rows
+            x, degenerate[side] = normalized.matrix, normalized.degenerate_rows
         elif readout == "ratio":
             x = _ratio_matrix(x, threshold)
-        fit = kmeans(x, k, seed=seed, restarts=restarts)
-        sides.append((Membership(fit.labels, n_clusters=k), fit.objective, degenerate))
-    if transposed:
-        sides.reverse()
-    (rows, row_obj, row_degenerate), (cols, col_obj, col_degenerate) = sides
-    diagnostics = {"row_objective": row_obj, "col_objective": col_obj}
-    if readout == "normalize":
-        diagnostics["degenerate_rows"] = row_degenerate
-        diagnostics["degenerate_cols"] = col_degenerate
-    if operator == "laplacian":
-        diagnostics["regularizers"] = regularizers[::-1] if transposed else regularizers
+        fits[side] = kmeans(x, counts[side], seed=seed, restarts=restarts)
+    diagnostics = {f"{side}_{key}": getattr(fits[side], key)
+                   for key in ("objective", "iterations", "converged")
+                   for side in ("row", "col")}
+    if degenerate:
+        diagnostics["degenerate_rows"] = degenerate["row"]
+        diagnostics["degenerate_cols"] = degenerate["col"]
+    if embedding.regularizers is not None:
+        diagnostics["regularizers"] = embedding.regularizers
+    diagnostics["svd_path"] = factors.path
+    rows, cols = (Membership(fits[side].labels, n_clusters=counts[side])
+                  for side in ("row", "col"))
     return DetectionResult(rows, cols, factors.singular_values, diagnostics)
+
+
+def _cocluster(name, a, k_r, k_c, seed, restarts,
+               regularizer="auto", threshold="auto", eps=1e-12):
+    """The pipeline behind every method, on a matrix or an ``Embedding``;
+    checks run in the same order for both."""
+    operator, readout = _PIPELINES[name]
+    if isinstance(a, Embedding):
+        if (a.operator, a.k_r, a.k_c) != (operator, k_r, k_c):
+            raise ValidationError(
+                f"{name} for ({k_r}, {k_c}) clusters needs a {operator} embedding "
+                f"for them, got a {a.operator} one for ({a.k_r}, {a.k_c})"
+            )
+        if regularizer != "auto":
+            raise ValidationError("an embedding's regularizer is set by embed")
+        _check_readout(readout, k_r, k_c)
+        embedding = a
+    else:
+        a = _checked(a, k_r, k_c)
+        _check_readout(readout, k_r, k_c)
+        embedding = _embed(a, k_r, k_c, operator, regularizer)
+    return _read_out(embedding, readout, seed, restarts, threshold, eps)
 
 
 def bisc(a, k_r: int, k_c: int, seed: int = 0, restarts: int = 10) -> DetectionResult:
@@ -122,9 +205,11 @@ def bisc(a, k_r: int, k_c: int, seed: int = 0, restarts: int = 10) -> DetectionR
 
     Runs k-means with ``k_r`` clusters on the rows of the left factor and
     ``k_c`` clusters on the rows of the right factor of the
-    min(k_r, k_c)-dimensional SVD of ``a``.
+    min(k_r, k_c)-dimensional SVD of ``a``.  Like every method, it also
+    takes ``embed(a, k_r, k_c)`` in place of ``a`` (the Laplacian methods
+    take ``embed(a, k_r, k_c, "laplacian")``).
     """
-    return _cocluster(a, k_r, k_c, "adjacency", "raw", seed, restarts)
+    return _cocluster("bisc", a, k_r, k_c, seed, restarts)
 
 
 def nbisc(
@@ -141,7 +226,7 @@ def nbisc(
     keep their raw coordinates, still receive a label, and are reported under
     ``diagnostics['degenerate_rows']`` / ``['degenerate_cols']``.
     """
-    return _cocluster(a, k_r, k_c, "adjacency", "normalize", seed, restarts, eps=eps)
+    return _cocluster("nbisc", a, k_r, k_c, seed, restarts, eps=eps)
 
 
 def disim(
@@ -158,9 +243,10 @@ def disim(
     degree; both are reported under ``diagnostics['regularizers']`` as
     ``(row, column)``.  Singular-vector rows are unit-normalized before
     k-means, and rows too short to normalize are reported as in ``nbisc``.
+    Given an ``Embedding``, ``regularizer`` must stay ``'auto'``: the
+    embedding's own regularizers apply.
     """
-    return _cocluster(a, k_r, k_c, "laplacian", "normalize", seed, restarts,
-                      regularizer=regularizer)
+    return _cocluster("disim", a, k_r, k_c, seed, restarts, regularizer=regularizer)
 
 
 def dscore(
@@ -177,8 +263,7 @@ def dscore(
     factors, so the method tolerates degree heterogeneity by construction.
     The default clip threshold is ``log(n)`` for a side with ``n`` nodes.
     """
-    return _cocluster(a, k_r, k_c, "adjacency", "ratio", seed, restarts,
-                      threshold=threshold)
+    return _cocluster("dscore", a, k_r, k_c, seed, restarts, threshold=threshold)
 
 
 def rdscore(
@@ -191,7 +276,7 @@ def rdscore(
     restarts: int = 10,
 ) -> DetectionResult:
     """Ratio method on the regularized Laplacian instead of the adjacency."""
-    return _cocluster(a, k_r, k_c, "laplacian", "ratio", seed, restarts,
+    return _cocluster("rdscore", a, k_r, k_c, seed, restarts,
                       regularizer=regularizer, threshold=threshold)
 
 
@@ -212,19 +297,54 @@ def shift_nonnegative(a) -> tuple:
     return a + shift, shift
 
 
+def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
+    """Run several methods on one matrix, each as ``run_algorithm`` would.
+
+    Returns ``[(name, DetectionResult or BidfmError), ...]`` in the order of
+    ``names``: a method that fails gives the error it would raise alone, and
+    the others still run.  Each operator is decomposed at most once, so an
+    embedding that fails is the failure of every method sharing it.
+    """
+    unknown = [name for name in names if name not in ALGORITHMS]
+    if unknown:
+        raise ValidationError(f"unknown algorithm {unknown[0]!r}; choose from {ALGORITHMS}")
+    # every method checks the matrix and counts before anything else
+    try:
+        a = _checked(a, k_r, k_c)
+    except BidfmError as exc:
+        return [(name, exc) for name in names]
+    embeddings, shift, outcomes = {}, 0.0, []
+    for name in names:
+        operator, readout = _PIPELINES[name]
+        try:
+            _check_readout(readout, k_r, k_c)
+            if operator not in embeddings:
+                operand = a
+                if operator == "laplacian":
+                    operand, shift = shift_nonnegative(a)
+                try:
+                    embeddings[operator] = embed(operand, k_r, k_c, operator)
+                except BidfmError as exc:
+                    embeddings[operator] = exc
+            outcome = embeddings[operator]
+            if isinstance(outcome, Embedding):
+                # Looked up by name on the module at call time, so a wrapper
+                # bound over a method's module attribute (an instrumenting
+                # tracer) is what runs.
+                outcome = globals()[name](outcome, k_r, k_c, seed=seed)
+                if operator == "laplacian" and shift:
+                    outcome.diagnostics["shift"] = shift
+        except BidfmError as exc:
+            outcome = exc
+        outcomes.append((name, outcome))
+    return outcomes
+
+
 def run_algorithm(name: str, a, k_r: int, k_c: int, seed: int = 0) -> DetectionResult:
     """Run the method called ``name`` (one of ``ALGORITHMS``) with default
     settings.  The Laplacian methods first get ``shift_nonnegative``, and a
     non-zero shift is recorded under ``diagnostics['shift']``."""
-    if name not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
-    # Looked up by name on the module at call time, so a wrapper bound over
-    # a method's module attribute (an instrumenting tracer) is what runs.
-    method = globals()[name]
-    shift = 0.0
-    if name in ("disim", "rdscore"):
-        a, shift = shift_nonnegative(a)
-    result = method(a, k_r, k_c, seed=seed)
-    if shift:
-        result.diagnostics["shift"] = shift
-    return result
+    [(_, outcome)] = run_algorithms((name,), a, k_r, k_c, seed)
+    if isinstance(outcome, BidfmError):
+        raise outcome
+    return outcome

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -79,12 +80,18 @@ class SimulationConfig:
             raise ValidationError("fixed dimensions n_r, n_c are required")
         if self.rho_grid is None and self.rho is None:
             raise ValidationError("rho is required when not swept")
-        # each point's law must be valid and admit the mixing's signs (thetas > 0)
-        specs = [spec for *_, spec in self._points()]
-        try:
-            check_omega_range(np.sign(self.mixing), specs[0])
-        except DomainError as exc:
-            raise ValidationError(f"mixing signs do not suit the law: {exc}") from None
+        # each point's law must be valid and admit its expected entries: rho
+        # times the mixing's entries in the plain model, and (thetas > 0)
+        # entries with the mixing's signs in the degree-corrected one
+        plain = self.model == "bidfm"
+        for _, _, _, rho, spec in self._points():
+            if not rho > 0:
+                raise ValidationError(f"rho must be positive, got {rho}")
+            try:
+                check_omega_range(rho * self.mixing if plain else np.sign(self.mixing), spec)
+            except DomainError as exc:
+                what = f"rho * mixing at rho = {rho}" if plain else "the mixing's signs"
+                raise ValidationError(f"the law does not admit {what}: {exc}") from None
         unknown = set(self.algorithms) - set(detect.ALGORITHMS)
         if unknown:
             raise ValidationError(f"unknown algorithms: {sorted(unknown)}")
@@ -124,6 +131,7 @@ class PointSummary:
     replicates: int  # successful replicates averaged here
     failed: int
     seeds: tuple
+    failure_reasons: dict  # exception class name -> failed replicates
 
 
 @dataclass(frozen=True)
@@ -182,24 +190,25 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
     """Execute the sweep and average the scores per (algorithm, value).
 
     Individual algorithm failures (for instance the ratio method with a
-    single cluster) count as missing replicates instead of aborting the run.
+    single cluster) count as missing replicates instead of aborting the run,
+    and ``failure_reasons`` counts them by exception class.  Each replicate's
+    matrix is decomposed once per operator and shared by the algorithms on it.
     """
     points = []
     for index, (value, n_r, n_c, rho, spec) in enumerate(config._points()):
         params = _point_params(config, index, n_r, n_c, rho)
         omega = expected_adjacency(params)
         scores = {alg: [] for alg in config.algorithms}
-        failures = {alg: 0 for alg in config.algorithms}
+        failures = {alg: Counter() for alg in config.algorithms}
         seeds = []
         for rep in range(config.replicates):
             seed = config.base_seed + rep
             seeds.append(seed)
             a = omega if config.population else sample_adjacency(omega, spec, seed)
-            for alg in config.algorithms:
-                try:
-                    result = detect.run_algorithm(alg, a, config.k_r, config.k_c, seed)
-                except BidfmError:
-                    failures[alg] += 1
+            outcomes = detect.run_algorithms(config.algorithms, a, config.k_r, config.k_c, seed)
+            for alg, result in outcomes:
+                if isinstance(result, BidfmError):
+                    failures[alg][type(result).__name__] += 1
                     continue
                 scores[alg].append(
                     combined_report(
@@ -221,7 +230,7 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
     )
 
 
-def _summarize(algorithm, value, reports, failed, seeds):
+def _summarize(algorithm, value, reports, failures, seeds):
     def stats(getter):
         xs = np.array([getter(r) for r in reports])
         if xs.size == 0:
@@ -242,8 +251,9 @@ def _summarize(algorithm, value, reports, failed, seeds):
         se_nmi=se_nmi,
         se_ari=se_ari,
         replicates=len(reports),
-        failed=failed,
+        failed=failures.total(),
         seeds=tuple(seeds),
+        failure_reasons=dict(failures),
     )
 
 

@@ -38,11 +38,14 @@ class SvdFactors:
     Columns of ``left`` and ``right`` are orthonormal; singular values are
     sorted in non-increasing order and column signs are canonicalized so the
     largest-magnitude entry of each left singular vector is positive.
+    ``path`` names the code path that computed them: ``'dense'`` (LAPACK) or
+    ``'lanczos'`` from ``truncated_svd``, ``None`` for factors built otherwise.
     """
 
     left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
+    path: str | None = None
 
     @property
     def rank(self) -> int:
@@ -112,7 +115,8 @@ def truncated_svd(m, k: int, tol: float = 1e-10) -> SvdFactors:
 
     u, vt = _canonicalize_signs(u, vt)
     s = np.where(s > 0.0, s, 0.0) / scale
-    return SvdFactors(left=u, singular_values=s, right=vt.T)
+    return SvdFactors(left=u, singular_values=s, right=vt.T,
+                      path="dense" if use_dense else "lanczos")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 
+from bidfm import linalg
 from bidfm.detect import (
+    ALGORITHMS,
     _ratio_matrix,
     bisc,
     disim,
     dscore,
+    embed,
     nbisc,
     rdscore,
+    run_algorithm,
+    run_algorithms,
     shift_nonnegative,
 )
-from bidfm.errors import DimensionError, DomainError, UnsupportedError
+from bidfm.errors import DimensionError, DomainError, UnsupportedError, ValidationError
 from bidfm.experiments import preset, run_simulation
 from bidfm.metrics import hamming_error
 from bidfm.model import (
@@ -233,3 +238,139 @@ class TestShiftNonnegative:
         shifted, shift = shift_nonnegative(np.full((2, 2), -3.0))
         assert shift == pytest.approx(3.01)
         assert np.all(shifted == pytest.approx(0.01))
+
+
+METHODS = [bisc, nbisc, disim, dscore, rdscore]
+LAPLACIAN_METHODS = (disim, rdscore)
+
+
+def noisy_instance(seed=3):
+    params = plain_instance(seed)
+    noise = 0.01 * np.random.default_rng(seed).standard_normal(params.shape)
+    return expected_adjacency(params) + noise
+
+
+def same_result(x, y):
+    return (np.array_equal(x.row_labels.labels, y.row_labels.labels)
+            and np.array_equal(x.col_labels.labels, y.col_labels.labels)
+            and np.array_equal(x.singular_values, y.singular_values)
+            and x.diagnostics == y.diagnostics)
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
+    @pytest.mark.parametrize("method", METHODS, ids=lambda f: f.__name__)
+    def test_method_on_embedding_matches_method_on_matrix(self, method, counts):
+        a = noisy_instance()
+        operator = "laplacian" if method in LAPLACIAN_METHODS else "adjacency"
+        embedding = embed(a, *counts, operator)
+        assert same_result(method(embedding, *counts, seed=5), method(a, *counts, seed=5))
+
+    def test_transposed_embedding_keeps_caller_orientation(self):
+        a = noisy_instance()
+        embedding = embed(a, 3, 2, "laplacian")
+        assert embedding.transposed
+        assert embedding.factors.left.shape == (90, 2)  # the column side
+        assert embedding.regularizers == embed(a, 2, 3, "laplacian").regularizers
+
+    def test_mismatched_embedding_rejected(self):
+        a = noisy_instance()
+        with pytest.raises(ValidationError):
+            bisc(embed(a, 2, 3, "laplacian"), 2, 3)
+        with pytest.raises(ValidationError):
+            disim(embed(a, 2, 3), 2, 3)
+        with pytest.raises(ValidationError):
+            nbisc(embed(a, 2, 3), 3, 2)
+        with pytest.raises(ValidationError):
+            disim(embed(a, 2, 3, "laplacian"), 2, 3, regularizer=0.5)
+        with pytest.raises(ValidationError):
+            embed(a, 2, 3, "cosine")
+
+    def test_ratio_method_rejects_single_cluster_embedding(self):
+        with pytest.raises(UnsupportedError):
+            dscore(embed(noisy_instance(), 1, 3), 1, 3)
+
+    def test_svd_path_recorded(self, monkeypatch):
+        a = noisy_instance()
+        assert embed(a, 2, 3).factors.path == "dense"
+        assert bisc(a, 2, 3).diagnostics["svd_path"] == "dense"
+        monkeypatch.setattr(linalg, "_DENSE_SIDE", 10)  # 60 x 90 now takes Lanczos
+        assert embed(a, 2, 3).factors.path == "lanczos"
+        assert bisc(a, 2, 3).diagnostics["svd_path"] == "lanczos"
+
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
+    def test_kmeans_iterations_recorded(self, counts):
+        a = noisy_instance()
+        diagnostics = bisc(a, *counts, seed=4).diagnostics
+        for side, fit in bisc_side_fits(a, counts, seed=4).items():
+            assert diagnostics[f"{side}_iterations"] == fit.iterations >= 1
+
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
+    def test_kmeans_convergence_recorded(self, counts):
+        a = noisy_instance()
+        diagnostics = bisc(a, *counts, seed=4).diagnostics
+        for side, fit in bisc_side_fits(a, counts, seed=4).items():
+            assert diagnostics[f"{side}_converged"] is fit.converged is True
+
+
+def bisc_side_fits(a, counts, seed):
+    """k-means on each side's raw singular-vector rows, as bisc runs it."""
+    embedding = embed(a, *counts)
+    sides = ("col", "row") if embedding.transposed else ("row", "col")
+    k = dict(zip(("row", "col"), counts))
+    return {side: linalg.kmeans(x, k[side], seed=seed)
+            for side, x in zip(sides, (embedding.factors.left, embedding.factors.right))}
+
+
+class TestRunAlgorithms:
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2), (1, 3)])
+    def test_matches_run_algorithm_one_at_a_time(self, counts):
+        a = noisy_instance() - 0.2  # signed: the Laplacian methods get a shift
+        outcomes = run_algorithms(ALGORITHMS, a, *counts, seed=2)
+        assert [name for name, _ in outcomes] == list(ALGORITHMS)
+        for name, outcome in outcomes:
+            try:
+                alone = run_algorithm(name, a, *counts, seed=2)
+            except UnsupportedError as exc:
+                assert isinstance(outcome, UnsupportedError) and str(outcome) == str(exc)
+                continue
+            assert same_result(outcome, alone)
+            assert ("shift" in outcome.diagnostics) == (name in ("disim", "rdscore"))
+
+    def test_one_svd_per_operator(self, monkeypatch):
+        calls = []
+        real = linalg.truncated_svd
+
+        def counting(m, k):
+            calls.append(k)
+            return real(m, k)
+
+        monkeypatch.setattr("bidfm.detect.truncated_svd", counting)
+        run_algorithms(ALGORITHMS, noisy_instance(), 2, 3)
+        assert len(calls) == 2
+
+    def test_bad_counts_fail_every_method_alike(self):
+        outcomes = run_algorithms(ALGORITHMS, noisy_instance(), 2, 100)
+        assert all(isinstance(o, DimensionError) for _, o in outcomes)
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValidationError):
+            run_algorithms(("bisc", "magic"), noisy_instance(), 2, 3)
+
+
+@pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
+def test_same_labels_on_both_sides_of_the_dense_lanczos_switch(monkeypatch, counts):
+    """One 650 x 700 Poisson block-model matrix, decomposed by LAPACK and by
+    Lanczos: every method gives the same labels either way."""
+    rng = np.random.default_rng(7)
+    rows, cols = rng.integers(0, 2, 650), rng.integers(0, 3, 700)
+    a = rng.poisson(3.0 * P1[np.ix_(rows, cols)]).astype(float)
+    by_path = {}
+    for dense_side in (700, 600):  # the smaller side, 650, is dense, then not
+        monkeypatch.setattr(linalg, "_DENSE_SIDE", dense_side)
+        by_path[dense_side] = run_algorithms(ALGORITHMS, a, *counts, seed=1)
+    for (name, dense), (_, lanczos) in zip(by_path[700], by_path[600]):
+        assert (dense.diagnostics["svd_path"], lanczos.diagnostics["svd_path"]) == (
+            "dense", "lanczos")
+        assert np.array_equal(dense.row_labels.labels, lanczos.row_labels.labels), name
+        assert np.array_equal(dense.col_labels.labels, lanczos.col_labels.labels), name

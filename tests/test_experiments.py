@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bidfm.errors import DimensionError, ValidationError
+from bidfm.errors import ConvergenceError, DimensionError, ValidationError
 from bidfm.experiments import (
     SimulationConfig,
     degree_profiles,
@@ -92,7 +92,13 @@ class TestConfigValidation:
         dict(kind="bernoulli", sigma2=1.0),
         dict(kind="normal", mixing=P2, n_r=200, n_c=300, rho=0.5, rho_grid=None,
              sigma2_grid=(1.0, 2.0, -1.0)),
-    ], ids=["unknown-kind", "sigma2-on-bernoulli", "negative-sigma2-in-grid"])
+        dict(rho_grid=(0.5, 1.5)),
+        dict(rho_grid=(0.5, -0.5)),
+        dict(model="bidcdfm", rho_grid=(0.5, -0.5)),
+        dict(rho=0.0, rho_grid=None, n_grid=(30, 40)),
+    ], ids=["unknown-kind", "sigma2-on-bernoulli", "negative-sigma2-in-grid",
+            "rho-times-mixing-above-one", "negative-rho-in-grid",
+            "negative-rho-in-degree-corrected-grid", "zero-fixed-rho"])
     def test_bad_law_rejected_when_built(self, overrides):
         with pytest.raises(ValidationError):
             tiny_config(**overrides)
@@ -126,6 +132,32 @@ class TestRunSimulation:
         assert math.isnan(by_alg["dscore"].mean_error)
         assert by_alg["bisc"].failed == 0
         assert by_alg["bisc"].mean_error == 0.0  # single block is trivial
+
+    def test_failure_reasons_name_the_exception(self):
+        config = tiny_config(
+            k_r=1, k_c=1, mixing=np.array([[1.0]]),
+            algorithms=("bisc", "dscore", "rdscore"), rho_grid=(0.5,),
+        )
+        by_alg = {p.algorithm: p for p in run_simulation(config).points}
+        assert by_alg["dscore"].failure_reasons == {"UnsupportedError": 3}
+        assert by_alg["rdscore"].failure_reasons == {"UnsupportedError": 3}
+        assert by_alg["bisc"].failure_reasons == {}
+
+    def test_failed_embedding_fails_every_method_sharing_it(self, monkeypatch):
+        calls = []
+
+        def failing_svd(m, k):
+            calls.append(k)
+            raise ConvergenceError("SVD failed: stub")
+
+        monkeypatch.setattr("bidfm.detect.truncated_svd", failing_svd)
+        config = tiny_config(algorithms=("bisc", "nbisc", "disim", "dscore", "rdscore"))
+        report = run_simulation(config)
+        # 2 swept values x 3 replicates x 2 operators
+        assert len(calls) == 12
+        for p in report.points:
+            assert (p.failed, p.replicates) == (3, 0)
+            assert p.failure_reasons == {"ConvergenceError": 3}
 
     def test_replicate_seeds_recorded(self):
         report = run_simulation(tiny_config(replicates=4))
