@@ -187,9 +187,9 @@ def _cmd_simulate(args):
     overrides = {}
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    if args.replicates:
+    if args.replicates is not None:
         overrides["replicates"] = args.replicates
-    if args.algorithms:
+    if args.algorithms is not None:
         overrides["algorithms"] = tuple(args.algorithms.split(","))
     if overrides:
         config = dataclasses.replace(config, **overrides)

@@ -18,9 +18,13 @@ rdscore   regularized Laplacian  ratios of trailing columns to the leading one
 ``bisc`` and ``nbisc`` are the paper's methods; the other three are
 reference baselines for comparison studies.  The pipeline assumes
 ``k_r <= k_c``; called the other way round it transposes the problem and
-swaps the labels and per-side diagnostics back.  Each method takes a matrix
-or an ``Embedding`` of it, so methods on one operator can share one SVD;
-``run_algorithms`` does that for several methods on one matrix.
+swaps the labels and per-side diagnostics back.  Every method is
+``method(a, k_r, k_c, *, seed=0)`` with ``a`` a matrix or an ``Embedding``
+of it, so methods on one operator can share one SVD; ``run_algorithms``
+does that for several methods on one matrix.  Operator settings (the
+Laplacian's regularizer) go to ``embed``.  The read-out settings are fixed:
+10 k-means restarts per side, a 1e-12 floor on normalized row norms, and a
+ratio clip at ``log(n)`` for a side with ``n`` nodes.
 """
 from __future__ import annotations
 
@@ -73,15 +77,15 @@ class Embedding:
 
 
 def _laplacian(a, regularizer):
-    """Regularized bipartite Laplacian ``D_r^-1/2 A D_c^-1/2`` built from
-    absolute degrees; the regularizer is added to every degree."""
+    """Regularized bipartite Laplacian ``D_r^-1/2 A D_c^-1/2``; the
+    regularizer is added to every degree."""
     if a.min() < 0:
         raise DomainError(
             "Laplacian-based methods need a non-negative matrix; "
             "apply shift_nonnegative first"
         )
-    d_r = np.abs(a).sum(axis=1)
-    d_c = np.abs(a).sum(axis=0)
+    d_r = a.sum(axis=1)
+    d_c = a.sum(axis=0)
     if regularizer == "auto":
         tau_r, tau_c = float(d_r.mean()), float(d_c.mean())
     else:
@@ -94,13 +98,12 @@ def _laplacian(a, regularizer):
     return inv_r[:, None] * a * inv_c[None, :], (tau_r, tau_c)
 
 
-def _ratio_matrix(u, threshold):
+def _ratio_matrix(u):
     """Entrywise ratios of trailing singular-vector columns to the leading
-    one, clipped to ``[-T, T]``; non-finite ratios from a vanishing leading
-    entry saturate at the clip bound (0 when the numerator vanishes too)."""
-    t = float(np.log(u.shape[0])) if threshold == "auto" else float(threshold)
-    if not t > 0:
-        raise DomainError(f"ratio threshold must be positive, got {threshold}")
+    one, clipped to ``[-log n, log n]`` for ``n`` rows (``n >= 2`` wherever a
+    ratio method runs); non-finite ratios from a vanishing leading entry
+    saturate at the clip bound (0 when the numerator vanishes too)."""
+    t = float(np.log(u.shape[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = u[:, 1:] / u[:, :1]
     ratios = np.nan_to_num(ratios, nan=0.0, posinf=t, neginf=-t)
@@ -141,16 +144,20 @@ def embed(a, k_r: int, k_c: int, operator: str = "adjacency",
           regularizer="auto") -> Embedding:
     """Decompose one operator of ``a`` for ``k_r`` row and ``k_c`` column
     clusters: ``'adjacency'`` is ``a`` itself, ``'laplacian'`` its
-    regularized Laplacian (``regularizer`` as in ``disim``; ``a`` must be
-    non-negative).  Every method on that operator and those counts accepts
-    the result in place of ``a``.
+    regularized Laplacian (``a`` must be non-negative).  Every method on that
+    operator and those counts accepts the result in place of ``a``.
+
+    ``regularizer`` is added to every Laplacian degree.  With ``'auto'``
+    each side's regularizer is its mean degree; both end up in
+    ``regularizers`` and in the methods' ``diagnostics['regularizers']`` as
+    ``(row, column)``.
     """
     if operator not in _OPERATORS:
         raise ValidationError(f"unknown operator {operator!r}; choose from {_OPERATORS}")
     return _embed(_checked(a, k_r, k_c), k_r, k_c, operator, regularizer)
 
 
-def _read_out(embedding, readout, seed, restarts, threshold, eps):
+def _read_out(embedding, readout, seed):
     """Read each side's singular-vector rows out (``'raw'``, ``'normalize'``
     or ``'ratio'``) and run k-means on them."""
     factors = embedding.factors
@@ -159,11 +166,11 @@ def _read_out(embedding, readout, seed, restarts, threshold, eps):
     fits, degenerate = {}, {}
     for side, x in zip(sides, (factors.left, factors.right)):
         if readout == "normalize":
-            normalized = row_normalize(x, eps=eps)
+            normalized = row_normalize(x)
             x, degenerate[side] = normalized.matrix, normalized.degenerate_rows
         elif readout == "ratio":
-            x = _ratio_matrix(x, threshold)
-        fits[side] = kmeans(x, counts[side], seed=seed, restarts=restarts)
+            x = _ratio_matrix(x)
+        fits[side] = kmeans(x, counts[side], seed=seed)
     diagnostics = {f"{side}_{key}": getattr(fits[side], key)
                    for key in ("objective", "iterations", "converged")
                    for side in ("row", "col")}
@@ -178,29 +185,24 @@ def _read_out(embedding, readout, seed, restarts, threshold, eps):
     return DetectionResult(rows, cols, factors.singular_values, diagnostics)
 
 
-def _cocluster(name, a, k_r, k_c, seed, restarts,
-               regularizer="auto", threshold="auto", eps=1e-12):
+def _cocluster(name, a, k_r, k_c, seed):
     """The pipeline behind every method, on a matrix or an ``Embedding``;
     checks run in the same order for both."""
     operator, readout = _PIPELINES[name]
-    if isinstance(a, Embedding):
-        if (a.operator, a.k_r, a.k_c) != (operator, k_r, k_c):
-            raise ValidationError(
-                f"{name} for ({k_r}, {k_c}) clusters needs a {operator} embedding "
-                f"for them, got a {a.operator} one for ({a.k_r}, {a.k_c})"
-            )
-        if regularizer != "auto":
-            raise ValidationError("an embedding's regularizer is set by embed")
-        _check_readout(readout, k_r, k_c)
-        embedding = a
-    else:
+    given = isinstance(a, Embedding)
+    if not given:
         a = _checked(a, k_r, k_c)
-        _check_readout(readout, k_r, k_c)
-        embedding = _embed(a, k_r, k_c, operator, regularizer)
-    return _read_out(embedding, readout, seed, restarts, threshold, eps)
+    elif (a.operator, a.k_r, a.k_c) != (operator, k_r, k_c):
+        raise ValidationError(
+            f"{name} for ({k_r}, {k_c}) clusters needs a {operator} embedding "
+            f"for them, got a {a.operator} one for ({a.k_r}, {a.k_c})"
+        )
+    _check_readout(readout, k_r, k_c)
+    embedding = a if given else _embed(a, k_r, k_c, operator, "auto")
+    return _read_out(embedding, readout, seed)
 
 
-def bisc(a, k_r: int, k_c: int, seed: int = 0, restarts: int = 10) -> DetectionResult:
+def bisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
     """Bipartite spectral co-clustering on raw singular vectors.
 
     Runs k-means with ``k_r`` clusters on the rows of the left factor and
@@ -209,75 +211,44 @@ def bisc(a, k_r: int, k_c: int, seed: int = 0, restarts: int = 10) -> DetectionR
     takes ``embed(a, k_r, k_c)`` in place of ``a`` (the Laplacian methods
     take ``embed(a, k_r, k_c, "laplacian")``).
     """
-    return _cocluster("bisc", a, k_r, k_c, seed, restarts)
+    return _cocluster("bisc", a, k_r, k_c, seed)
 
 
-def nbisc(
-    a,
-    k_r: int,
-    k_c: int,
-    seed: int = 0,
-    restarts: int = 10,
-    eps: float = 1e-12,
-) -> DetectionResult:
+def nbisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
     """Degree-corrected variant: cluster row-normalized singular vectors.
 
-    Rows whose embedding norm falls below ``eps`` cannot be normalized; they
+    Rows whose embedding norm falls below 1e-12 cannot be normalized; they
     keep their raw coordinates, still receive a label, and are reported under
     ``diagnostics['degenerate_rows']`` / ``['degenerate_cols']``.
     """
-    return _cocluster("nbisc", a, k_r, k_c, seed, restarts, eps=eps)
+    return _cocluster("nbisc", a, k_r, k_c, seed)
 
 
-def disim(
-    a,
-    k_r: int,
-    k_c: int,
-    regularizer="auto",
-    seed: int = 0,
-    restarts: int = 10,
-) -> DetectionResult:
+def disim(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
     """Regularized-Laplacian co-clustering baseline.
 
-    With ``regularizer='auto'`` each side's regularizer is its mean absolute
-    degree; both are reported under ``diagnostics['regularizers']`` as
+    Given a matrix, each side's regularizer is its mean degree; another
+    regularizer goes to ``embed(a, k_r, k_c, "laplacian", regularizer=...)``.
+    The regularizers are reported under ``diagnostics['regularizers']`` as
     ``(row, column)``.  Singular-vector rows are unit-normalized before
     k-means, and rows too short to normalize are reported as in ``nbisc``.
-    Given an ``Embedding``, ``regularizer`` must stay ``'auto'``: the
-    embedding's own regularizers apply.
     """
-    return _cocluster("disim", a, k_r, k_c, seed, restarts, regularizer=regularizer)
+    return _cocluster("disim", a, k_r, k_c, seed)
 
 
-def dscore(
-    a,
-    k_r: int,
-    k_c: int,
-    threshold="auto",
-    seed: int = 0,
-    restarts: int = 10,
-) -> DetectionResult:
+def dscore(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
     """Singular-vector-ratio baseline; needs at least two singular vectors.
 
     Dividing the trailing columns by the leading one cancels per-node scale
     factors, so the method tolerates degree heterogeneity by construction.
-    The default clip threshold is ``log(n)`` for a side with ``n`` nodes.
+    Ratios are clipped at ``log(n)`` for a side with ``n`` nodes.
     """
-    return _cocluster("dscore", a, k_r, k_c, seed, restarts, threshold=threshold)
+    return _cocluster("dscore", a, k_r, k_c, seed)
 
 
-def rdscore(
-    a,
-    k_r: int,
-    k_c: int,
-    regularizer="auto",
-    threshold="auto",
-    seed: int = 0,
-    restarts: int = 10,
-) -> DetectionResult:
+def rdscore(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
     """Ratio method on the regularized Laplacian instead of the adjacency."""
-    return _cocluster("rdscore", a, k_r, k_c, seed, restarts,
-                      regularizer=regularizer, threshold=threshold)
+    return _cocluster("rdscore", a, k_r, k_c, seed)
 
 
 def shift_nonnegative(a) -> tuple:
@@ -341,9 +312,9 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
 
 
 def run_algorithm(name: str, a, k_r: int, k_c: int, seed: int = 0) -> DetectionResult:
-    """Run the method called ``name`` (one of ``ALGORITHMS``) with default
-    settings.  The Laplacian methods first get ``shift_nonnegative``, and a
-    non-zero shift is recorded under ``diagnostics['shift']``."""
+    """Run the method called ``name`` (one of ``ALGORITHMS``).  The
+    Laplacian methods first get ``shift_nonnegative``, and a non-zero shift
+    is recorded under ``diagnostics['shift']``."""
     [(_, outcome)] = run_algorithms((name,), a, k_r, k_c, seed)
     if isinstance(outcome, BidfmError):
         raise outcome

@@ -343,8 +343,8 @@ def estimate_k_eigengap(a, m: int = 8) -> KEstimate:
 
 def degree_profiles(a) -> tuple:
     """Absolute-value row and column degree sequences."""
-    a = as_matrix(a)
-    return np.abs(a).sum(axis=1), np.abs(a).sum(axis=0)
+    weights = np.abs(as_matrix(a))
+    return weights.sum(axis=1), weights.sum(axis=0)
 
 
 FILTER_MODES = ("rows", "cols", "both-and", "both-or")

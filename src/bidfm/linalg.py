@@ -181,22 +181,33 @@ def _kmeans_pp_init(x, k, rng):
     return centers
 
 
+def _one_row_per_cluster(x, labels):
+    """Whether every cluster holds copies of a single row."""
+    return np.array_equal(x, x[np.unique(labels, return_index=True)[1]][labels])
+
+
 def _lloyd(x, centers, max_iter):
     """Lloyd iterations with lowest-index tie-breaking and farthest-point
-    repair of empty clusters; records the objective after each assignment."""
+    repair of empty clusters; records the objective after each assignment.
+
+    With fewer distinct rows than clusters, the assignment merges copies that
+    the repair split, so the two could trade points forever: the iterations
+    stop at the second repair in a row that leaves one row per cluster."""
     k = centers.shape[0]
     labels = np.full(x.shape[0], -1)
     history = []
     iterations = 0
-    converged = False
+    converged = settled = False
     for iterations in range(1, max_iter + 1):
         d2 = _squared_distances(x, centers)
         new_labels = d2.argmin(axis=1)  # argmin picks the lowest index on ties
         dist_to_own = d2[np.arange(x.shape[0]), new_labels]
-        grabbable = dist_to_own.copy()
-        for empty in np.nonzero(np.bincount(new_labels, minlength=k) == 0)[0]:
-            far = int(grabbable.argmax())
-            grabbable[far] = -np.inf  # a point repairs at most one empty cluster
+        sizes = np.bincount(new_labels, minlength=k)
+        empties = np.nonzero(sizes == 0)[0]
+        for empty in empties:
+            far = int(np.where(sizes[new_labels] > 1, dist_to_own, -np.inf).argmax())
+            sizes[new_labels[far]] -= 1
+            sizes[empty] = 1  # a point repairs at most one empty cluster
             new_labels[far] = empty
             dist_to_own[far] = 0.0
         history.append(float(dist_to_own.sum()))
@@ -206,6 +217,11 @@ def _lloyd(x, centers, max_iter):
         labels = new_labels
         for j in range(k):
             centers[j] = x[labels == j].mean(axis=0)
+        was_settled = settled
+        settled = len(empties) > 0 and _one_row_per_cluster(x, labels)
+        if settled and was_settled:
+            converged = True
+            break
     # final objective against the final centroids
     d2 = _squared_distances(x, centers)
     objective = float(d2[np.arange(x.shape[0]), labels].sum())
@@ -223,8 +239,9 @@ def kmeans(
 
     Deterministic for fixed ``(x, k, seed, restarts, max_iter)``.  A point
     equidistant to several centroids joins the lowest-index one; an empty
-    cluster is reseeded at the point farthest from its current centroid, so
-    exactly ``k`` clusters always come back.
+    cluster is reseeded at the point farthest from its current centroid
+    among the clusters with two or more members, so exactly ``k`` clusters
+    always come back.
     """
     a = as_matrix(x)
     n = a.shape[0]

@@ -1,7 +1,10 @@
+import inspect
+import warnings
+
 import numpy as np
 import pytest
 
-from bidfm import linalg
+from bidfm import detect, linalg
 from bidfm.detect import (
     ALGORITHMS,
     _ratio_matrix,
@@ -166,7 +169,7 @@ class TestNBisc:
 
 class TestDisim:
     def test_constant_matrix_single_cluster(self):
-        result = disim(np.ones((4, 4)), 1, 1, regularizer="auto", seed=0)
+        result = disim(np.ones((4, 4)), 1, 1, seed=0)
         assert set(result.row_labels.labels) == {1}
         assert set(result.col_labels.labels) == {1}
 
@@ -176,7 +179,7 @@ class TestDisim:
 
     def test_records_regularizers(self):
         a = np.random.default_rng(1).uniform(size=(12, 15))
-        result = disim(a, 2, 3, regularizer=0.5, seed=0)
+        result = disim(embed(a, 2, 3, "laplacian", regularizer=0.5), 2, 3, seed=0)
         assert result.diagnostics["regularizers"] == (0.5, 0.5)
 
     def test_comparable_with_nbisc_on_dense_bernoulli(self, bernoulli_dense_run):
@@ -201,13 +204,13 @@ class TestDScore:
 
     def test_constant_leading_column_never_clips(self):
         u = np.column_stack([np.full(16, 0.25), np.linspace(-0.3, 0.3, 16)])
-        ratios = _ratio_matrix(u, "auto")
+        ratios = _ratio_matrix(u)
         assert np.all(np.isfinite(ratios))
         assert np.abs(ratios).max() < np.log(16)
 
     def test_vanishing_leading_entry_saturates(self):
         u = np.array([[0.0, 0.5], [0.5, 0.25], [0.0, 0.0]])
-        ratios = _ratio_matrix(u, "auto")
+        ratios = _ratio_matrix(u)
         t = np.log(3)
         assert ratios[0, 0] == pytest.approx(t)
         assert ratios[1, 0] == pytest.approx(0.5)
@@ -281,7 +284,7 @@ class TestEmbedding:
             disim(embed(a, 2, 3), 2, 3)
         with pytest.raises(ValidationError):
             nbisc(embed(a, 2, 3), 3, 2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             disim(embed(a, 2, 3, "laplacian"), 2, 3, regularizer=0.5)
         with pytest.raises(ValidationError):
             embed(a, 2, 3, "cosine")
@@ -374,3 +377,27 @@ def test_same_labels_on_both_sides_of_the_dense_lanczos_switch(monkeypatch, coun
             "dense", "lanczos")
         assert np.array_equal(dense.row_labels.labels, lanczos.row_labels.labels), name
         assert np.array_equal(dense.col_labels.labels, lanczos.col_labels.labels), name
+
+
+def test_every_method_has_one_signature():
+    positional, keyword = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY
+    empty = inspect.Parameter.empty
+    for name in ALGORITHMS:
+        parameters = inspect.signature(getattr(detect, name)).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in parameters] == [
+            ("a", positional, empty), ("k_r", positional, empty),
+            ("k_c", positional, empty), ("seed", keyword, 0)], name
+    # a fourth positional argument was once a regularizer; it is not a seed now
+    with pytest.raises(TypeError):
+        disim(noisy_instance(), 2, 3, 0.5)
+
+
+@pytest.mark.parametrize("method", [bisc, nbisc, disim], ids=lambda f: f.__name__)
+def test_all_zero_matrix_converges_without_warnings(method):
+    """The zero matrix's singular vector is a unit basis vector: two distinct
+    rows for three column clusters."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diagnostics = method(np.zeros((40, 30)), 1, 3).diagnostics
+    assert diagnostics["row_converged"] and diagnostics["col_converged"]
+    assert diagnostics["col_iterations"] < 10

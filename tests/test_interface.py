@@ -315,6 +315,19 @@ class TestCli:
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("flag, value", [("--replicates", "0"), ("--algorithms", "")],
+                             ids=["zero-replicates", "no-algorithms"])
+    def test_simulate_rejects_empty_override(self, tmp_path, flag, value):
+        config = {
+            "model": "bidfm", "kind": "bernoulli", "mixing": "P1",
+            "n_r": 30, "n_c": 45, "rho_grid": [0.8], "replicates": 1,
+            "algorithms": ["bisc"],
+        }
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(cfg_path), flag, value,
+                     "--output", str(tmp_path / "out.csv")]) == 2
+
     def test_estimate_k(self, tmp_path, model_config, capsys):
         prefix = str(tmp_path / "gen")
         main(["generate", "--config", str(model_config), "--output", prefix])

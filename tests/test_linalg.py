@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -204,6 +206,19 @@ class TestKMeans:
         a = np.array([[0.0, 0.0]] * 6 + [[5.0, 5.0]] * 2)
         result = kmeans(a, 3, seed=0)
         assert set(result.labels) == {1, 2, 3}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_fewer_distinct_rows_than_k_settles(self, seed):
+        # two distinct rows, three clusters: the repair must not empty the
+        # singleton cluster, and the iterations must not trade copies forever
+        x = np.zeros((30, 1))
+        x[0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = kmeans(x, 3, seed=seed)
+        assert result.converged and result.iterations < 10
+        assert set(result.labels) == {1, 2, 3}
+        assert result.objective == 0.0
 
 
 class TestSpectralDeviation:
