@@ -23,17 +23,20 @@ swaps the labels and per-side diagnostics back.  Every method is
 of it, so methods on one operator can share one SVD; ``run_algorithms``
 does that for several methods on one matrix.  Operator settings (the
 Laplacian's regularizer) go to ``embed``.  The read-out settings are fixed:
-10 k-means restarts per side, a 1e-12 floor on normalized row norms, and a
-ratio clip at ``log(n)`` for a side with ``n`` nodes.
+10 k-means restarts per side, a 1e-12 floor on normalized row norms and on
+the singular-vector entries a ratio divides, and a ratio clip at ``log(n)``
+for a side with ``n`` nodes.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BidfmError, DimensionError, DomainError, UnsupportedError, ValidationError
-from .linalg import SvdFactors, as_matrix, kmeans, row_normalize, truncated_svd
+from .linalg import ZERO_FLOOR, SvdFactors, as_matrix, kmeans, row_normalize, truncated_svd
 from .model import Membership
 
 # (operator, read-out) of each method, as in the table above
@@ -90,8 +93,6 @@ def _laplacian(a, regularizer):
         tau_r, tau_c = float(d_r.mean()), float(d_c.mean())
     else:
         tau_r = tau_c = float(regularizer)
-        if tau_r < 0:
-            raise DomainError(f"regularizer must be non-negative, got {regularizer}")
     with np.errstate(divide="ignore"):
         inv_r = np.where(d_r + tau_r > 0, 1.0 / np.sqrt(d_r + tau_r), 0.0)
         inv_c = np.where(d_c + tau_c > 0, 1.0 / np.sqrt(d_c + tau_c), 0.0)
@@ -101,9 +102,12 @@ def _laplacian(a, regularizer):
 def _ratio_matrix(u):
     """Entrywise ratios of trailing singular-vector columns to the leading
     one, clipped to ``[-log n, log n]`` for ``n`` rows (``n >= 2`` wherever a
-    ratio method runs); non-finite ratios from a vanishing leading entry
-    saturate at the clip bound (0 when the numerator vanishes too)."""
+    ratio method runs).  Entries below ``ZERO_FLOOR`` count as exact zeros,
+    so a node with no edges gets ratio 0 whatever roundoff the SVD left in
+    its row; a vanishing leading entry under a non-zero numerator saturates
+    at the clip bound."""
     t = float(np.log(u.shape[0]))
+    u = np.where(np.abs(u) < ZERO_FLOOR, 0.0, u)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = u[:, 1:] / u[:, :1]
     ratios = np.nan_to_num(ratios, nan=0.0, posinf=t, neginf=-t)
@@ -147,13 +151,20 @@ def embed(a, k_r: int, k_c: int, operator: str = "adjacency",
     regularized Laplacian (``a`` must be non-negative).  Every method on that
     operator and those counts accepts the result in place of ``a``.
 
-    ``regularizer`` is added to every Laplacian degree.  With ``'auto'``
-    each side's regularizer is its mean degree; both end up in
-    ``regularizers`` and in the methods' ``diagnostics['regularizers']`` as
-    ``(row, column)``.
+    ``regularizer`` is added to every Laplacian degree: ``'auto'`` or a
+    finite real ``>= 0``; anything else raises ``ValidationError`` (not a
+    number) or ``DomainError`` (negative or non-finite), whatever the
+    operator.  With ``'auto'`` each side's regularizer is its mean degree;
+    both end up in ``regularizers`` and in the methods'
+    ``diagnostics['regularizers']`` as ``(row, column)``.
     """
     if operator not in _OPERATORS:
         raise ValidationError(f"unknown operator {operator!r}; choose from {_OPERATORS}")
+    if not isinstance(regularizer, str) or regularizer != "auto":
+        if isinstance(regularizer, bool) or not isinstance(regularizer, numbers.Real):
+            raise ValidationError(f"regularizer must be 'auto' or a number, got {regularizer!r}")
+        if not 0 <= regularizer < math.inf:  # NaN fails too
+            raise DomainError(f"regularizer must be finite and non-negative, got {regularizer!r}")
     return _embed(_checked(a, k_r, k_c), k_r, k_c, operator, regularizer)
 
 

@@ -30,6 +30,7 @@ from bidfm.model import (
     sample_memberships,
     sample_theta,
 )
+from bidfm.sampling import DistributionSpec, sample_adjacency
 
 
 def plain_instance(seed=0, n_r=60, n_c=90, p=P1, rho=0.5):
@@ -182,6 +183,18 @@ class TestDisim:
         result = disim(embed(a, 2, 3, "laplacian", regularizer=0.5), 2, 3, seed=0)
         assert result.diagnostics["regularizers"] == (0.5, 0.5)
 
+    @pytest.mark.parametrize("operator", ["laplacian", "adjacency"])
+    @pytest.mark.parametrize("regularizer, error", [
+        (float("nan"), DomainError), (float("inf"), DomainError),
+        (-0.5, DomainError), (np.float64("nan"), DomainError),
+        ("x", ValidationError), (None, ValidationError), (True, ValidationError),
+        ([0.5], ValidationError),
+    ], ids=["nan", "inf", "negative", "numpy-nan", "str", "None", "bool", "list"])
+    def test_bad_regularizer_rejected(self, operator, regularizer, error):
+        a = np.random.default_rng(1).uniform(size=(12, 15))
+        with pytest.raises(error):
+            embed(a, 2, 3, operator, regularizer=regularizer)
+
     def test_comparable_with_nbisc_on_dense_bernoulli(self, bernoulli_dense_run):
         gap = abs(
             bernoulli_dense_run["disim"].mean_error
@@ -215,6 +228,13 @@ class TestDScore:
         assert ratios[0, 0] == pytest.approx(t)
         assert ratios[1, 0] == pytest.approx(0.5)
         assert ratios[2, 0] == 0.0
+
+    def test_roundoff_on_zero_degree_node_counts_as_zero(self):
+        # a node with no edges: LAPACK may leave roundoff where both entries
+        # are exactly 0, which must not saturate at log n
+        ratios = _ratio_matrix(np.array([[1e-22, 1e-19], [0.5, 0.25], [0.0, 0.0]]))
+        assert ratios[0, 0] == 0.0
+        assert ratios[1, 0] == pytest.approx(0.5)
 
     def test_comparable_with_rdscore_on_dense_bernoulli(self, bernoulli_dense_run):
         gap = abs(
@@ -361,6 +381,20 @@ class TestRunAlgorithms:
             run_algorithms(("bisc", "magic"), noisy_instance(), 2, 3)
 
 
+def assert_same_labels_on_both_paths(monkeypatch, a, counts, names=ALGORITHMS):
+    """``run_algorithms`` with the SVD forced through LAPACK, then through
+    Lanczos, gives every method the same labels."""
+    by_path = []
+    for dense_side in (min(a.shape), min(a.shape) - 1):  # dense, then not
+        monkeypatch.setattr(linalg, "_DENSE_SIDE", dense_side)
+        by_path.append(run_algorithms(names, a, *counts, seed=1))
+    for (name, dense), (_, lanczos) in zip(*by_path):
+        assert (dense.diagnostics["svd_path"], lanczos.diagnostics["svd_path"]) == (
+            "dense", "lanczos")
+        assert np.array_equal(dense.row_labels.labels, lanczos.row_labels.labels), name
+        assert np.array_equal(dense.col_labels.labels, lanczos.col_labels.labels), name
+
+
 @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
 def test_same_labels_on_both_sides_of_the_dense_lanczos_switch(monkeypatch, counts):
     """One 650 x 700 Poisson block-model matrix, decomposed by LAPACK and by
@@ -368,15 +402,27 @@ def test_same_labels_on_both_sides_of_the_dense_lanczos_switch(monkeypatch, coun
     rng = np.random.default_rng(7)
     rows, cols = rng.integers(0, 2, 650), rng.integers(0, 3, 700)
     a = rng.poisson(3.0 * P1[np.ix_(rows, cols)]).astype(float)
-    by_path = {}
-    for dense_side in (700, 600):  # the smaller side, 650, is dense, then not
-        monkeypatch.setattr(linalg, "_DENSE_SIDE", dense_side)
-        by_path[dense_side] = run_algorithms(ALGORITHMS, a, *counts, seed=1)
-    for (name, dense), (_, lanczos) in zip(by_path[700], by_path[600]):
-        assert (dense.diagnostics["svd_path"], lanczos.diagnostics["svd_path"]) == (
-            "dense", "lanczos")
-        assert np.array_equal(dense.row_labels.labels, lanczos.row_labels.labels), name
-        assert np.array_equal(dense.col_labels.labels, lanczos.col_labels.labels), name
+    assert_same_labels_on_both_paths(monkeypatch, a, counts)
+
+
+@pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
+def test_same_labels_on_both_paths_at_sweep_small_size(monkeypatch, counts):
+    """A 100 x 150 signed block-model matrix (the sim3a size, which now
+    takes Lanczos by default)."""
+    omega = expected_adjacency(plain_instance(3, n_r=100, n_c=150, p=P2, rho=0.6))
+    a = sample_adjacency(omega, DistributionSpec.signed(), seed=3)
+    assert_same_labels_on_both_paths(monkeypatch, a, counts)
+
+
+def test_ratio_methods_agree_across_paths_with_zero_degree_columns(monkeypatch):
+    """LAPACK leaves roundoff in the singular-vector rows of columns with no
+    edges, where Lanczos gives exact zeros; the ratio read-out treats both
+    as zeros."""
+    rng = np.random.default_rng(0)
+    rows, cols = rng.integers(0, 2, 100), rng.integers(0, 3, 150)
+    a = rng.poisson(0.5 * P1[np.ix_(rows, cols)]).astype(float)
+    a[:, rng.choice(150, 3, replace=False)] = 0.0
+    assert_same_labels_on_both_paths(monkeypatch, a, (2, 3), names=("dscore", "rdscore"))
 
 
 def test_every_method_has_one_signature():

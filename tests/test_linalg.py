@@ -111,6 +111,30 @@ class TestTruncatedSvd:
         assert np.abs(f.singular_values - s_ref).max() < 1e-8
 
 
+class TestSvdPathRule:
+    """Lanczos wherever it beats LAPACK: a smaller side above 90 and few
+    triplets; LAPACK otherwise and for the all-zero matrix."""
+
+    @pytest.mark.parametrize("shape, k, path", [
+        ((30, 45), 2, "dense"),
+        ((90, 135), 2, "dense"),
+        ((91, 135), 2, "lanczos"),
+        ((100, 150), 2, "lanczos"),
+        ((600, 900), 2, "lanczos"),
+        ((200, 300), 26, "dense"),  # k > 25
+        ((100, 150), 20, "dense"),  # 5k >= min(n, p)
+        ((100, 150), 19, "lanczos"),
+    ])
+    def test_path(self, shape, k, path):
+        a = np.where(np.random.default_rng(0).random(shape) < 0.5, -1.0, 1.0)
+        assert truncated_svd(a, k).path == path
+
+    def test_all_zero_matrix_is_dense(self):
+        f = truncated_svd(np.zeros((100, 150)), 2)
+        assert f.path == "dense"
+        assert np.array_equal(f.singular_values, [0.0, 0.0])
+
+
 class TestRowNormalize:
     def test_three_four_five(self):
         out = row_normalize(np.array([[3.0, 4.0]]))
@@ -236,6 +260,13 @@ class TestSpectralDeviation:
         b = rng.standard_normal((5, 7))
         _, s, _ = jacobi_svd(a - b)
         assert abs(spectral_deviation(a, b) - s[0]) < 1e-8
+
+    def test_matches_full_spectral_norm_on_lanczos_path(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((120, 180))
+        b = rng.standard_normal((120, 180))
+        assert truncated_svd(a - b, 1).path == "lanczos"
+        assert spectral_deviation(a, b) == pytest.approx(np.linalg.norm(a - b, 2), rel=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
