@@ -116,6 +116,9 @@ def _ratio_matrix(u):
 
 def _checked(a, k_r, k_c):
     a = as_matrix(a)
+    for k in (k_r, k_c):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValidationError(f"cluster counts must be integers, got {k!r}")
     if k_r < 1 or k_c < 1:
         raise DimensionError("cluster counts must be positive")
     if k_r > a.shape[0] or k_c > a.shape[1]:
@@ -183,7 +186,7 @@ def _read_out(embedding, readout, seed):
             x = _ratio_matrix(x)
         fits[side] = kmeans(x, counts[side], seed=seed)
     diagnostics = {f"{side}_{key}": getattr(fits[side], key)
-                   for key in ("objective", "iterations", "converged")
+                   for key in ("objective", "restart_objectives", "iterations", "converged")
                    for side in ("row", "col")}
     if degenerate:
         diagnostics["degenerate_rows"] = degenerate["row"]

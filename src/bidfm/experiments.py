@@ -18,7 +18,7 @@ import numpy as np
 
 from . import detect
 from .errors import BidfmError, DimensionError, DomainError, ValidationError
-from .linalg import as_matrix, truncated_svd
+from .linalg import _rng, as_matrix, truncated_svd
 from .metrics import ari, combined_report, hamming_error, nmi
 from .model import (
     P1,
@@ -76,6 +76,7 @@ class SimulationConfig:
             raise ValidationError("exactly one non-empty swept grid is required")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        _rng(self.base_seed)  # raises for a seed no replicate could draw from
         if self.n_grid is None and (self.n_r is None or self.n_c is None):
             raise ValidationError("fixed dimensions n_r, n_c are required")
         if self.rho_grid is None and self.rho is None:

@@ -5,13 +5,14 @@ concurrent callers never share state.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import ConvergenceError, DimensionError
+from .errors import ConvergenceError, DimensionError, ValidationError
 
 # Up to this smaller side a full LAPACK decomposition is cheaper than
 # Lanczos, whose fixed cost per call is about 2 ms.  Measured medians of 61
@@ -161,33 +162,59 @@ class KMeansResult:
     objective: float  # sum of squared distances to assigned centroids
     iterations: int
     converged: bool
+    restart_objectives: tuple  # final objective of each restart, in restart order
+
+
+def _rng(seed, spawn_key=()):
+    """Philox generator for a non-negative integer ``seed``, one stream per
+    ``spawn_key``; raises ``ValidationError`` for any other seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(int(seed), spawn_key=spawn_key))
+    )
 
 
 def _squared_distances(x, centers):
-    # (n, K) matrix of squared Euclidean distances, computed via explicit
-    # differences: stable under orthogonal transformations of the data.
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    # (..., n, K) squared Euclidean distances from the rows of x (n, d) to
+    # each stack of centers (..., K, d), summed from explicit differences:
+    # stable under orthogonal transformations of the data.  Each difference
+    # pass runs along the rows, not along the short d axis, and fills the
+    # contiguous (..., n, K, d) layout the einsum sums in.
+    *stack, k, d = centers.shape
+    diff = np.empty((*stack, x.shape[0], k, d))
+    for c in range(k):
+        for j in range(d):
+            np.subtract(x[:, j], centers[..., c, j, None], out=diff[..., c, j])
+    return np.einsum("...nkd,...nkd->...nk", diff, diff)
 
 
-def _kmeans_pp_init(x, k, rng):
-    """Seed k centers by D^2-weighted sampling (k-means++)."""
+def _own_distances(d2, labels):
+    """Each row's squared distance to its own center: the entries of ``d2``
+    (..., n, K) at the columns ``labels`` (..., n)."""
+    k = d2.shape[-1]
+    return d2.reshape(-1)[k * np.arange(labels.size).reshape(labels.shape) + labels]
+
+
+def _kmeans_pp_init(x, k, rngs):
+    """Seed k centers per generator by D^2-weighted sampling (k-means++):
+    (len(rngs), k, d), each center set drawn from its own generator."""
     n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    centers[0] = x[rng.integers(n)]
-    d2 = _squared_distances(x, centers[:1]).ravel()
+    picks = np.empty((len(rngs), k), dtype=np.intp)
+    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    d2 = _squared_distances(x, x[picks[:, :1]])[..., 0]
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # all remaining points coincide with chosen centers
-            idx = rng.integers(n)
-        else:
-            r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
-        centers[j] = x[idx]
-        d2 = np.minimum(d2, _squared_distances(x, centers[j : j + 1]).ravel())
-    return centers
+        totals = d2.sum(axis=1).tolist()
+        cumulative = np.cumsum(d2, axis=1)
+        for r, rng in enumerate(rngs):
+            if totals[r] <= 0.0:
+                # all remaining points coincide with chosen centers
+                picks[r, j] = rng.integers(n)
+            else:
+                point = rng.random() * totals[r]
+                picks[r, j] = min(int(np.searchsorted(cumulative[r], point, side="right")), n - 1)
+        d2 = np.minimum(d2, _squared_distances(x, x[picks[:, j : j + 1]])[..., 0])
+    return x[picks]
 
 
 def _one_row_per_cluster(x, labels):
@@ -195,46 +222,93 @@ def _one_row_per_cluster(x, labels):
     return np.array_equal(x, x[np.unique(labels, return_index=True)[1]][labels])
 
 
-def _lloyd(x, centers, max_iter):
-    """Lloyd iterations with lowest-index tie-breaking and farthest-point
-    repair of empty clusters; records the objective after each assignment.
+def _repair_empty(labels, dist_to_own, sizes):
+    """Move the point farthest from its centroid, among the clusters with two
+    or more members, into each empty cluster in turn (in place)."""
+    for empty in np.nonzero(sizes == 0)[0]:
+        far = int(np.where(sizes[labels] > 1, dist_to_own, -np.inf).argmax())
+        sizes[labels[far]] -= 1
+        sizes[empty] = 1  # a point repairs at most one empty cluster
+        labels[far] = empty
+        dist_to_own[far] = 0.0
 
-    With fewer distinct rows than clusters, the assignment merges copies that
-    the repair split, so the two could trade points forever: the iterations
-    stop at the second repair in a row that leaves one row per cluster."""
-    k = centers.shape[0]
-    labels = np.full(x.shape[0], -1)
-    history = []
-    iterations = 0
-    converged = settled = False
-    for iterations in range(1, max_iter + 1):
-        d2 = _squared_distances(x, centers)
-        new_labels = d2.argmin(axis=1)  # argmin picks the lowest index on ties
-        dist_to_own = d2[np.arange(x.shape[0]), new_labels]
-        sizes = np.bincount(new_labels, minlength=k)
-        empties = np.nonzero(sizes == 0)[0]
-        for empty in empties:
-            far = int(np.where(sizes[new_labels] > 1, dist_to_own, -np.inf).argmax())
-            sizes[new_labels[far]] -= 1
-            sizes[empty] = 1  # a point repairs at most one empty cluster
-            new_labels[far] = empty
-            dist_to_own[far] = 0.0
-        history.append(float(dist_to_own.sum()))
-        if np.array_equal(new_labels, labels):
-            converged = True
-            break
-        labels = new_labels
-        for j in range(k):
-            centers[j] = x[labels == j].mean(axis=0)
-        was_settled = settled
-        settled = len(empties) > 0 and _one_row_per_cluster(x, labels)
-        if settled and was_settled:
-            converged = True
-            break
-    # final objective against the final centroids
-    d2 = _squared_distances(x, centers)
-    objective = float(d2[np.arange(x.shape[0]), labels].sum())
-    return labels, centers, objective, iterations, converged, history
+
+def _lloyd(x, centers, max_iter):
+    """Lloyd iterations from each of the ``R`` center sets ``centers``
+    (R, K, d), run in lockstep: every iteration advances the restarts that
+    are still running, and a restart stops as it would alone.
+
+    A point equidistant to several centers joins the lowest-index one, an
+    empty cluster is repaired with the farthest point of a cluster with two
+    or more members, and centroid sums run over the rows in order.  With
+    fewer distinct rows than clusters, the assignment merges copies that the
+    repair split, so the two could trade points forever: a restart stops at
+    the second repair in a row that leaves one row per cluster.
+
+    Returns ``(labels (R, n), centers, objectives (R,), iterations,
+    converged (R,), histories)``: ``iterations`` is the total over the
+    restarts, and ``histories[r]`` holds restart ``r``'s objective after
+    each assignment, one entry per iteration it ran."""
+    n_restarts, k, d = centers.shape
+    n = x.shape[0]
+    labels = np.empty((n_restarts, n), dtype=np.intp)
+    centers = centers.copy()
+    objectives = np.empty(n_restarts)
+    converged = np.zeros(n_restarts, dtype=bool)
+    histories = [[] for _ in range(n_restarts)]
+    weights = np.tile(x.T, n_restarts)  # row j: x[:, j] once per restart
+    offsets = k * np.arange(n_restarts)[:, None]  # (restart, cluster) ids for bincount
+    # the running restarts: their indices, labels, centers and settled flags
+    run = np.arange(n_restarts)
+    run_labels = np.full((n_restarts, n), -1, dtype=np.intp)
+    run_centers = centers
+    settled = np.zeros(n_restarts, dtype=bool)
+    for iteration in range(1, max_iter + 1):
+        m = len(run)
+        d2 = _squared_distances(x, run_centers)
+        new_labels = d2.argmin(axis=2)  # argmin picks the lowest index on ties
+        dist_to_own = _own_distances(d2, new_labels)
+        sizes = np.bincount((new_labels + offsets[:m]).ravel(), minlength=m * k).reshape(m, k)
+        repaired = (sizes == 0).any(axis=1)
+        for i in np.flatnonzero(repaired):
+            _repair_empty(new_labels[i], dist_to_own[i], sizes[i])
+        sums = dist_to_own.sum(axis=1)
+        for r, total in zip(run.tolist(), sums.tolist()):
+            histories[r].append(total)
+        unchanged = (new_labels == run_labels).all(axis=1)
+        run_labels = new_labels
+        # unchanged labels give back the centers they were computed from
+        ids = (new_labels + offsets[:m]).ravel()
+        run_centers = np.stack(
+            [np.bincount(ids, weights=w[: m * n], minlength=m * k) for w in weights], axis=1
+        ).reshape(m, k, d) / sizes[..., None]
+        now_settled = np.zeros(m, dtype=bool)
+        for i in np.flatnonzero(repaired & ~unchanged):
+            now_settled[i] = _one_row_per_cluster(x, new_labels[i])
+        done = unchanged | (now_settled & settled)
+        settled = now_settled
+        converged[run[done]] = True
+        if iteration == max_iter:
+            done[:] = True  # the cap stops the rest unconverged
+        if done.any():
+            labels[run[done]] = run_labels[done]
+            centers[run[done]] = run_centers[done]
+            # unchanged labels leave the centers the sums were taken against
+            # (a repaired row is alone in its cluster, at distance 0); a
+            # settled stop or the cap has just moved them
+            objectives[run[unchanged]] = sums[unchanged]
+            moved = done & ~unchanged
+            if moved.any():
+                d2 = _squared_distances(x, run_centers[moved])
+                objectives[run[moved]] = _own_distances(d2, run_labels[moved]).sum(axis=1)
+            keep = ~done
+            run, run_labels, run_centers, settled = (
+                run[keep], run_labels[keep], run_centers[keep], settled[keep]
+            )
+            if not len(run):
+                break
+    iterations = sum(len(history) for history in histories)
+    return labels, centers, objectives, iterations, converged, histories
 
 
 def kmeans(
@@ -246,35 +320,43 @@ def kmeans(
 ) -> KMeansResult:
     """Best-of-``restarts`` seeded k-means++ followed by Lloyd iterations.
 
-    Deterministic for fixed ``(x, k, seed, restarts, max_iter)``.  A point
-    equidistant to several centroids joins the lowest-index one; an empty
-    cluster is reseeded at the point farthest from its current centroid
-    among the clusters with two or more members, so exactly ``k`` clusters
-    always come back.
+    Deterministic for fixed ``(x, k, seed, restarts, max_iter)``.  Each
+    restart seeds its centers from its own Philox stream, then the restarts
+    run their Lloyd iterations in lockstep (``_lloyd``); the first restart
+    with the least objective wins, and ``restart_objectives`` lists every
+    restart's.  A point equidistant to several centroids joins the
+    lowest-index one; an empty cluster is reseeded at the point farthest
+    from its current centroid among the clusters with two or more members,
+    so exactly ``k`` clusters always come back.  Centroid sums run over the
+    rows in order.
+
+    Raises ``ValidationError`` for a non-integer ``k``, a ``restarts`` or
+    ``max_iter`` below 1, or a seed that is not a non-negative integer, and
+    ``DimensionError`` when ``k`` is not in ``[1, rows of x]``.
     """
     a = as_matrix(x)
     n = a.shape[0]
+    for name, value in (("k", k), ("restarts", restarts), ("max_iter", max_iter)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if restarts < 1 or max_iter < 1:
+        raise ValidationError(
+            f"restarts and max_iter must be >= 1, got {restarts} and {max_iter}"
+        )
     if k < 1 or k > n:
         raise DimensionError(f"k={k} must be in [1, {n}] (rows of X)")
 
-    best = None
-    for r in range(restarts):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        )
-        centers = _kmeans_pp_init(a, k, rng)
-        labels, centers, objective, iterations, converged, _ = _lloyd(
-            a, centers, max_iter
-        )
-        if best is None or objective < best.objective:
-            best = KMeansResult(
-                labels=labels + 1,
-                centroids=centers,
-                objective=objective,
-                iterations=iterations,
-                converged=converged,
-            )
-    return best
+    centers = _kmeans_pp_init(a, k, [_rng(seed, (r,)) for r in range(restarts)])
+    labels, centers, objectives, _, converged, histories = _lloyd(a, centers, max_iter)
+    best = int(objectives.argmin())  # the first restart with the least objective
+    return KMeansResult(
+        labels=labels[best] + 1,
+        centroids=centers[best],
+        objective=float(objectives[best]),
+        iterations=len(histories[best]),
+        converged=bool(converged[best]),
+        restart_objectives=tuple(objectives.tolist()),
+    )
 
 
 def spectral_deviation(a, b) -> float:

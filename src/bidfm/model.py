@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .linalg import as_matrix
+from .linalg import _rng, as_matrix
 
 # Mixing matrices used throughout the simulation protocol: the first for
 # laws that need non-negative block strengths, the second for signed ones.
@@ -209,10 +209,11 @@ def sample_memberships(n: int, k: int, seed: int) -> Membership:
 
     After 1000 draws that all miss a cluster, the last draw is repaired
     instead: ``k`` randomly chosen nodes are given the labels ``1..k``.
+    ``seed`` must be a non-negative integer (``ValidationError`` otherwise).
     """
     if n < k:
         raise InfeasibleError(f"cannot place {n} nodes into {k} nonempty clusters")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _rng(seed)
     for _ in range(_MEMBERSHIP_DRAWS):
         labels = rng.integers(1, k + 1, size=n)
         if len(np.unique(labels)) == k:
@@ -226,11 +227,12 @@ def sample_theta(n: int, rho: float, seed: int, floor: float = 0.05) -> np.ndarr
 
     The positive floor (default 0.05) keeps the smallest factors bounded away
     from zero so normalized embeddings and theta-dependent bounds stay
-    non-degenerate at desk scale.
+    non-degenerate at desk scale.  ``seed`` must be a non-negative integer
+    (``ValidationError`` otherwise).
     """
     if not rho > 0:
         raise ValidationError(f"rho must be positive, got {rho}")
     if not 0 <= floor < 1:
         raise ValidationError(f"floor must lie in [0, 1), got {floor}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _rng(seed)
     return np.sqrt(rho) * rng.uniform(floor, 1.0, size=n)

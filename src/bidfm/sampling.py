@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import as_matrix
+from .linalg import _rng, as_matrix
 
 
 # A law: its admissible mean interval [lo, hi], its entry variance
@@ -108,10 +108,11 @@ def check_omega_range(omega, spec: DistributionSpec):
 
 def sample_adjacency(omega, spec: DistributionSpec, seed: int) -> np.ndarray:
     """Draw an adjacency matrix with independent entries from ``spec``'s law
-    and mean ``omega``."""
+    and mean ``omega``; ``seed`` must be a non-negative integer
+    (``ValidationError`` otherwise)."""
     omega = as_matrix(omega, "omega")
     check_omega_range(omega, spec)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _rng(seed)
     return _LAWS[spec.kind].draw(rng, omega, spec)
 
 

@@ -188,3 +188,92 @@ def exhaustive_kmeans_objective(points, k=2):
             obj += ((block - centroid) ** 2).sum()
         best = min(best, obj)
     return best
+
+
+# The sequential k-means that ran one restart after another before the
+# restarts ran in lockstep, kept verbatim as the reference for that rewrite.
+
+def _sequential_squared_distances(x, centers):
+    diff = x[:, None, :] - centers[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def _sequential_kmeans_pp_init(x, k, rng):
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = _sequential_squared_distances(x, centers[:1]).ravel()
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            idx = rng.integers(n)
+        else:
+            r = rng.random() * total
+            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
+            idx = min(idx, n - 1)
+        centers[j] = x[idx]
+        d2 = np.minimum(d2, _sequential_squared_distances(x, centers[j : j + 1]).ravel())
+    return centers
+
+
+def _sequential_one_row_per_cluster(x, labels):
+    return np.array_equal(x, x[np.unique(labels, return_index=True)[1]][labels])
+
+
+def sequential_lloyd(x, centers, max_iter):
+    """One restart's Lloyd iterations: ``(labels, centers, objective,
+    iterations, converged, history)`` with 0-based labels."""
+    k = centers.shape[0]
+    labels = np.full(x.shape[0], -1)
+    history = []
+    iterations = 0
+    converged = settled = False
+    for iterations in range(1, max_iter + 1):
+        d2 = _sequential_squared_distances(x, centers)
+        new_labels = d2.argmin(axis=1)
+        dist_to_own = d2[np.arange(x.shape[0]), new_labels]
+        sizes = np.bincount(new_labels, minlength=k)
+        empties = np.nonzero(sizes == 0)[0]
+        for empty in empties:
+            far = int(np.where(sizes[new_labels] > 1, dist_to_own, -np.inf).argmax())
+            sizes[new_labels[far]] -= 1
+            sizes[empty] = 1
+            new_labels[far] = empty
+            dist_to_own[far] = 0.0
+        history.append(float(dist_to_own.sum()))
+        if np.array_equal(new_labels, labels):
+            converged = True
+            break
+        labels = new_labels
+        for j in range(k):
+            centers[j] = x[labels == j].mean(axis=0)
+        was_settled = settled
+        settled = len(empties) > 0 and _sequential_one_row_per_cluster(x, labels)
+        if settled and was_settled:
+            converged = True
+            break
+    d2 = _sequential_squared_distances(x, centers)
+    objective = float(d2[np.arange(x.shape[0]), labels].sum())
+    return labels, centers, objective, iterations, converged, history
+
+
+def sequential_kmeans(x, k, seed, restarts=10, max_iter=300):
+    """Best of ``restarts`` sequential runs: a list with one ``(labels,
+    centers, objective, iterations, converged)`` per restart (1-based
+    labels), and the index of the first restart with the least objective."""
+    x = np.asarray(x, dtype=float)
+    runs = []
+    for r in range(restarts):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        )
+        centers = _sequential_kmeans_pp_init(x, k, rng)
+        labels, centers, objective, iterations, converged, _ = sequential_lloyd(
+            x, centers, max_iter
+        )
+        runs.append((labels + 1, centers, objective, iterations, converged))
+    best = 0
+    for r, run in enumerate(runs):
+        if run[2] < runs[best][2]:
+            best = r
+    return runs, best

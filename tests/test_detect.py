@@ -124,6 +124,19 @@ class TestBisc:
         with pytest.raises(DimensionError):
             bisc(np.eye(4), 5, 2, seed=0)
 
+    @pytest.mark.parametrize("counts", [(2.5, 3), (2, 3.0), (True, 3), (2, "3")],
+                             ids=["float-kr", "float-kc", "bool-kr", "string-kc"])
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ValidationError):
+            bisc(noisy_instance(), *counts)
+        outcomes = run_algorithms(ALGORITHMS, noisy_instance(), *counts)
+        assert all(isinstance(o, ValidationError) for _, o in outcomes)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            bisc(noisy_instance(), 2, 3, seed=seed)
+
     def test_dense_sample_accuracy(self, bernoulli_dense_run):
         assert bernoulli_dense_run["bisc"].mean_error <= 0.05
 
@@ -327,6 +340,15 @@ class TestEmbedding:
         diagnostics = bisc(a, *counts, seed=4).diagnostics
         for side, fit in bisc_side_fits(a, counts, seed=4).items():
             assert diagnostics[f"{side}_iterations"] == fit.iterations >= 1
+
+    @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
+    def test_kmeans_restart_objectives_recorded(self, counts):
+        a = noisy_instance()
+        diagnostics = bisc(a, *counts, seed=4).diagnostics
+        for side, fit in bisc_side_fits(a, counts, seed=4).items():
+            restarts = diagnostics[f"{side}_restart_objectives"]
+            assert restarts == fit.restart_objectives and len(restarts) == 10
+            assert diagnostics[f"{side}_objective"] == min(restarts)
 
     @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
     def test_kmeans_convergence_recorded(self, counts):

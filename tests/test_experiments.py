@@ -83,6 +83,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             tiny_config(algorithms=("bisc", "magic"))
 
+    @pytest.mark.parametrize("base_seed", [-1, 1.5, True])
+    def test_bad_base_seed_rejected_when_built(self, base_seed):
+        # a population sweep draws no matrix, so only this check stops the
+        # seed before every method fails on it
+        with pytest.raises(ValidationError):
+            tiny_config(base_seed=base_seed, population=True)
+
     def test_normal_needs_sigma2(self):
         with pytest.raises(ValidationError):
             tiny_config(kind="normal", mixing=P2)

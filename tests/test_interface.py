@@ -427,6 +427,24 @@ class TestCli:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["detect", "simulate", "generate"])
+    def test_negative_seed_is_data_error(self, tmp_path, model_config, command):
+        matrix = tmp_path / "a.txt"
+        fileio.write_matrix(matrix, np.eye(6) + 0.1)
+        args = {
+            "detect": ["--input", str(matrix), "--alg", "bisc", "--kr", "2", "--kc", "2"],
+            "simulate": ["--preset", "sim1a", "--replicates", "1"],
+            "generate": ["--config", str(model_config)],
+        }[command]
+        result = subprocess.run(
+            [sys.executable, "-m", "bidfm", command, *args, "--seed", "-1",
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "seed must be a non-negative integer" in result.stderr
+
     def test_bad_matrix_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 2\n")

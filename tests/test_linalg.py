@@ -6,16 +6,22 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidfm.errors import ConvergenceError, DimensionError
+from bidfm.errors import ConvergenceError, DimensionError, ValidationError
 from bidfm.linalg import (
     _lloyd,
+    _rng,
     kmeans,
     row_normalize,
     spectral_deviation,
     truncated_svd,
 )
 
-from oracles import exhaustive_kmeans_objective, jacobi_svd
+from oracles import (
+    exhaustive_kmeans_objective,
+    jacobi_svd,
+    sequential_kmeans,
+    sequential_lloyd,
+)
 
 
 class TestTruncatedSvd:
@@ -223,7 +229,7 @@ class TestKMeans:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((40, 2))
         centers = a[:5].copy()
-        *_, history = _lloyd(a, centers, max_iter=50)
+        *_, (history,) = _lloyd(a, centers[None], max_iter=50)
         assert all(later <= earlier + 1e-12 for earlier, later in zip(history, history[1:]))
 
     def test_exactly_k_clusters_with_duplicates(self):
@@ -243,6 +249,141 @@ class TestKMeans:
         assert result.converged and result.iterations < 10
         assert set(result.labels) == {1, 2, 3}
         assert result.objective == 0.0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(restarts=0), dict(max_iter=0), dict(k=2.5), dict(k=True), dict(restarts=2.0),
+        dict(seed=-1), dict(seed=1.5), dict(seed=True),
+    ], ids=["restarts-0", "max-iter-0", "float-k", "bool-k", "float-restarts",
+            "negative-seed", "float-seed", "bool-seed"])
+    def test_bad_arguments_rejected(self, kwargs):
+        a = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValidationError):
+            kmeans(a, **{"k": 2, "seed": 0, **kwargs})
+
+    def test_numpy_integer_arguments_accepted(self):
+        a = np.arange(12.0).reshape(6, 2)
+        expected = kmeans(a, 2, seed=3)
+        result = kmeans(a, np.int64(2), seed=np.int64(3), restarts=np.int32(10))
+        assert np.array_equal(result.labels, expected.labels)
+
+    @pytest.mark.parametrize("seed, first_best", [(2, 3), (5, 5), (13, 5)])
+    def test_objective_is_first_minimal_restart_objective(self, seed, first_best):
+        # five overlapping clouds: the restarts end in different local
+        # optima, and two or more of them reach the least objective, the
+        # first of them after worse ones
+        rng = np.random.default_rng(seed)
+        centres = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [3.0, 3.0], [1.5, 1.5]])
+        a = np.repeat(centres, 5, axis=0) + 0.6 * rng.standard_normal((25, 2))
+        result = kmeans(a, 5, seed=seed)
+        objectives = result.restart_objectives
+        assert len(objectives) == 10
+        assert result.objective == min(objectives)
+        assert objectives.index(result.objective) == first_best
+        assert objectives.count(result.objective) >= 2
+        runs, best = sequential_kmeans(a, 5, seed)
+        assert best == first_best
+        assert np.array_equal(result.labels, runs[best][0])
+
+
+class TestRng:
+    @pytest.mark.parametrize("spawn_key", [(), (0,), (7,)])
+    def test_streams_match_seed_sequence(self, spawn_key):
+        reference = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=11, spawn_key=spawn_key))
+        )
+        assert np.array_equal(_rng(11, spawn_key).random(8), reference.random(8))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            _rng(seed)
+
+
+def _assert_matches_sequential(x, k, seed, **kwargs):
+    """``kmeans`` against the sequential reference: labels, iterations and
+    convergence bit for bit; centroids and every restart's objective bit for
+    bit for d >= 2.  For d = 1 numpy sums a one-column cluster's rows
+    pairwise where the centroid update sums them in order, so those agree
+    to the error bound of an n-term sum."""
+    result = kmeans(x, k, seed=seed, **kwargs)
+    runs, best = sequential_kmeans(x, k, seed, **kwargs)
+    labels, centroids, _, iterations, converged = runs[best]
+    assert np.array_equal(result.labels, labels)
+    assert (result.iterations, result.converged) == (iterations, converged)
+    objectives = tuple(run[2] for run in runs)
+    if x.shape[1] > 1:
+        assert np.array_equal(result.centroids, centroids)
+        assert result.restart_objectives == objectives
+        assert result.objective == objectives[best]
+    else:
+        bound = len(x) * np.finfo(float).eps
+        assert np.abs(result.centroids - centroids).max() <= bound * np.abs(x).max()
+        assert np.allclose(result.restart_objectives, objectives,
+                           rtol=0.0, atol=bound * (x ** 2).sum())
+
+
+class TestKMeansAgainstSequential:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 30, 150, 1000])
+    def test_clouds(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        means = 3.0 * rng.standard_normal((3, d))
+        x = means[np.arange(n) % 3] + rng.standard_normal((n, d))
+        for k in (1, 2, 3, 4):
+            for seed in (0, 5):
+                _assert_matches_sequential(x, k, seed)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_dyadic_duplicates_and_fewer_distinct_rows_than_k(self, d):
+        # entries are multiples of 1/4 and the counts are small, so every
+        # centroid sum is exact in any order and d = 1 must match bit for
+        # bit too; k = 4 and 5 exceed the three distinct rows
+        rng = np.random.default_rng(d)
+        rows = rng.integers(-8, 8, size=(3, d)) / 4.0
+        x = np.repeat(rows, [2, 9, 20], axis=0)[rng.permutation(31)]
+        for k in (2, 3, 4, 5):
+            for seed in (0, 1, 2):
+                _assert_matches_sequential(x, k, seed)
+                result = kmeans(x, k, seed=seed)
+                assert set(result.labels) == set(range(1, k + 1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_duplicates_and_fewer_distinct_rows_than_k(self, d):
+        rng = np.random.default_rng(10 + d)
+        x = np.repeat(rng.standard_normal((3, d)), [3, 9, 20], axis=0)[rng.permutation(32)]
+        for k in (2, 3, 4, 5):
+            for seed in (0, 1, 2):
+                _assert_matches_sequential(x, k, seed)
+
+    def test_iteration_cap(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((200, 2))
+        for max_iter in (1, 2, 3):
+            _assert_matches_sequential(x, 4, 0, max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [2, 300])
+    def test_lockstep_restarts_repair_and_stop_as_they_would_alone(self, max_iter):
+        # three center sets stacked: an ordinary one, one whose third center
+        # lies far from every row and one with two equal centers; the last
+        # two leave a cluster empty in the first assignment, so they are
+        # repaired, and the first stops an iteration before the others
+        rng = np.random.default_rng(4)
+        x = np.concatenate([rng.standard_normal((20, 2)), 5.0 + rng.standard_normal((20, 2)),
+                            np.repeat([[9.0, 9.0]], 3, axis=0)])
+        starts = np.stack([x[[0, 25, 41]], np.array([[0.0, 0.0], [5.0, 5.0], [90.0, -90.0]]),
+                           x[[3, 3, 30]]])
+        labels, centers, objectives, iterations, converged, histories = _lloyd(
+            x, starts, max_iter)
+        assert iterations == sum(len(h) for h in histories)
+        assert isinstance(iterations, int)
+        for r, start in enumerate(starts):
+            o_labels, o_centers, o_objective, o_iterations, o_converged, o_history = (
+                sequential_lloyd(x, start.copy(), max_iter))
+            assert np.array_equal(labels[r], o_labels)
+            assert np.array_equal(centers[r], o_centers)
+            assert objectives[r] == o_objective
+            assert (len(histories[r]), bool(converged[r])) == (o_iterations, o_converged)
+            assert histories[r] == o_history
 
 
 class TestSpectralDeviation:

@@ -135,6 +135,11 @@ class TestSampleMemberships:
         with pytest.raises(InfeasibleError):
             sample_memberships(2, 3, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            sample_memberships(10, 2, seed=seed)
+
 
 class TestSampleTheta:
     def test_range(self):
@@ -155,6 +160,11 @@ class TestSampleTheta:
         assert np.array_equal(
             sample_theta(50, 1.0, seed=5), sample_theta(50, 1.0, seed=5)
         )
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            sample_theta(10, 1.0, seed=seed)
 
 
 class TestValidate:

@@ -20,5 +20,7 @@ def test_traced_toy_sweep_keeps_benchmark_invariants():
     assert result["correct"] is True and result["failed"] == 0, result
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     assert metrics["linalg.truncated_svd.useful_ratio"] == 1.0
+    assert metrics["linalg.kmeans.iterations"] > 0
+    assert metrics["linalg.kmeans.restarts"] > 0
     for method in ("bisc", "nbisc", "disim", "dscore", "rdscore"):
         assert metrics[f"detect.{method}.busy_s"] > 0, method

@@ -44,6 +44,11 @@ class TestSampleAdjacency:
         a = sample_adjacency(omega, DistributionSpec.bernoulli(), seed=0)
         assert np.all(a == 1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError):
+            sample_adjacency(np.ones((4, 5)), DistributionSpec.bernoulli(), seed=seed)
+
     def test_bernoulli_range_enforced(self):
         with pytest.raises(DomainError, match=r"\(1, 2\)"):
             sample_adjacency(
