@@ -19,13 +19,13 @@ rdscore   regularized Laplacian  ratios of trailing columns to the leading one
 reference baselines for comparison studies.  The pipeline assumes
 ``k_r <= k_c``; called the other way round it transposes the problem and
 swaps the labels and per-side diagnostics back.  Every method is
-``method(a, k_r, k_c, *, seed=0)`` with ``a`` a matrix or an ``Embedding``
-of it, so methods on one operator can share one SVD; ``run_algorithms``
-does that for several methods on one matrix.  Operator settings (the
-Laplacian's regularizer) go to ``embed``.  The read-out settings are fixed:
-10 k-means restarts per side, a 1e-12 floor on normalized row norms and on
-the singular-vector entries a ratio divides, and a ratio clip at ``log(n)``
-for a side with ``n`` nodes.
+``method(a, k_r, k_c, *, seed=0)`` with ``a`` a dense or ``scipy.sparse``
+matrix or an ``Embedding`` of it, so methods on one operator can share one
+SVD; ``run_algorithms`` does that for several methods on one matrix.
+Operator settings (the Laplacian's regularizer) go to ``embed``.  The
+read-out settings are fixed: 10 k-means restarts per side, a 1e-12 floor on
+normalized row norms and on the singular-vector entries a ratio divides,
+and a ratio clip at ``log(n)`` for a side with ``n`` nodes.
 """
 from __future__ import annotations
 
@@ -34,6 +34,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import BidfmError, DimensionError, DomainError, UnsupportedError, ValidationError
 from .linalg import ZERO_FLOOR, SvdFactors, as_matrix, kmeans, row_normalize, truncated_svd
@@ -81,7 +82,11 @@ class Embedding:
 
 def _laplacian(a, regularizer):
     """Regularized bipartite Laplacian ``D_r^-1/2 A D_c^-1/2``; the
-    regularizer is added to every degree."""
+    regularizer is added to every degree.  A sparse matrix gets the two
+    diagonal scalings as sparse products, rows first as in the dense
+    formula, so each stored entry takes the dense value for the same
+    degrees; its degrees sum its stored entries, which is exact for integer
+    weights."""
     if a.min() < 0:
         raise DomainError(
             "Laplacian-based methods need a non-negative matrix; "
@@ -96,7 +101,11 @@ def _laplacian(a, regularizer):
     with np.errstate(divide="ignore"):
         inv_r = np.where(d_r + tau_r > 0, 1.0 / np.sqrt(d_r + tau_r), 0.0)
         inv_c = np.where(d_c + tau_c > 0, 1.0 / np.sqrt(d_c + tau_c), 0.0)
-    return inv_r[:, None] * a * inv_c[None, :], (tau_r, tau_c)
+    if scipy.sparse.issparse(a):
+        scaled = scipy.sparse.diags_array(inv_r) @ a @ scipy.sparse.diags_array(inv_c)
+    else:
+        scaled = inv_r[:, None] * a * inv_c[None, :]
+    return scaled, (tau_r, tau_c)
 
 
 def _ratio_matrix(u):
@@ -115,7 +124,7 @@ def _ratio_matrix(u):
 
 
 def _checked(a, k_r, k_c):
-    a = as_matrix(a)
+    a = as_matrix(a, sparse=True)
     for k in (k_r, k_c):
         if isinstance(k, bool) or not isinstance(k, numbers.Integral):
             raise ValidationError(f"cluster counts must be integers, got {k!r}")
@@ -271,12 +280,18 @@ def shift_nonnegative(a) -> tuple:
     A matrix with no negative entry is returned untouched with shift 0.
     Otherwise the shift is ``-min + 0.01 * range`` (range replaced by 1 when
     the matrix is constant), so the smallest shifted entry stays strictly
-    positive.
+    positive.  A signed ``scipy.sparse`` matrix raises ``DomainError``: the
+    shift would fill every zero entry in.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, sparse=True)
     lo, hi = float(a.min()), float(a.max())
     if lo >= 0:
         return a, 0.0
+    if scipy.sparse.issparse(a):
+        raise DomainError(
+            "a signed sparse matrix cannot be shifted to non-negative entries "
+            "without filling in every zero entry; pass it as a dense array"
+        )
     spread = hi - lo
     shift = -lo + 0.01 * (spread if spread > 0 else 1.0)
     return a + shift, shift

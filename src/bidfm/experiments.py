@@ -326,9 +326,9 @@ def estimate_k_eigengap(a, m: int = 8) -> KEstimate:
     The suggestion is argmax over k < m of ``sigma_k / sigma_{k+1}`` (a zero
     successor counts as an infinite gap).  The raw values always come back
     too: the numeric suggestion is advisory and an eyeball on the elbow is
-    worth more.
+    worth more.  ``a`` may be dense or ``scipy.sparse``.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, sparse=True)
     if not 1 <= m <= min(a.shape):
         raise DimensionError(f"m={m} out of range [1, {min(a.shape)}]")
     sv = truncated_svd(a, m).singular_values
@@ -343,8 +343,9 @@ def estimate_k_eigengap(a, m: int = 8) -> KEstimate:
 
 
 def degree_profiles(a) -> tuple:
-    """Absolute-value row and column degree sequences."""
-    weights = np.abs(as_matrix(a))
+    """Absolute-value row and column degree sequences of a dense or
+    ``scipy.sparse`` matrix; a sparse one's degrees sum its stored entries."""
+    weights = abs(as_matrix(a, sparse=True))
     return weights.sum(axis=1), weights.sum(axis=0)
 
 
@@ -364,7 +365,7 @@ class ZeroDegreeSets:
 
 @dataclass(frozen=True)
 class FilterResult:
-    matrix: np.ndarray
+    matrix: np.ndarray  # a CSR array for a scipy.sparse input
     kept_rows: tuple  # 1-based original indices surviving the filter
     kept_cols: tuple
     removed: ZeroDegreeSets
@@ -376,9 +377,10 @@ def filter_zero_degree(a, mode: str) -> FilterResult:
     ``rows``/``cols`` drop one side's zero-degree nodes only.  ``both-and``
     drops nodes dead on both sides, ``both-or`` nodes dead on either side;
     these two need a square matrix since they remove the same node from both
-    sides.  Retained entries are copied verbatim.
+    sides.  Retained entries are copied verbatim, into a CSR array when
+    ``a`` is ``scipy.sparse`` and a dense array otherwise.
     """
-    a = as_matrix(a)
+    a = as_matrix(a, sparse=True)
     if mode not in FILTER_MODES:
         raise ValidationError(f"unknown mode {mode!r}; choose from {FILTER_MODES}")
     d_r, d_c = degree_profiles(a)

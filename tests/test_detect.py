@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from bidfm import detect, linalg
 from bidfm.detect import (
@@ -19,7 +20,7 @@ from bidfm.detect import (
     shift_nonnegative,
 )
 from bidfm.errors import DimensionError, DomainError, UnsupportedError, ValidationError
-from bidfm.experiments import preset, run_simulation
+from bidfm.experiments import _point_params, filter_zero_degree, preset, run_simulation
 from bidfm.metrics import hamming_error
 from bidfm.model import (
     P1,
@@ -445,6 +446,105 @@ def test_ratio_methods_agree_across_paths_with_zero_degree_columns(monkeypatch):
     a = rng.poisson(0.5 * P1[np.ix_(rows, cols)]).astype(float)
     a[:, rng.choice(150, 3, replace=False)] = 0.0
     assert_same_labels_on_both_paths(monkeypatch, a, (2, 3), names=("dscore", "rdscore"))
+
+
+def assert_same_labels_on_every_operand(monkeypatch, a, counts):
+    """``run_algorithms`` with Lanczos multiplying by the dense array, by a
+    CSR copy of it, and on a CSR input gives every method the same labels."""
+    runs = []
+    # the dense array, a CSR copy of it, and a CSR input, which takes the
+    # CSR operand whatever its share of nonzeros
+    for share, operand in ((0.0, a), (1.0, a), (0.0, scipy.sparse.csr_array(a))):
+        monkeypatch.setattr(linalg, "_SPARSE_SHARE", share)
+        runs.append(run_algorithms(ALGORITHMS, operand, *counts, seed=1))
+    for (name, array), (_, copy), (_, given) in zip(*runs):
+        assert [r.diagnostics["svd_path"] for r in (array, copy, given)] == [
+            "lanczos", "sparse", "sparse"], name
+        for other in (copy, given):
+            assert np.array_equal(array.row_labels.labels, other.row_labels.labels), name
+            assert np.array_equal(array.col_labels.labels, other.col_labels.labels), name
+
+
+def edge_network_matrix(seed, n=3000):
+    """A directed degree-corrected Poisson network of ``n`` nodes and three
+    sending and receiving clusters, about 1% nonzero, as the benchmark's
+    edge-network workload builds it, with its zero-degree nodes dropped."""
+    rng = np.random.default_rng([seed, 3])
+    mixing = np.array([[1.0, 0.15, 0.1], [0.2, 0.9, 0.15], [0.1, 0.25, 0.8]])
+    rows = rng.permutation(np.arange(n) % 3)
+    cols = rows.copy()
+    moved = rng.random(n) < 0.2
+    cols[moved] = rng.integers(0, 3, int(moved.sum()))
+    theta_out, theta_in = 0.25 * rng.uniform(0.2, 1.0, (2, n))
+    omega = theta_out[:, None] * mixing[np.ix_(rows, cols)] * theta_in[None, :]
+    np.fill_diagonal(omega, 0.0)
+    return filter_zero_degree(rng.poisson(omega).astype(float), "both-or").matrix
+
+
+def test_same_labels_on_every_operand_of_an_edge_network(monkeypatch):
+    a = edge_network_matrix(seed=1)
+    assert np.count_nonzero(a) < 0.02 * a.size
+    assert_same_labels_on_every_operand(monkeypatch, a, (3, 3))
+
+
+def test_same_labels_on_every_operand_of_a_sweep_replicate(monkeypatch):
+    """A sim1b replicate at 600 x 900 (rho = 0.6, about 8% nonzero, the
+    second point of a sweep over (0.4, 0.6, 0.8)) with no zero-degree node."""
+    config = preset("sim1b", rho_grid=(0.4, 0.6, 0.8), replicates=1, base_seed=1)
+    params = _point_params(config, 1, 600, 900, 0.6)
+    a = sample_adjacency(expected_adjacency(params), DistributionSpec.bernoulli(), seed=1)
+    assert (np.abs(a).sum(axis=0) > 0).all() and (np.abs(a).sum(axis=1) > 0).all()
+    assert_same_labels_on_every_operand(monkeypatch, a, (2, 3))
+
+
+class TestSparseInput:
+    def poisson(self, shape=(60, 90), seed=0):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(0, 2, shape[0]), rng.integers(0, 3, shape[1])
+        a = rng.poisson(0.3 * P1[np.ix_(rows, cols)]).astype(float)
+        a[:, 5] = 0.0  # a zero-degree column
+        return a
+
+    @pytest.mark.parametrize("regularizer", ["auto", 0.0, 2.5])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_laplacian_matches_dense_entry_for_entry(self, regularizer, transposed):
+        a = self.poisson()  # integer weights: both sum the degrees exactly
+        m = scipy.sparse.csr_array(a)
+        if transposed:
+            a, m = a.T, m.T  # a CSC operand
+        dense, taus = detect._laplacian(a, regularizer)
+        sparse, sparse_taus = detect._laplacian(m, regularizer)
+        assert scipy.sparse.issparse(sparse) and sparse_taus == taus
+        assert np.array_equal(sparse.toarray(), dense)
+
+    def test_methods_run_on_sparse_input(self):
+        a = self.poisson()
+        for name, result in run_algorithms(ALGORITHMS, scipy.sparse.csr_matrix(a), 2, 3):
+            alone = run_algorithm(name, a, 2, 3)
+            assert result.diagnostics["svd_path"] == alone.diagnostics["svd_path"] == "dense"
+            assert same_result(result, alone), name
+
+    def test_embed_takes_the_csr_operand(self):
+        a = self.poisson((300, 400))
+        embedding = embed(scipy.sparse.csr_array(a), 3, 2, "laplacian")
+        assert embedding.transposed and embedding.factors.path == "sparse"
+        assert embedding.regularizers == embed(a, 3, 2, "laplacian").regularizers
+
+    def test_shift_leaves_a_non_negative_sparse_matrix_alone(self):
+        m = scipy.sparse.csr_array(self.poisson())
+        shifted, shift = shift_nonnegative(m)
+        assert scipy.sparse.issparse(shifted) and shift == 0.0
+        assert np.array_equal(shifted.toarray(), m.toarray())
+
+    def test_signed_sparse_matrix_is_not_shifted(self):
+        a = self.poisson() - 2.0 * np.eye(60, 90)
+        with pytest.raises(DomainError, match="signed sparse matrix"):
+            shift_nonnegative(scipy.sparse.csr_array(a))
+        outcomes = dict(run_algorithms(ALGORITHMS, scipy.sparse.csr_array(a), 2, 3))
+        for name in ("disim", "rdscore"):
+            assert isinstance(outcomes[name], DomainError), name
+        for name in ("bisc", "nbisc", "dscore"):
+            assert same_result(outcomes[name], run_algorithm(name, a, 2, 3)), name
 
 
 def test_every_method_has_one_signature():

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from bidfm.detect import nbisc
 from bidfm.errors import ConvergenceError, DimensionError, ValidationError
 from bidfm.experiments import (
     SimulationConfig,
@@ -222,8 +225,21 @@ class TestEstimateK:
         with pytest.raises(DimensionError):
             estimate_k_eigengap(np.eye(4), m=5)
 
+    def test_sparse_input(self):
+        rng = np.random.default_rng(6)
+        a = rng.poisson(0.01 * (1.0 + 9.0 * np.kron(np.eye(3), np.ones((100, 150))))).astype(float)
+        dense = estimate_k_eigengap(a, m=6)
+        sparse = estimate_k_eigengap(scipy.sparse.csr_array(a), m=6)
+        assert sparse.k_suggestion == dense.k_suggestion == 3
+        assert sparse.singular_values == pytest.approx(dense.singular_values, rel=1e-12)
+
 
 class TestDegreeProfiles:
+    def test_sparse_input(self):
+        a = np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, -0.5]])
+        for dense, sparse in zip(degree_profiles(a), degree_profiles(scipy.sparse.csr_array(a))):
+            assert np.array_equal(dense, sparse)
+
     def test_all_ones(self):
         d_r, d_c = degree_profiles(np.ones((2, 3)))
         assert np.array_equal(d_r, [3.0, 3.0])
@@ -305,6 +321,46 @@ class TestFilterZeroDegree:
     def test_unknown_mode(self):
         with pytest.raises(ValidationError):
             filter_zero_degree(np.ones((2, 2)), "sideways")
+
+    @pytest.mark.parametrize("mode", ["rows", "cols", "both-and", "both-or"])
+    def test_sparse_input_gives_the_dense_sets_and_stays_sparse(self, mode):
+        rng = np.random.default_rng(2)
+        a = rng.poisson(0.05, (40, 40)).astype(float)
+        a[[3, 8], :] = 0.0
+        a[:, [8, 20]] = 0.0
+        dense = filter_zero_degree(a, mode)
+        sparse = filter_zero_degree(scipy.sparse.csr_matrix(a), mode)
+        assert isinstance(dense.matrix, np.ndarray)
+        assert isinstance(sparse.matrix, scipy.sparse.csr_array)
+        assert np.array_equal(sparse.matrix.toarray(), dense.matrix)
+        assert (sparse.kept_rows, sparse.kept_cols, sparse.removed) == (
+            dense.kept_rows, dense.kept_cols, dense.removed)
+
+
+class TestSparseNetwork:
+    def test_twenty_thousand_nodes_without_densifying(self):
+        """20k nodes and 200k edges: the dense array alone would take
+        3.2 GB; the filter, the eigengap estimate and nbisc stay sparse."""
+        n, m = 20000, 200000
+        rng = np.random.default_rng(0)
+        clusters = np.arange(n) % 3
+        src = rng.integers(0, n, m)
+        same = 3 * rng.integers(0, n // 3, m) + clusters[src]  # a node in src's cluster
+        dst = np.where(rng.random(m) < 0.7, same, rng.integers(0, n, m))
+        a = scipy.sparse.coo_array((np.ones(m), (src, dst)), shape=(n, n)).tocsr()
+        tracemalloc.start()
+        try:
+            filtered = filter_zero_degree(a, "both-or")
+            estimate = estimate_k_eigengap(filtered.matrix, m=8)
+            result = nbisc(filtered.matrix, 3, 3, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert len(estimate.singular_values) == 8
+        assert result.diagnostics["svd_path"] == "sparse"
+        truth = clusters[np.array(filtered.kept_rows) - 1] + 1
+        assert nmi(result.row_labels, truth) > 0.8 and nmi(result.col_labels, truth) > 0.8
 
 
 class TestRowColumnSimilarity:

@@ -459,3 +459,14 @@ class TestCli:
         )
         assert result.returncode == 0
         assert (tmp_path / "sub_omega.txt").exists()
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    """``generate`` and ``detect`` never solve an assignment, so a cold
+    ``import bidfm.cli`` does not pay for ``scipy.optimize``."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bidfm.cli; assert 'scipy.optimize' not in sys.modules"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

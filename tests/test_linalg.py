@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidfm import linalg
 from bidfm.errors import ConvergenceError, DimensionError, ValidationError
 from bidfm.linalg import (
+    as_matrix,
     _lloyd,
     _rng,
     kmeans,
@@ -22,6 +25,15 @@ from oracles import (
     sequential_kmeans,
     sequential_lloyd,
 )
+
+
+def with_nonzeros(shape, count, seed=0):
+    """A matrix with exactly ``count`` nonzero entries, uniform in [1, 2), at
+    random positions."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros(shape)
+    a.flat[rng.choice(a.size, count, replace=False)] = rng.uniform(1.0, 2.0, count)
+    return a
 
 
 class TestTruncatedSvd:
@@ -90,14 +102,18 @@ class TestTruncatedSvd:
         with pytest.raises(ConvergenceError):
             truncated_svd(a, k=2)
 
-    @pytest.mark.parametrize("shape", [(50, 60), (700, 800)], ids=["dense", "lanczos"])
+    @pytest.mark.parametrize("shape, share, path", [
+        ((50, 60), 1.0, "dense"), ((700, 800), 1.0, "lanczos"), ((700, 800), 0.02, "sparse"),
+    ], ids=["dense", "lanczos", "sparse"])
     @pytest.mark.parametrize("factor", [1e300, 1e-200])
-    def test_extreme_scales_match_unscaled(self, shape, factor):
+    def test_extreme_scales_match_unscaled(self, shape, share, path, factor):
         # near the float limits the products would overflow or underflow
-        u = np.random.default_rng(0).uniform(size=shape)
+        rng = np.random.default_rng(0)
+        u = rng.uniform(size=shape) * (rng.random(shape) < share)
         expected = truncated_svd(u, k=2).singular_values * factor
-        got = truncated_svd(u * factor, k=2).singular_values
-        assert got == pytest.approx(expected, rel=1e-12)
+        got = truncated_svd(u * factor, k=2)
+        assert got.path == path
+        assert got.singular_values == pytest.approx(expected, rel=1e-12)
 
     def test_no_negative_zero_singular_values(self):
         from bidfm.detect import dscore
@@ -106,6 +122,32 @@ class TestTruncatedSvd:
         a[:, 0] = 1.0  # rank one: the second singular value is zero
         assert not np.signbit(dscore(a, 2, 3).singular_values).any()
         assert not np.signbit(truncated_svd(a, k=2).singular_values).any()
+
+    @pytest.mark.parametrize("convert", [np.asarray, scipy.sparse.csr_array],
+                             ids=["array", "csr"])
+    def test_sparse_path_matches_dense(self, convert):
+        rng = np.random.default_rng(4)
+        rows, cols = rng.integers(0, 3, 700), rng.integers(0, 3, 650)
+        blocks = 0.02 * np.array([[4.0, 1.0, 1.0], [1.0, 2.5, 1.0], [1.0, 1.0, 1.5]])
+        a = rng.poisson(blocks[np.ix_(rows, cols)]).astype(float)
+        f = truncated_svd(convert(a), k=3)
+        assert f.path == "sparse"  # about 3% nonzero
+        u, s, vt = np.linalg.svd(a)
+        assert np.abs(f.singular_values - s[:3]).max() < 1e-10 * s[0]
+        assert np.abs(np.abs(f.left) - np.abs(u[:, :3])).max() < 1e-8
+        assert np.abs(np.abs(f.right) - np.abs(vt[:3].T)).max() < 1e-8
+
+    @pytest.mark.parametrize("a, operand", [
+        (with_nonzeros((700, 800), 5600), "a CSR operand"),
+        (np.random.default_rng(0).uniform(size=(700, 800)), "the dense array"),
+    ], ids=["sparse", "lanczos"])
+    def test_convergence_error_names_the_operand(self, monkeypatch, a, operand):
+        def failing_svds(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stub", np.ones(1), None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        with pytest.raises(ConvergenceError, match=f"Lanczos on {operand}.*1/2 triplets"):
+            truncated_svd(a, k=2)
 
     def test_iterative_path_matches_dense(self):
         rng = np.random.default_rng(3)
@@ -139,6 +181,64 @@ class TestSvdPathRule:
         f = truncated_svd(np.zeros((100, 150)), 2)
         assert f.path == "dense"
         assert np.array_equal(f.singular_values, [0.0, 0.0])
+
+    @pytest.mark.parametrize("extra, path", [(0, "sparse"), (1, "lanczos")])
+    def test_operand_follows_the_nonzero_share(self, extra, path):
+        """At most ``_SPARSE_SHARE`` of the entries nonzero: a CSR operand;
+        one entry more: the dense array."""
+        n, p = 200, 300
+        a = with_nonzeros((n, p), int(linalg._SPARSE_SHARE * n * p) + extra)
+        assert truncated_svd(a, 2).path == path
+
+    def test_sparse_input_takes_the_csr_operand_at_any_share(self):
+        a = np.where(np.random.default_rng(0).random((100, 150)) < 0.5, -1.0, 1.0)
+        assert truncated_svd(scipy.sparse.csr_array(a), 2).path == "sparse"
+
+    @pytest.mark.parametrize("shape, k", [((30, 45), 2), ((100, 150), 20)])
+    def test_sparse_input_is_densified_only_for_lapack(self, shape, k):
+        a = with_nonzeros(shape, shape[0] * shape[1] // 50)
+        f, g = truncated_svd(a, k), truncated_svd(scipy.sparse.csr_matrix(a), k)
+        assert f.path == g.path == "dense"
+        for name in ("left", "singular_values", "right"):
+            assert np.array_equal(getattr(f, name), getattr(g, name))
+
+    def test_all_zero_sparse_matrix_is_dense(self):
+        f = truncated_svd(scipy.sparse.csr_array((100, 150)), 2)
+        assert f.path == "dense"
+        assert np.array_equal(f.singular_values, [0.0, 0.0])
+
+
+class TestSparseInput:
+    def test_kept_sparse_as_float_csr(self):
+        m = scipy.sparse.coo_matrix(np.eye(3, 4, dtype=int))
+        a = as_matrix(m, sparse=True)
+        assert isinstance(a, scipy.sparse.csr_array) and a.dtype == np.float64
+        assert np.array_equal(a.toarray(), np.eye(3, 4))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_stored_value_rejected(self, value):
+        m = scipy.sparse.csr_array(np.array([[1.0, 0.0], [0.0, value]]))
+        with pytest.raises(DimensionError, match="non-finite"):
+            as_matrix(m, sparse=True)
+        with pytest.raises(DimensionError, match="non-finite"):
+            truncated_svd(m, 1)
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError, match="non-empty"):
+            as_matrix(scipy.sparse.csr_array((0, 5)), sparse=True)
+
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(DimensionError, match="2-dimensional"):
+            as_matrix(scipy.sparse.coo_array(np.array([1.0, 0.0, 2.0])), sparse=True)
+
+    def test_dense_only_callers_reject_sparse(self):
+        m = scipy.sparse.csr_array(np.eye(4))
+        with pytest.raises(DimensionError, match="dense array"):
+            as_matrix(m)
+        with pytest.raises(DimensionError):
+            kmeans(m, 2, seed=0)
+        with pytest.raises(DimensionError):
+            row_normalize(m)
 
 
 class TestRowNormalize:
