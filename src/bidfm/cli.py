@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (BidfmError, FileNotFoundError, KeyError) as exc:
+    except (BidfmError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

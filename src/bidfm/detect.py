@@ -23,9 +23,10 @@ swaps the labels and per-side diagnostics back.  Every method is
 matrix or an ``Embedding`` of it, so methods on one operator can share one
 SVD; ``run_algorithms`` does that for several methods on one matrix.
 Operator settings (the Laplacian's regularizer) go to ``embed``.  The
-read-out settings are fixed: 10 k-means restarts per side, a 1e-12 floor on
-normalized row norms and on the singular-vector entries a ratio divides,
-and a ratio clip at ``log(n)`` for a side with ``n`` nodes.
+read-out settings are fixed: 10 k-means restarts per side, each capped at
+300 Lloyd iterations, a 1e-12 floor on normalized row norms and on the
+singular-vector entries a ratio divides, and a ratio clip at ``log(n)`` for
+a side with ``n`` nodes.
 """
 from __future__ import annotations
 

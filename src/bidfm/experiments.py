@@ -42,8 +42,8 @@ class SimulationConfig:
     """One simulation: a model, an edge law, and exactly one swept parameter.
 
     Fixed dimensions go in ``n_r``/``n_c``; a size sweep uses ``n_grid`` and
-    square ``n x n`` networks.  ``population`` replaces every sampled matrix
-    by the expected adjacency itself (a noiseless identifiability check).
+    square ``n x n`` networks.  Degree-corrected thetas come from
+    :func:`~bidfm.model.sample_theta` with its default floor.
     """
 
     model: str  # "bidfm" | "bidcdfm"
@@ -61,8 +61,6 @@ class SimulationConfig:
     replicates: int = 50
     algorithms: tuple[str, ...] = detect.ALGORITHMS
     base_seed: int = 0
-    population: bool = False
-    theta_floor: float = 0.05
     name: str = ""
 
     def __post_init__(self):
@@ -147,9 +145,6 @@ class ExperimentReport:
         "mean_ari,se_ari,replicates,failed"
     )
 
-    def for_algorithm(self, algorithm: str) -> list:
-        return [p for p in self.points if p.algorithm == algorithm]
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write(f"# bidfm experiment report v1: {self.model}/{self.kind}\n")
@@ -182,8 +177,8 @@ def _point_params(config, index, n_r, n_c, rho):
         rows,
         cols,
         config.mixing,
-        theta_row=sample_theta(n_r, rho, base + 2, floor=config.theta_floor),
-        theta_col=sample_theta(n_c, rho, base + 3, floor=config.theta_floor),
+        theta_row=sample_theta(n_r, rho, base + 2),
+        theta_col=sample_theta(n_c, rho, base + 3),
     )
 
 
@@ -205,7 +200,7 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
         for rep in range(config.replicates):
             seed = config.base_seed + rep
             seeds.append(seed)
-            a = omega if config.population else sample_adjacency(omega, spec, seed)
+            a = sample_adjacency(omega, spec, seed)
             outcomes = detect.run_algorithms(config.algorithms, a, config.k_r, config.k_c, seed)
             for alg, result in outcomes:
                 if isinstance(result, BidfmError):

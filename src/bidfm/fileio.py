@@ -48,13 +48,17 @@ def atomic_write_text(path, text: str):
 
 
 def _records(path, header: bool = False):
-    """Yield ``(line number, stripped text)`` for every line of ``path`` that
-    is neither blank nor a ``#`` comment, skipping line 1 when ``header``."""
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if text and not text.startswith("#") and not (header and lineno == 1):
-                yield lineno, text
+    """Yield ``(line number, stripped text)`` for every line of the UTF-8
+    file ``path`` that is neither blank nor a ``#`` comment, skipping line 1
+    when ``header``."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                text = line.strip()
+                if text and not text.startswith("#") and not (header and lineno == 1):
+                    yield lineno, text
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from None
 
 
 def _write_records(path, header: str, records):
@@ -148,8 +152,9 @@ def read_edge_list(path, delimiter: str | None = None, header: bool = False,
     return matrix, list(row_index), list(col_index)
 
 
-def write_edge_list(path, m, row_ids=None, col_ids=None, delimiter="\t"):
-    """Write nonzero entries, row by row, as ``source target weight`` records.
+def write_edge_list(path, m, row_ids=None, col_ids=None):
+    """Write nonzero entries, row by row, as tab-separated ``source target
+    weight`` records.
 
     Default ids are the canonical 1-based node numbers.  Zero entries are not
     written, so a matrix round-trips through :func:`read_edge_list` exactly
@@ -165,7 +170,7 @@ def write_edge_list(path, m, row_ids=None, col_ids=None, delimiter="\t"):
         raise ValidationError("id lists must match the matrix shape")
     rows, cols = np.nonzero(a)
     _write_records(path, EDGES_HEADER, (
-        f"{row_ids[i]}{delimiter}{col_ids[j]}{delimiter}{value!r}"
+        f"{row_ids[i]}\t{col_ids[j]}\t{value!r}"
         for i, j, value in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
     ))
 
@@ -197,27 +202,42 @@ _NAMED_MIXINGS = {"P1": P1, "P2": P2}
 
 # JSON values a config field admits, by the types in its annotation; a
 # mixing matrix (np.ndarray) is given by name or as a list
-_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool,
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool, dict: dict,
                type(None): type(None), np.ndarray: (str, list, tuple)}
 
 
 def _admits(hint, value) -> bool:
     """Whether a JSON value fits a field annotation: a plain type, a union,
-    or a ``tuple[T, ...]`` given as a list of ``T`` values."""
+    or a ``tuple[T, ...]`` given as a list of ``T`` values.  ``true`` and
+    ``false`` fit ``bool`` only, not a number."""
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return isinstance(value, (list, tuple)) and all(_admits(item, v) for v in value)
     if typing.get_args(hint):
         return any(_admits(option, value) for option in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
     return isinstance(value, _JSON_TYPES[hint])
 
 
-def _convert(key, convert, value):
-    """``convert(value)``; a value it rejects is a ``ValidationError``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"config key {key!r}: {exc}") from None
+def _violation(what, key, hint, value):
+    """Why ``value`` cannot stand for the key ``key`` annotated ``hint``
+    (``dataclasses.MISSING`` for an absent key), or ``None`` if it can."""
+    if value is dataclasses.MISSING:
+        return f"missing {what} key {key!r}"
+    if not _admits(hint, value):
+        return f"{what} key {key!r} has the wrong type: {value!r}"
+    return None
+
+
+def _checked(data, key, hint, default=dataclasses.MISSING, what="config"):
+    """``data[key]``, or ``default`` when it is absent; a missing value or
+    one of a JSON type ``hint`` does not admit is a ``ValidationError``."""
+    value = data.get(key, default)
+    violation = _violation(what, key, hint, value)
+    if violation:
+        raise ValidationError(violation)
+    return value
 
 
 def _field_kwargs(cls, data, what: str, **defaults) -> dict:
@@ -229,24 +249,27 @@ def _field_kwargs(cls, data, what: str, **defaults) -> dict:
     data, hints = {**defaults, **data}, typing.get_type_hints(cls)
     violations = [f"unknown {what} key {key!r}" for key in data if key not in hints]
     for f in dataclasses.fields(cls):
-        value = data.get(f.name, f.default)
-        if value is dataclasses.MISSING:
-            violations.append(f"missing {what} key {f.name!r}")
-        elif not _admits(hints[f.name], value):
-            violations.append(f"{what} key {f.name!r} has the wrong type: {value!r}")
+        violation = _violation(what, f.name, hints[f.name], data.get(f.name, f.default))
+        if violation:
+            violations.append(violation)
     if violations:
         raise ValidationError(violations)
     return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
 def mixing_from_config(value, k_r=None, k_c=None) -> np.ndarray:
-    """Mixing matrix from a config value: a name ('P1'/'P2'), a nested list,
-    or a flat row-major list combined with the cluster counts."""
+    """Mixing matrix from a config value: a name ('P1'/'P2'), a list of
+    equally long rows of numbers, or a flat row-major list of numbers
+    combined with the cluster counts."""
     if isinstance(value, str):
         if value not in _NAMED_MIXINGS:
             raise ValidationError(f"unknown named mixing matrix {value!r}")
         return _NAMED_MIXINGS[value].copy()
-    arr = _convert("mixing", lambda v: np.asarray(v, dtype=float), value)
+    if not (_admits(tuple[float, ...], value) or _admits(tuple[tuple[float, ...], ...], value)):
+        raise ValidationError(f"mixing must be a name or a list of numbers or rows, got {value!r}")
+    if len({len(row) for row in value if isinstance(row, (list, tuple))}) > 1:
+        raise ValidationError(f"mixing rows differ in length: {value!r}")
+    arr = np.asarray(value, dtype=float)
     if arr.ndim == 1:
         if k_r is None or k_c is None:
             raise ValidationError(
@@ -269,50 +292,37 @@ def params_from_config(data: dict):
     are sampled uniformly using ``membership_seed``.  For the
     degree-corrected model, thetas come from explicit ``theta_row``/
     ``theta_col`` vectors or a ``theta`` generation block
-    ``{"seed": ..., "floor": ...}``.
+    ``{"seed": ..., "floor": ...}``.  Counts, seeds and labels must be JSON
+    integers and ``rho``, thetas and the floor JSON numbers; a missing or
+    mistyped value is a ``ValidationError`` that names its key.
     """
     model = data.get("model", "bidfm")
-    k_r, k_c = _convert("k_r", int, data["k_r"]), _convert("k_c", int, data["k_c"])
-    mixing = mixing_from_config(data["mixing"], k_r, k_c)
-    membership_seed = _convert("membership_seed", int, data.get("membership_seed", 0))
+    k_r, k_c = _checked(data, "k_r", int), _checked(data, "k_c", int)
+    mixing = mixing_from_config(_checked(data, "mixing", np.ndarray), k_r, k_c)
+    membership_seed = _checked(data, "membership_seed", int, 0)
 
     def side(labels_key, n_key, k, seed_offset):
         if labels_key in data:
-            return Membership(np.asarray(data[labels_key], dtype=int))
-        n = _convert(n_key, int, data[n_key])
-        return sample_memberships(n, k, membership_seed + seed_offset)
+            return Membership(_checked(data, labels_key, tuple[int, ...]))
+        return sample_memberships(_checked(data, n_key, int), k, membership_seed + seed_offset)
 
     rows = side("row_labels", "n_r", k_r, 0)
     cols = side("col_labels", "n_c", k_c, 1)
     if model == "bidfm":
-        return BiDFMParams(rows, cols, mixing, _convert("rho", float, data["rho"]))
+        return BiDFMParams(rows, cols, mixing, float(_checked(data, "rho", float)))
     if model != "bidcdfm":
         raise ValidationError(f"unknown model {model!r}")
     if "theta_row" in data and "theta_col" in data:
-        theta_r = np.asarray(data["theta_row"], dtype=float)
-        theta_c = np.asarray(data["theta_col"], dtype=float)
+        theta_r = _checked(data, "theta_row", tuple[float, ...])
+        theta_c = _checked(data, "theta_col", tuple[float, ...])
     else:
-        gen = _convert("theta", dict, data.get("theta", {}))
-        rho = _convert("rho", float, data["rho"])
-        seed = _convert("theta", int, gen.get("seed", membership_seed + 2))
-        floor = _convert("theta", float, gen.get("floor", 0.05))
+        gen = _checked(data, "theta", dict, {})
+        rho = float(_checked(data, "rho", float))
+        seed = _checked(gen, "seed", int, membership_seed + 2, what="theta")
+        floor = float(_checked(gen, "floor", float, 0.05, what="theta"))
         theta_r = sample_theta(len(rows), rho, seed, floor=floor)
         theta_c = sample_theta(len(cols), rho, seed + 1, floor=floor)
     return BiDCDFMParams(rows, cols, mixing, theta_r, theta_c)
-
-
-def params_to_config(params) -> dict:
-    """Serialize model parameters to a config dictionary (explicit labels and
-    thetas, mixing as a nested row-major list); inverse of
-    :func:`params_from_config`."""
-    rows, cols = params.row_membership, params.col_membership
-    data = {"k_r": rows.n_clusters, "k_c": cols.n_clusters, "n_r": len(rows),
-            "n_c": len(cols), "mixing": params.mixing.tolist(),
-            "row_labels": rows.labels.tolist(), "col_labels": cols.labels.tolist()}
-    if isinstance(params, BiDFMParams):
-        return {**data, "model": "bidfm", "rho": params.rho}
-    return {**data, "model": "bidcdfm", "theta_row": params.theta_row.tolist(),
-            "theta_col": params.theta_col.tolist()}
 
 
 def simulation_config_from_config(data: dict) -> SimulationConfig:
@@ -339,17 +349,20 @@ def theory_config_from_config(data: dict) -> tuple:
     model = data.get("model", "bidfm")
     if model not in ("bidfm", "bidcdfm"):
         raise ValidationError(f"unknown model {model!r}")
-    c_alpha, c = (_convert(key, float, data.get(key, 1.0)) for key in ("c_alpha", "c"))
-    return model, theory_inputs_from_config(data["inputs"]), c_alpha, c
+    c_alpha, c = (float(_checked(data, key, float, 1.0)) for key in ("c_alpha", "c"))
+    return model, theory_inputs_from_config(_checked(data, "inputs", dict)), c_alpha, c
 
 
 def load_json(path) -> dict:
-    """The JSON object in ``path``; any other top-level value is a ParseError."""
+    """The JSON object in the UTF-8 file ``path``; any other top-level value
+    is a ParseError."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}")
     return data

@@ -35,6 +35,11 @@ _SPARSE_SHARE = 0.05
 # read-outs: too short to normalize, or an exact zero in a ratio.
 ZERO_FLOOR = 1e-12
 
+# k-means keeps the best of this many seeded restarts, each capped at this
+# many Lloyd iterations.
+_RESTARTS = 10
+_MAX_ITER = 300
+
 
 def as_matrix(m, name: str = "matrix", sparse: bool = False):
     """Coerce to a 2-D float64 array and reject NaN/Inf entries.
@@ -78,13 +83,6 @@ class SvdFactors:
     right: np.ndarray
     path: str | None = None
 
-    @property
-    def rank(self) -> int:
-        return len(self.singular_values)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.T
-
 
 def _canonicalize_signs(u, vt):
     """Flip singular-vector pairs so each left vector's peak entry is > 0."""
@@ -94,7 +92,7 @@ def _canonicalize_signs(u, vt):
     return u * signs, vt * signs[:, None]
 
 
-def truncated_svd(m, k: int, tol: float = 1e-10) -> SvdFactors:
+def truncated_svd(m, k: int) -> SvdFactors:
     """Compute the ``k`` leading singular triplets of a dense or
     ``scipy.sparse`` matrix.
 
@@ -151,7 +149,7 @@ def truncated_svd(m, k: int, tol: float = 1e-10) -> SvdFactors:
         v0 /= np.linalg.norm(v0)
         try:
             u, s, vt = scipy.sparse.linalg.svds(
-                a, k=k, v0=v0, maxiter=1000 * k, tol=tol
+                a, k=k, v0=v0, maxiter=1000 * k, tol=1e-10
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             achieved = len(exc.eigenvalues) if exc.eigenvalues is not None else 0
@@ -179,16 +177,16 @@ class RowNormalization:
     degenerate_rows: tuple
 
 
-def row_normalize(m, eps: float = ZERO_FLOOR) -> RowNormalization:
+def row_normalize(m) -> RowNormalization:
     """Scale each row to unit Euclidean norm.
 
-    Rows with norm below ``eps`` are kept as-is and reported rather than
-    perturbed: in the population model every row is nonzero, so degenerate
-    rows signal noise or rank deficiency and should stay visible.
+    Rows with norm below ``ZERO_FLOOR`` are kept as-is and reported rather
+    than perturbed: in the population model every row is nonzero, so
+    degenerate rows signal noise or rank deficiency and should stay visible.
     """
     a = as_matrix(m)
     norms = np.linalg.norm(a, axis=1)
-    degenerate = norms < eps
+    degenerate = norms < ZERO_FLOOR
     safe = np.where(degenerate, 1.0, norms)
     out = a / safe[:, None]
     return RowNormalization(
@@ -352,43 +350,32 @@ def _lloyd(x, centers, max_iter):
     return labels, centers, objectives, iterations, converged, histories
 
 
-def kmeans(
-    x,
-    k: int,
-    seed: int,
-    restarts: int = 10,
-    max_iter: int = 300,
-) -> KMeansResult:
-    """Best-of-``restarts`` seeded k-means++ followed by Lloyd iterations.
+def kmeans(x, k: int, seed: int) -> KMeansResult:
+    """Best of 10 seeded k-means++ restarts followed by Lloyd iterations,
+    at most 300 per restart.
 
-    Deterministic for fixed ``(x, k, seed, restarts, max_iter)``.  Each
-    restart seeds its centers from its own Philox stream, then the restarts
-    run their Lloyd iterations in lockstep (``_lloyd``); the first restart
-    with the least objective wins, and ``restart_objectives`` lists every
-    restart's.  A point equidistant to several centroids joins the
-    lowest-index one; an empty cluster is reseeded at the point farthest
-    from its current centroid among the clusters with two or more members,
-    so exactly ``k`` clusters always come back.  Centroid sums run over the
-    rows in order.
+    Deterministic for fixed ``(x, k, seed)``.  Each restart seeds its
+    centers from its own Philox stream, then the restarts run their Lloyd
+    iterations in lockstep (``_lloyd``); the first restart with the least
+    objective wins, and ``restart_objectives`` lists every restart's.  A
+    point equidistant to several centroids joins the lowest-index one; an
+    empty cluster is reseeded at the point farthest from its current
+    centroid among the clusters with two or more members, so exactly ``k``
+    clusters always come back.  Centroid sums run over the rows in order.
 
-    Raises ``ValidationError`` for a non-integer ``k``, a ``restarts`` or
-    ``max_iter`` below 1, or a seed that is not a non-negative integer, and
-    ``DimensionError`` when ``k`` is not in ``[1, rows of x]``.
+    Raises ``ValidationError`` for a non-integer ``k`` or a seed that is not
+    a non-negative integer, and ``DimensionError`` when ``k`` is not in
+    ``[1, rows of x]``.
     """
     a = as_matrix(x)
     n = a.shape[0]
-    for name, value in (("k", k), ("restarts", restarts), ("max_iter", max_iter)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if restarts < 1 or max_iter < 1:
-        raise ValidationError(
-            f"restarts and max_iter must be >= 1, got {restarts} and {max_iter}"
-        )
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValidationError(f"k must be an integer, got {k!r}")
     if k < 1 or k > n:
         raise DimensionError(f"k={k} must be in [1, {n}] (rows of X)")
 
-    centers = _kmeans_pp_init(a, k, [_rng(seed, (r,)) for r in range(restarts)])
-    labels, centers, objectives, _, converged, histories = _lloyd(a, centers, max_iter)
+    centers = _kmeans_pp_init(a, k, [_rng(seed, (r,)) for r in range(_RESTARTS)])
+    labels, centers, objectives, _, converged, histories = _lloyd(a, centers, _MAX_ITER)
     best = int(objectives.argmin())  # the first restart with the least objective
     return KMeansResult(
         labels=labels[best] + 1,

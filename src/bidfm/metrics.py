@@ -85,8 +85,6 @@ def nmi(estimated, truth) -> float:
     )
     row, col = row[row > 0], col[col > 0]  # 0 log 0 = 0 for empty clusters
     denom = float((row * np.log(row / n)).sum() + (col * np.log(col / n)).sum())
-    if denom == 0.0:
-        return 1.0  # both sides are one cluster, i.e. identical partitions
     return float(min(max(numer / denom, 0.0), 1.0))
 
 

@@ -32,7 +32,7 @@ class Membership:
     """Hard cluster assignment for one side of the network.
 
     ``labels`` holds one integer in ``1..n_clusters`` per node; every cluster
-    must be nonempty.  Converts losslessly to and from a one-hot matrix.
+    must be nonempty.  Converts losslessly to a one-hot matrix.
     """
 
     __slots__ = ("labels", "n_clusters")
@@ -76,14 +76,6 @@ class Membership:
         z = np.zeros((len(self), self.n_clusters))
         z[np.arange(len(self)), self.labels - 1] = 1.0
         return z
-
-    @classmethod
-    def from_onehot(cls, z) -> "Membership":
-        z = as_matrix(z, "membership matrix")
-        rows = z.sum(axis=1)
-        if not np.all(rows == 1.0) or not np.all((z == 0.0) | (z == 1.0)):
-            raise ValidationError("membership matrix must be one-hot")
-        return cls(z.argmax(axis=1) + 1, n_clusters=z.shape[1])
 
     @classmethod
     def coerce(cls, value) -> "Membership":

@@ -8,7 +8,6 @@ monotonicity in the model parameters, never as guarantees.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -118,9 +117,6 @@ class TheoryInputs:
     delta_c_star: float | None = None  # same, normalized embedding
     m_v_c: float | None = None  # min column-centroid norm, normalized
     tau_is_empirical: bool = False  # tau came from an observed sample
-
-    def replace(self, **kwargs) -> "TheoryInputs":
-        return dataclasses.replace(self, **kwargs)
 
 
 def theory_inputs(params, spec: DistributionSpec, observed=None) -> TheoryInputs:

@@ -101,8 +101,8 @@ def test_criterion_1_population_exact_recovery():
 
 
 def _point_errors(config):
-    points = run_simulation(config).for_algorithm(config.algorithms[0])
-    return {p.value: p for p in points}
+    points = run_simulation(config).points
+    return {p.value: p for p in points if p.algorithm == config.algorithms[0]}
 
 
 def _se_diff(a, b):

@@ -88,10 +88,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("base_seed", [-1, 1.5, True])
     def test_bad_base_seed_rejected_when_built(self, base_seed):
-        # a population sweep draws no matrix, so only this check stops the
-        # seed before every method fails on it
         with pytest.raises(ValidationError):
-            tiny_config(base_seed=base_seed, population=True)
+            tiny_config(base_seed=base_seed)
 
     def test_normal_needs_sigma2(self):
         with pytest.raises(ValidationError):
@@ -119,16 +117,6 @@ class TestRunSimulation:
         a = run_simulation(tiny_config())
         b = run_simulation(tiny_config())
         assert a.to_csv() == b.to_csv()
-
-    def test_population_mode_recovers_exactly(self):
-        config = preset(
-            "sim1a", replicates=1, population=True, algorithms=("bisc",)
-        )
-        report = run_simulation(config)
-        points = report.for_algorithm("bisc")
-        assert len(points) == 10  # one per swept sparsity value
-        assert all(p.mean_error == 0.0 for p in points)
-        assert all(p.mean_nmi == 1.0 for p in points)
 
     def test_failures_recorded_not_fatal(self):
         config = tiny_config(

@@ -21,6 +21,9 @@ THEORY_INPUTS = {
     "theta_c_min": 0.5, "theta_c_max": 0.9, "theta_r_l1": 140.0, "theta_c_l1": 210.0,
 }
 
+# a valid plain-model config, for the malformed variants below
+MODEL = {"n_r": 6, "n_c": 6, "k_r": 2, "k_c": 3, "mixing": "P1", "rho": 0.5}
+
 
 class TestMatrixFormat:
     def test_round_trip_identity(self, tmp_path):
@@ -183,19 +186,11 @@ class TestConfigParsing:
         )
         assert np.array_equal(params.row_membership.labels, [1, 2, 1])
 
-    def test_params_config_round_trip(self):
-        original = fileio.params_from_config(
-            {
-                "model": "bidcdfm", "n_r": 10, "n_c": 15, "k_r": 2, "k_c": 3,
-                "mixing": "P1", "rho": 0.4, "membership_seed": 8,
-            }
-        )
-        back = fileio.params_from_config(fileio.params_to_config(original))
-        assert np.array_equal(
-            back.row_membership.labels, original.row_membership.labels
-        )
-        assert np.array_equal(back.theta_col, original.theta_col)
-        assert np.array_equal(back.mixing, original.mixing)
+    @pytest.mark.parametrize("key", ["k_r", "mixing", "n_c", "rho"])
+    def test_missing_key_is_named(self, key):
+        config = {k: v for k, v in MODEL.items() if k != key}
+        with pytest.raises(ValidationError, match=f"missing config key '{key}'"):
+            fileio.params_from_config(config)
 
     def test_simulation_config_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown"):
@@ -412,10 +407,27 @@ class TestCli:
                       "n_grid": ["a"]}),
         ("simulate", {"model": "bidfm", "kind": "normal", "mixing": "P2", "n_r": 30,
                       "n_c": 45, "rho": 0.5, "sigma2_grid": ["a"]}),
+        ("generate", {**MODEL, "k_r": "2"}),
+        ("generate", {**MODEL, "membership_seed": True}),
+        ("generate", {**MODEL, "rho": "0.5"}),
+        ("generate", {**MODEL, "membership_seed": 1.9}),
+        ("generate", {**MODEL, "row_labels": [1.7, 2, 1, 2]}),
+        ("generate", {**MODEL, "row_labels": "ab"}),
+        ("generate", {**MODEL, "mixing": [["1", 0.2, 0.3], [0.3, 0.8, 0.2]]}),
+        ("generate", {**MODEL, "mixing": [[1.0, 0.2, 0.3], [0.3, 0.8]]}),
+        ("generate", {**MODEL, "model": "bidcdfm", "theta_row": ["0.5"] * 6,
+                      "theta_col": [0.5] * 6}),
+        ("generate", {**MODEL, "model": "bidcdfm", "theta": {"seed": 1.5}}),
+        ("generate", {k: v for k, v in MODEL.items() if k != "k_r"}),
+        ("theory", {"inputs": THEORY_INPUTS, "c_alpha": "2"}),
+        ("theory", {"model": "bidfm"}),
     ], ids=["unknown-key", "string-count", "list-model", "list-theory", "number-grid",
             "number-distribution", "number-theta", "string-c-alpha", "string-c",
             "unknown-theory-model", "string-rho-grid", "string-n-grid",
-            "string-sigma2-grid"])
+            "string-sigma2-grid", "string-k-r", "bool-seed", "string-rho",
+            "float-membership-seed", "float-labels", "string-labels",
+            "string-mixing-entry", "ragged-mixing", "string-theta", "float-theta-seed",
+            "missing-key", "numeric-string-c-alpha", "missing-theory-inputs"])
     def test_malformed_config_is_data_error(self, tmp_path, command, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -444,6 +456,27 @@ class TestCli:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "seed must be a non-negative integer" in result.stderr
+
+    @pytest.mark.parametrize("args, bad", [
+        (["detect", "--alg", "bisc", "--kr", "2", "--kc", "2", "--input"], "latin-1"),
+        (["simulate", "--config"], "latin-1"),
+        (["estimate-k", "--input"], "directory"),
+        (["simulate", "--config"], "directory"),
+    ], ids=["detect-latin-1", "simulate-latin-1", "estimate-k-directory",
+            "simulate-directory"])
+    def test_unreadable_input_is_data_error(self, tmp_path, args, bad):
+        path = tmp_path / "input"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("caf\xe9".encode("latin-1"))  # not UTF-8
+        result = subprocess.run(
+            [sys.executable, "-m", "bidfm", *args, str(path),
+             "--output", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     def test_bad_matrix_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -252,7 +253,7 @@ class TestErrorEnvelopes:
             ("rho", -1), ("n_r_min", -1), ("n_c_min", -1),
             ("sigma_min_mixing", -1), ("gamma", +1),
         ):
-            bumped = base.replace(**{field: getattr(base, field) * 1.25})
+            bumped = dataclasses.replace(base, **{field: getattr(base, field) * 1.25})
             before = error_envelope_bidfm(base)
             after = error_envelope_bidfm(bumped)
             for attr in ("f_r", "f_c"):
