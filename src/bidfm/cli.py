@@ -115,7 +115,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, text):
+def _emit(args, payload, csv_text):
+    """Write a report to ``--output`` or stdout: ``payload`` as JSON under
+    ``--format json``, ``csv_text`` otherwise."""
+    text = (json.dumps(payload, indent=2, default=list) + "\n" if args.format == "json"
+            else csv_text)
     if args.output:
         fileio.atomic_write_text(args.output, text)
     else:
@@ -168,12 +172,8 @@ def _cmd_evaluate(args):
     est_c = fileio.read_labels(args.est_cols)[1]
     truth_c = fileio.read_labels(args.truth_cols)[1]
     report = combined_report(est_r, truth_r, est_c, truth_c)
-    if args.format == "json":
-        text = json.dumps(report.__dict__, indent=2) + "\n"
-    else:
-        text = ("# bidfm metrics v1\n" + MetricsReport.CSV_HEADER + "\n"
-                + report.to_csv_row() + "\n")
-    _emit(args, text)
+    _emit(args, report.__dict__, "# bidfm metrics v1\n" + MetricsReport.CSV_HEADER
+          + "\n" + report.to_csv_row() + "\n")
     return 0
 
 
@@ -194,37 +194,25 @@ def _cmd_simulate(args):
     if overrides:
         config = dataclasses.replace(config, **overrides)
     report = run_simulation(config)
-    if args.format == "json":
-        payload = {
-            "model": report.model,
-            "kind": report.kind,
-            "swept": report.swept_name,
-            "points": [p.__dict__ for p in report.points],
-        }
-        text = json.dumps(payload, indent=2, default=list) + "\n"
-    else:
-        text = report.to_csv()
-    _emit(args, text)
+    payload = {
+        "model": report.model,
+        "kind": report.kind,
+        "swept": report.swept_name,
+        "points": [p.__dict__ for p in report.points],
+    }
+    _emit(args, payload, report.to_csv())
     return 0
 
 
 def _cmd_estimate_k(args):
     a = fileio.read_matrix(args.input)
     estimate = estimate_k_eigengap(a, m=args.m)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "k_suggestion": estimate.k_suggestion,
-                "singular_values": list(estimate.singular_values),
-            },
-            indent=2,
-        ) + "\n"
-    else:
-        lines = ["# bidfm singular values v1", "rank,singular_value"]
-        lines += [f"{i + 1},{v:.10g}" for i, v in enumerate(estimate.singular_values)]
-        lines.append(f"# suggested k: {estimate.k_suggestion}")
-        text = "\n".join(lines) + "\n"
-    _emit(args, text)
+    lines = ["# bidfm singular values v1", "rank,singular_value"]
+    lines += [f"{i + 1},{v:.10g}" for i, v in enumerate(estimate.singular_values)]
+    lines.append(f"# suggested k: {estimate.k_suggestion}")
+    _emit(args, {"k_suggestion": estimate.k_suggestion,
+                 "singular_values": list(estimate.singular_values)},
+          "\n".join(lines) + "\n")
     return 0
 
 
@@ -269,13 +257,9 @@ def _cmd_theory(args):
         "row_error_envelope": envelope.f_r,
         "col_error_envelope": envelope.f_c,
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "# bidfm theory report v1\nquantity,value\n" + "\n".join(
-            f"{k},{v}" for k, v in payload.items()
-        ) + "\n"
-    _emit(args, text)
+    _emit(args, payload, "# bidfm theory report v1\nquantity,value\n" + "\n".join(
+        f"{k},{v}" for k, v in payload.items()
+    ) + "\n")
     return 0
 
 
@@ -303,7 +287,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (BidfmError, OSError) as exc:
+    except (BidfmError, OSError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -39,11 +39,15 @@ class UnsupportedError(BidfmError, ValueError):
 
 
 class ConvergenceError(BidfmError, RuntimeError):
-    """An iterative routine hit its iteration cap before converging."""
+    """An iterative routine hit its iteration cap before converging.
 
-    def __init__(self, message, residual=None):
+    ``found`` is the number of singular triplets it had found by then, when
+    known.
+    """
+
+    def __init__(self, message, found=None):
         super().__init__(message)
-        self.residual = residual
+        self.found = found
 
 
 class ParseError(BidfmError, ValueError):

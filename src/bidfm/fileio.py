@@ -220,69 +220,59 @@ def _admits(hint, value) -> bool:
     return isinstance(value, _JSON_TYPES[hint])
 
 
-def _violation(what, key, hint, value):
-    """Why ``value`` cannot stand for the key ``key`` annotated ``hint``
-    (``dataclasses.MISSING`` for an absent key), or ``None`` if it can."""
-    if value is dataclasses.MISSING:
-        return f"missing {what} key {key!r}"
-    if not _admits(hint, value):
-        return f"{what} key {key!r} has the wrong type: {value!r}"
-    return None
-
-
-def _checked(data, key, hint, default=dataclasses.MISSING, what="config"):
-    """``data[key]``, or ``default`` when it is absent; a missing value or
-    one of a JSON type ``hint`` does not admit is a ``ValidationError``."""
-    value = data.get(key, default)
-    violation = _violation(what, key, hint, value)
-    if violation:
-        raise ValidationError(violation)
-    return value
-
-
-def _field_kwargs(cls, data, what: str, **defaults) -> dict:
-    """Keyword arguments for the dataclass ``cls`` from a JSON object whose
-    keys are its fields, each value of a JSON type the field's annotation
-    admits (lists become tuples); ``defaults`` fill in absent keys."""
+def _fields(data, hints, what: str, required=()) -> dict:
+    """The JSON object ``data`` with its lists turned into tuples.  Every
+    key must be one of ``hints`` (key -> annotation), every ``required`` key
+    present and every value of a JSON type its annotation admits; one
+    ``ValidationError`` lists every rule broken."""
     if not isinstance(data, dict):
         raise ValidationError(f"{what} must be a JSON object, got {data!r}")
-    data, hints = {**defaults, **data}, typing.get_type_hints(cls)
     violations = [f"unknown {what} key {key!r}" for key in data if key not in hints]
-    for f in dataclasses.fields(cls):
-        violation = _violation(what, f.name, hints[f.name], data.get(f.name, f.default))
-        if violation:
-            violations.append(violation)
+    violations += [f"missing {what} key {key!r}" for key in required if key not in data]
+    violations += [f"{what} key {key!r} has the wrong type: {value!r}"
+                   for key, value in data.items()
+                   if key in hints and not _admits(hints[key], value)]
     if violations:
         raise ValidationError(violations)
     return {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
 
 
-def mixing_from_config(value, k_r=None, k_c=None) -> np.ndarray:
-    """Mixing matrix from a config value: a name ('P1'/'P2'), a list of
-    equally long rows of numbers, or a flat row-major list of numbers
-    combined with the cluster counts."""
+def _field_kwargs(cls, data, what: str, **defaults) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a JSON object whose
+    keys are its fields; ``defaults`` fill in absent keys."""
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is dataclasses.MISSING and f.name not in defaults]
+    return {**defaults, **_fields(data, typing.get_type_hints(cls), what, required)}
+
+
+def mixing_from_config(value) -> np.ndarray:
+    """Mixing matrix from a config value: a name ('P1'/'P2') or a list of
+    equally long rows of numbers."""
     if isinstance(value, str):
         if value not in _NAMED_MIXINGS:
             raise ValidationError(f"unknown named mixing matrix {value!r}")
         return _NAMED_MIXINGS[value].copy()
-    if not (_admits(tuple[float, ...], value) or _admits(tuple[tuple[float, ...], ...], value)):
-        raise ValidationError(f"mixing must be a name or a list of numbers or rows, got {value!r}")
-    if len({len(row) for row in value if isinstance(row, (list, tuple))}) > 1:
-        raise ValidationError(f"mixing rows differ in length: {value!r}")
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 1:
-        if k_r is None or k_c is None:
-            raise ValidationError(
-                "flat row-major mixing values need k_r and k_c to reshape"
-            )
-        if arr.size != k_r * k_c:
-            raise ValidationError(f"expected {k_r * k_c} mixing values, got {arr.size}")
-        arr = arr.reshape(k_r, k_c)
-    return arr
+    if not _admits(tuple[tuple[float, ...], ...], value):
+        raise ValidationError("mixing must be a name or a list of rows of numbers, "
+                              f"got {json.dumps(value, default=repr)}")
+    if len({len(row) for row in value}) > 1:
+        raise ValidationError(f"mixing rows differ in length: {json.dumps(value)}")
+    return np.asarray(value, dtype=float)
 
 
 def distribution_from_config(data: dict) -> DistributionSpec:
     return DistributionSpec(**_field_kwargs(DistributionSpec, data, "distribution"))
+
+
+# the model config's keys and the annotation each value must fit;
+# ``distribution`` is read by ``generate`` itself
+_MODEL_KEYS = {
+    "model": str, "n_r": int, "n_c": int, "k_r": int, "k_c": int, "mixing": np.ndarray,
+    "rho": float, "membership_seed": int, "row_labels": tuple[int, ...],
+    "col_labels": tuple[int, ...], "theta_row": tuple[float, ...],
+    "theta_col": tuple[float, ...], "theta": dict, "distribution": dict,
+}
+_THETA_KEYS = {"seed": int, "floor": float}
 
 
 def params_from_config(data: dict):
@@ -290,36 +280,45 @@ def params_from_config(data: dict):
 
     Memberships come either from explicit ``row_labels``/``col_labels`` or
     are sampled uniformly using ``membership_seed``.  For the
-    degree-corrected model, thetas come from explicit ``theta_row``/
-    ``theta_col`` vectors or a ``theta`` generation block
-    ``{"seed": ..., "floor": ...}``.  Counts, seeds and labels must be JSON
-    integers and ``rho``, thetas and the floor JSON numbers; a missing or
-    mistyped value is a ``ValidationError`` that names its key.
+    degree-corrected model, thetas come from an explicit ``theta_row``/
+    ``theta_col`` pair or a ``theta`` generation block
+    ``{"seed": ..., "floor": ...}``; the plain model takes none of them.
+    Counts, seeds and labels must be JSON integers and ``rho``, thetas and
+    the floor JSON numbers; an unknown, missing or mistyped key is a
+    ``ValidationError`` that names it.
     """
+    data = _fields(data, _MODEL_KEYS, "config", required=("k_r", "k_c", "mixing"))
     model = data.get("model", "bidfm")
-    k_r, k_c = _checked(data, "k_r", int), _checked(data, "k_c", int)
-    mixing = mixing_from_config(_checked(data, "mixing", np.ndarray), k_r, k_c)
-    membership_seed = _checked(data, "membership_seed", int, 0)
+    if model not in ("bidfm", "bidcdfm"):
+        raise ValidationError(f"unknown model {model!r}")
+
+    def need(key):  # a key required only in some configs
+        if key not in data:
+            raise ValidationError(f"missing config key {key!r}")
+        return data[key]
+
+    mixing = mixing_from_config(data["mixing"])
+    membership_seed = data.get("membership_seed", 0)
 
     def side(labels_key, n_key, k, seed_offset):
         if labels_key in data:
-            return Membership(_checked(data, labels_key, tuple[int, ...]))
-        return sample_memberships(_checked(data, n_key, int), k, membership_seed + seed_offset)
+            return Membership(data[labels_key])
+        return sample_memberships(need(n_key), k, membership_seed + seed_offset)
 
-    rows = side("row_labels", "n_r", k_r, 0)
-    cols = side("col_labels", "n_c", k_c, 1)
+    rows = side("row_labels", "n_r", data["k_r"], 0)
+    cols = side("col_labels", "n_c", data["k_c"], 1)
+    thetas = [key for key in ("theta_row", "theta_col", "theta") if key in data]
     if model == "bidfm":
-        return BiDFMParams(rows, cols, mixing, float(_checked(data, "rho", float)))
-    if model != "bidcdfm":
-        raise ValidationError(f"unknown model {model!r}")
-    if "theta_row" in data and "theta_col" in data:
-        theta_r = _checked(data, "theta_row", tuple[float, ...])
-        theta_c = _checked(data, "theta_col", tuple[float, ...])
+        if thetas:
+            raise ValidationError([f"config key {key!r} needs model 'bidcdfm'" for key in thetas])
+        return BiDFMParams(rows, cols, mixing, float(need("rho")))
+    gen = _fields(data.get("theta", {}), _THETA_KEYS, "theta")
+    if "theta_row" in data or "theta_col" in data:
+        theta_r, theta_c = need("theta_row"), need("theta_col")
     else:
-        gen = _checked(data, "theta", dict, {})
-        rho = float(_checked(data, "rho", float))
-        seed = _checked(gen, "seed", int, membership_seed + 2, what="theta")
-        floor = float(_checked(gen, "floor", float, 0.05, what="theta"))
+        rho = float(need("rho"))
+        seed = gen.get("seed", membership_seed + 2)
+        floor = float(gen.get("floor", 0.05))
         theta_r = sample_theta(len(rows), rho, seed, floor=floor)
         theta_c = sample_theta(len(cols), rho, seed + 1, floor=floor)
     return BiDCDFMParams(rows, cols, mixing, theta_r, theta_c)
@@ -329,8 +328,7 @@ def simulation_config_from_config(data: dict) -> SimulationConfig:
     """A sweep from a config whose keys are :class:`SimulationConfig`'s
     fields; ``mixing`` defaults to ``"P1"``."""
     kwargs = _field_kwargs(SimulationConfig, data, "simulation config", mixing="P1")
-    k_r, k_c = kwargs.get("k_r", 2), kwargs.get("k_c", 3)
-    kwargs["mixing"] = mixing_from_config(kwargs["mixing"], k_r, k_c)
+    kwargs["mixing"] = mixing_from_config(kwargs["mixing"])
     return SimulationConfig(**kwargs)
 
 
@@ -343,14 +341,19 @@ def theory_inputs_from_config(data: dict) -> TheoryInputs:
                                         tau=math.inf))
 
 
+# the theory config's keys and the annotation each value must fit
+_THEORY_KEYS = {"model": str, "inputs": dict, "c_alpha": float, "c": float}
+
+
 def theory_config_from_config(data: dict) -> tuple:
     """``(model, inputs, c_alpha, c)`` from a theory config; ``model`` is
     ``"bidfm"`` (the default) or ``"bidcdfm"`` and the constants default to 1."""
+    data = _fields(data, _THEORY_KEYS, "config", required=("inputs",))
     model = data.get("model", "bidfm")
     if model not in ("bidfm", "bidcdfm"):
         raise ValidationError(f"unknown model {model!r}")
-    c_alpha, c = (float(_checked(data, key, float, 1.0)) for key in ("c_alpha", "c"))
-    return model, theory_inputs_from_config(_checked(data, "inputs", dict)), c_alpha, c
+    return (model, theory_inputs_from_config(data["inputs"]),
+            float(data.get("c_alpha", 1.0)), float(data.get("c", 1.0)))
 
 
 def load_json(path) -> dict:

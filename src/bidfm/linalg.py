@@ -112,9 +112,9 @@ def truncated_svd(m, k: int) -> SvdFactors:
     none comes back negative or ``-0.0``.
 
     Raises ``DimensionError`` when ``k`` is out of range and
-    ``ConvergenceError`` if the iterative path fails: with the achieved
-    residual when it exhausts its iteration cap, without one for any other
-    ARPACK error.
+    ``ConvergenceError`` if the iterative path fails: with the number of
+    triplets found when it exhausts its iteration cap, without one for any
+    other ARPACK error.
     """
     a = as_matrix(m, sparse=True)
     n, p = a.shape
@@ -152,11 +152,11 @@ def truncated_svd(m, k: int) -> SvdFactors:
                 a, k=k, v0=v0, maxiter=1000 * k, tol=1e-10
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            achieved = len(exc.eigenvalues) if exc.eigenvalues is not None else 0
+            found = len(exc.eigenvalues) if exc.eigenvalues is not None else 0
             raise ConvergenceError(
                 f"SVD (Lanczos on {operand}) did not converge within "
-                f"{1000 * k} iterations ({achieved}/{k} triplets found)",
-                residual=achieved,
+                f"{1000 * k} iterations ({found}/{k} triplets found)",
+                found=found,
             ) from exc
         except scipy.sparse.linalg.ArpackError as exc:
             raise ConvergenceError(f"SVD (Lanczos on {operand}) failed: {exc}") from exc

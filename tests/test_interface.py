@@ -24,6 +24,47 @@ THEORY_INPUTS = {
 # a valid plain-model config, for the malformed variants below
 MODEL = {"n_r": 6, "n_c": 6, "k_r": 2, "k_c": 3, "mixing": "P1", "rho": 0.5}
 
+# configs with one key the model or theory reader must reject:
+# id -> (command, config, the key its error names)
+PROBES = {
+    "misspelled-key": ("generate", {**MODEL, "membership_sed": 1}, "membership_sed"),
+    "half-theta-pair": ("generate", {**MODEL, "model": "bidcdfm", "theta_row": [0.5] * 6},
+                        "theta_col"),
+    "theta-on-plain-model": ("generate", {**MODEL, "theta": {"seed": 1}}, "theta"),
+    "unknown-theta-key": ("generate", {**MODEL, "model": "bidcdfm", "theta": {"sed": 1}},
+                          "sed"),
+    "unknown-theory-key": ("theory", {"inputs": THEORY_INPUTS, "c_aplha": 1.0}, "c_aplha"),
+    "flat-mixing": ("generate", {**MODEL, "mixing": [1.0, 0.2, 0.3, 0.3, 0.8, 0.2]},
+                    "mixing"),
+}
+
+
+def _g(value):
+    return format(value, ".10g")
+
+
+# each report command's CSV text, rebuilt from its JSON payload
+CSV_FROM_JSON = {
+    "evaluate": lambda p: (f"# bidfm metrics v1\n{','.join(p)}\n"
+                           + ",".join(_g(v) for v in p.values()) + "\n"),
+    "simulate": lambda p: (
+        f"# bidfm experiment report v1: {p['model']}/{p['kind']}\n"
+        "algorithm,swept,value,mean_error,se_error,mean_nmi,se_nmi,mean_ari,se_ari,"
+        "replicates,failed\n"
+        + "".join(",".join([q["algorithm"], p["swept"],
+                            *(_g(q[key]) for key in ("value", "mean_error", "se_error",
+                                                     "mean_nmi", "se_nmi", "mean_ari",
+                                                     "se_ari")),
+                            str(q["replicates"]), str(q["failed"])]) + "\n"
+                  for q in p["points"])),
+    "estimate-k": lambda p: (
+        "# bidfm singular values v1\nrank,singular_value\n"
+        + "".join(f"{i},{_g(v)}\n" for i, v in enumerate(p["singular_values"], start=1))
+        + f"# suggested k: {p['k_suggestion']}\n"),
+    "theory": lambda p: ("# bidfm theory report v1\nquantity,value\n"
+                         + "".join(f"{k},{v}\n" for k, v in p.items())),
+}
+
 
 class TestMatrixFormat:
     def test_round_trip_identity(self, tmp_path):
@@ -149,11 +190,6 @@ class TestLabelFiles:
 class TestConfigParsing:
     def test_named_mixing(self):
         assert np.array_equal(fileio.mixing_from_config("P2"), P2)
-
-    def test_flat_row_major(self):
-        arr = fileio.mixing_from_config([1.0, 0.2, 0.3, 0.3, 0.8, 0.2], 2, 3)
-        assert arr.shape == (2, 3)
-        assert arr[1, 1] == 0.8
 
     def test_params_round_trip_through_config(self):
         params = fileio.params_from_config(
@@ -348,6 +384,29 @@ class TestCli:
         indices = json.loads((tmp_path / "filtered_indices.json").read_text())
         assert indices["zero_degree_both"] == [3]
 
+    @pytest.mark.parametrize("command", list(CSV_FROM_JSON))
+    def test_csv_and_json_reports_agree(self, tmp_path, model_config, capsys, command):
+        prefix = str(tmp_path / "gen")
+        assert main(["generate", "--config", str(model_config), "--output", prefix]) == 0
+        (tmp_path / "sim.json").write_text(json.dumps({
+            "model": "bidfm", "kind": "bernoulli", "n_r": 30, "n_c": 45,
+            "rho_grid": [0.6, 0.9], "replicates": 2, "algorithms": ["bisc", "dscore"]}))
+        (tmp_path / "theory.json").write_text(json.dumps({"inputs": THEORY_INPUTS}))
+        labels = [f"{prefix}_row_labels.txt", f"{prefix}_col_labels.txt"]
+        args = {
+            "evaluate": ["--est-rows", labels[0], "--truth-rows", labels[0],
+                         "--est-cols", labels[1], "--truth-cols", labels[1]],
+            "simulate": ["--config", str(tmp_path / "sim.json")],
+            "estimate-k": ["--input", f"{prefix}_adjacency.txt", "--m", "5"],
+            "theory": ["--config", str(tmp_path / "theory.json")],
+        }[command]
+        reports = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"report.{fmt}"
+            assert main([command, *args, "--format", fmt, "--output", str(out)]) == 0
+            reports[fmt] = out.read_text()
+        assert reports["csv"] == CSV_FROM_JSON[command](json.loads(reports["json"]))
+
     def test_theory_subcommand(self, tmp_path, capsys):
         config = {
             "model": "bidfm",
@@ -421,13 +480,15 @@ class TestCli:
         ("generate", {k: v for k, v in MODEL.items() if k != "k_r"}),
         ("theory", {"inputs": THEORY_INPUTS, "c_alpha": "2"}),
         ("theory", {"model": "bidfm"}),
+        *((command, config) for command, config, _ in PROBES.values()),
     ], ids=["unknown-key", "string-count", "list-model", "list-theory", "number-grid",
             "number-distribution", "number-theta", "string-c-alpha", "string-c",
             "unknown-theory-model", "string-rho-grid", "string-n-grid",
             "string-sigma2-grid", "string-k-r", "bool-seed", "string-rho",
             "float-membership-seed", "float-labels", "string-labels",
             "string-mixing-entry", "ragged-mixing", "string-theta", "float-theta-seed",
-            "missing-key", "numeric-string-c-alpha", "missing-theory-inputs"])
+            "missing-key", "numeric-string-c-alpha", "missing-theory-inputs",
+            *PROBES])
     def test_malformed_config_is_data_error(self, tmp_path, command, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -438,6 +499,29 @@ class TestCli:
         )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command, config, key", PROBES.values(), ids=PROBES)
+    def test_rejected_config_names_its_key(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, stubbed", [
+        ("generate", "expected_adjacency"), ("simulate", "run_simulation"),
+    ])
+    def test_out_of_memory_is_data_error(self, tmp_path, monkeypatch, capsys,
+                                         model_config, command, stubbed):
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(f"bidfm.cli.{stubbed}", allocate)
+        args = {"generate": ["--config", str(model_config)],
+                "simulate": ["--preset", "sim1a", "--replicates", "1"]}[command]
+        assert main([command, *args, "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "7.28 TiB" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["detect", "simulate", "generate"])
     def test_negative_seed_is_data_error(self, tmp_path, model_config, command):

@@ -149,6 +149,18 @@ class TestTruncatedSvd:
         with pytest.raises(ConvergenceError, match=f"Lanczos on {operand}.*1/2 triplets"):
             truncated_svd(a, k=2)
 
+    def test_convergence_error_counts_the_triplets_found(self, monkeypatch):
+        def failing_svds(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stub", np.ones(1), None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        a = np.random.default_rng(0).uniform(size=(700, 800))
+        with pytest.raises(ConvergenceError) as info:
+            truncated_svd(a, k=3)
+        assert info.value.found == 1
+        assert str(info.value) == ("SVD (Lanczos on the dense array) did not converge "
+                                   "within 3000 iterations (1/3 triplets found)")
+
     def test_iterative_path_matches_dense(self):
         rng = np.random.default_rng(3)
         low = rng.standard_normal((700, 4)) @ rng.standard_normal((4, 650))
