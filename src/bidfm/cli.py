@@ -155,8 +155,8 @@ def _cmd_generate(args):
 
 def _cmd_detect(args):
     a = fileio.read_matrix(args.input)
-    result = detect_mod.run_algorithm(args.alg, a, args.kr, args.kc,
-                                      seed=args.seed if args.seed is not None else 0)
+    result = getattr(detect_mod, args.alg)(a, args.kr, args.kc,
+                                           seed=args.seed if args.seed is not None else 0)
     if "shift" in result.diagnostics:
         print(f"applied non-negative shift {result.diagnostics['shift']:.6g}",
               file=sys.stderr)

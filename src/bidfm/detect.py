@@ -23,6 +23,9 @@ swaps the labels and per-side diagnostics back.  Every method is
 matrix or an ``Embedding`` of it, so methods on one operator can share one
 SVD; ``run_algorithms`` does that for several methods on one matrix.
 Operator settings (the Laplacian's regularizer) go to ``embed``.  The
+Laplacian needs non-negative entries: it is formed from
+``shift_nonnegative`` of the matrix, and the methods on it record a
+non-zero shift as ``diagnostics['shift']``.  The
 read-out settings are fixed: 10 k-means restarts per side, each capped at
 300 Lloyd iterations, a 1e-12 floor on normalized row norms and on the
 singular-vector entries a ratio divides, and a ratio clip at ``log(n)`` for
@@ -37,8 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .errors import BidfmError, DimensionError, DomainError, UnsupportedError, ValidationError
-from .linalg import ZERO_FLOOR, SvdFactors, as_matrix, kmeans, row_normalize, truncated_svd
+from .errors import BidfmError, DomainError, UnsupportedError, ValidationError
+from .linalg import ZERO_FLOOR, SvdFactors, _count, as_matrix, kmeans, row_normalize, truncated_svd
 from .model import Membership
 
 # (operator, read-out) of each method, as in the table above
@@ -70,7 +73,8 @@ class Embedding:
     the transposed matrix, so the left factor always belongs to the side with
     fewer clusters.  ``regularizers`` are the Laplacian's ``(row, column)``
     degree regularizers and ``None`` for the adjacency; ``factors.path`` says
-    which SVD path ran.
+    which SVD path ran.  ``shift`` is what ``shift_nonnegative`` added to
+    every entry before the Laplacian was formed, 0.0 when nothing was.
     """
 
     operator: str
@@ -79,6 +83,7 @@ class Embedding:
     factors: SvdFactors
     transposed: bool
     regularizers: tuple | None
+    shift: float
 
 
 def _laplacian(a, regularizer):
@@ -88,11 +93,6 @@ def _laplacian(a, regularizer):
     formula, so each stored entry takes the dense value for the same
     degrees; its degrees sum its stored entries, which is exact for integer
     weights."""
-    if a.min() < 0:
-        raise DomainError(
-            "Laplacian-based methods need a non-negative matrix; "
-            "apply shift_nonnegative first"
-        )
     d_r = a.sum(axis=1)
     d_c = a.sum(axis=0)
     if regularizer == "auto":
@@ -126,15 +126,8 @@ def _ratio_matrix(u):
 
 def _checked(a, k_r, k_c):
     a = as_matrix(a, sparse=True)
-    for k in (k_r, k_c):
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise ValidationError(f"cluster counts must be integers, got {k!r}")
-    if k_r < 1 or k_c < 1:
-        raise DimensionError("cluster counts must be positive")
-    if k_r > a.shape[0] or k_c > a.shape[1]:
-        raise DimensionError(
-            f"cluster counts ({k_r}, {k_c}) exceed matrix shape {a.shape}"
-        )
+    _count(k_r, "k_r", a.shape[0])
+    _count(k_c, "k_c", a.shape[1])
     return a
 
 
@@ -145,6 +138,7 @@ def _check_readout(readout, k_r, k_c):
 
 def _embed(a, k_r, k_c, operator, regularizer):
     """``embed`` of a matrix that passed ``_checked``; the one transpose site."""
+    a, shift = shift_nonnegative(a) if operator == "laplacian" else (a, 0.0)
     transposed = k_r > k_c
     if transposed:
         a = a.T
@@ -154,15 +148,18 @@ def _embed(a, k_r, k_c, operator, regularizer):
         if transposed:
             regularizers = regularizers[::-1]
     factors = truncated_svd(a, min(k_r, k_c))
-    return Embedding(operator, k_r, k_c, factors, transposed, regularizers)
+    return Embedding(operator, k_r, k_c, factors, transposed, regularizers, shift)
 
 
 def embed(a, k_r: int, k_c: int, operator: str = "adjacency",
           regularizer="auto") -> Embedding:
     """Decompose one operator of ``a`` for ``k_r`` row and ``k_c`` column
     clusters: ``'adjacency'`` is ``a`` itself, ``'laplacian'`` its
-    regularized Laplacian (``a`` must be non-negative).  Every method on that
-    operator and those counts accepts the result in place of ``a``.
+    regularized Laplacian.  Every method on that operator and those counts
+    accepts the result in place of ``a``.  The Laplacian is formed from
+    ``shift_nonnegative(a)``, so a signed dense ``a`` is shifted first and
+    the shift kept in ``shift``; a signed ``scipy.sparse`` ``a`` raises
+    ``DomainError``.
 
     ``regularizer`` is added to every Laplacian degree: ``'auto'`` or a
     finite real ``>= 0``; anything else raises ``ValidationError`` (not a
@@ -204,6 +201,8 @@ def _read_out(embedding, readout, seed):
     if embedding.regularizers is not None:
         diagnostics["regularizers"] = embedding.regularizers
     diagnostics["svd_path"] = factors.path
+    if embedding.shift:
+        diagnostics["shift"] = embedding.shift
     rows, cols = (Membership(fits[side].labels, n_clusters=counts[side])
                   for side in ("row", "col"))
     return DetectionResult(rows, cols, factors.singular_values, diagnostics)
@@ -254,8 +253,11 @@ def disim(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
     Given a matrix, each side's regularizer is its mean degree; another
     regularizer goes to ``embed(a, k_r, k_c, "laplacian", regularizer=...)``.
     The regularizers are reported under ``diagnostics['regularizers']`` as
-    ``(row, column)``.  Singular-vector rows are unit-normalized before
-    k-means, and rows too short to normalize are reported as in ``nbisc``.
+    ``(row, column)``.  A signed dense matrix is first shifted to
+    non-negative entries (``shift_nonnegative``) and a non-zero shift is
+    reported under ``diagnostics['shift']``.  Singular-vector rows are
+    unit-normalized before k-means, and rows too short to normalize are
+    reported as in ``nbisc``.
     """
     return _cocluster("disim", a, k_r, k_c, seed)
 
@@ -282,7 +284,8 @@ def shift_nonnegative(a) -> tuple:
     Otherwise the shift is ``-min + 0.01 * range`` (range replaced by 1 when
     the matrix is constant), so the smallest shifted entry stays strictly
     positive.  A signed ``scipy.sparse`` matrix raises ``DomainError``: the
-    shift would fill every zero entry in.
+    shift would fill every zero entry in.  A shifted entry that overflows
+    raises ``DimensionError``.
     """
     a = as_matrix(a, sparse=True)
     lo, hi = float(a.min()), float(a.max())
@@ -295,11 +298,11 @@ def shift_nonnegative(a) -> tuple:
         )
     spread = hi - lo
     shift = -lo + 0.01 * (spread if spread > 0 else 1.0)
-    return a + shift, shift
+    return as_matrix(a + shift), shift
 
 
 def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
-    """Run several methods on one matrix, each as ``run_algorithm`` would.
+    """Run several methods on one matrix, each as it would run alone.
 
     Returns ``[(name, DetectionResult or BidfmError), ...]`` in the order of
     ``names``: a method that fails gives the error it would raise alone, and
@@ -314,17 +317,14 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
         a = _checked(a, k_r, k_c)
     except BidfmError as exc:
         return [(name, exc) for name in names]
-    embeddings, shift, outcomes = {}, 0.0, []
+    embeddings, outcomes = {}, []
     for name in names:
         operator, readout = _PIPELINES[name]
         try:
             _check_readout(readout, k_r, k_c)
             if operator not in embeddings:
-                operand = a
-                if operator == "laplacian":
-                    operand, shift = shift_nonnegative(a)
                 try:
-                    embeddings[operator] = embed(operand, k_r, k_c, operator)
+                    embeddings[operator] = _embed(a, k_r, k_c, operator, "auto")
                 except BidfmError as exc:
                     embeddings[operator] = exc
             outcome = embeddings[operator]
@@ -333,19 +333,7 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
                 # bound over a method's module attribute (an instrumenting
                 # tracer) is what runs.
                 outcome = globals()[name](outcome, k_r, k_c, seed=seed)
-                if operator == "laplacian" and shift:
-                    outcome.diagnostics["shift"] = shift
         except BidfmError as exc:
             outcome = exc
         outcomes.append((name, outcome))
     return outcomes
-
-
-def run_algorithm(name: str, a, k_r: int, k_c: int, seed: int = 0) -> DetectionResult:
-    """Run the method called ``name`` (one of ``ALGORITHMS``).  The
-    Laplacian methods first get ``shift_nonnegative``, and a non-zero shift
-    is recorded under ``diagnostics['shift']``."""
-    [(_, outcome)] = run_algorithms((name,), a, k_r, k_c, seed)
-    if isinstance(outcome, BidfmError):
-        raise outcome
-    return outcome

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import detect
 from .errors import BidfmError, DimensionError, DomainError, ValidationError
-from .linalg import _rng, as_matrix, truncated_svd
+from .linalg import _count, _rng, as_matrix, truncated_svd
 from .metrics import ari, combined_report, hamming_error, nmi
 from .model import (
     P1,
@@ -74,6 +74,8 @@ class SimulationConfig:
             raise ValidationError("exactly one non-empty swept grid is required")
         if self.replicates < 1:
             raise ValidationError("replicates must be >= 1")
+        for key in ("k_r", "k_c"):
+            _count(getattr(self, key), key)
         _rng(self.base_seed)  # raises for a seed no replicate could draw from
         if self.n_grid is None and (self.n_r is None or self.n_c is None):
             raise ValidationError("fixed dimensions n_r, n_c are required")
@@ -321,11 +323,11 @@ def estimate_k_eigengap(a, m: int = 8) -> KEstimate:
     The suggestion is argmax over k < m of ``sigma_k / sigma_{k+1}`` (a zero
     successor counts as an infinite gap).  The raw values always come back
     too: the numeric suggestion is advisory and an eyeball on the elbow is
-    worth more.  ``a`` may be dense or ``scipy.sparse``.
+    worth more.  ``a`` may be dense or ``scipy.sparse``, and ``m`` an
+    integer in ``[1, min(a.shape)]``.
     """
     a = as_matrix(a, sparse=True)
-    if not 1 <= m <= min(a.shape):
-        raise DimensionError(f"m={m} out of range [1, {min(a.shape)}]")
+    _count(m, "m", min(a.shape))
     sv = truncated_svd(a, m).singular_values
     if m == 1:
         return KEstimate(k_suggestion=1, singular_values=tuple(sv))

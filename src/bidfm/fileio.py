@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .experiments import SimulationConfig
-from .linalg import as_matrix
+from .linalg import _count, as_matrix
 from .model import P1, P2, BiDCDFMParams, BiDFMParams, Membership, sample_memberships, sample_theta
 from .sampling import DistributionSpec
 from .theory import TheoryInputs
@@ -278,14 +278,15 @@ _THETA_KEYS = {"seed": int, "floor": float}
 def params_from_config(data: dict):
     """Model parameters from a config dictionary.
 
-    Memberships come either from explicit ``row_labels``/``col_labels`` or
-    are sampled uniformly using ``membership_seed``.  For the
-    degree-corrected model, thetas come from an explicit ``theta_row``/
-    ``theta_col`` pair or a ``theta`` generation block
-    ``{"seed": ..., "floor": ...}``; the plain model takes none of them.
-    Counts, seeds and labels must be JSON integers and ``rho``, thetas and
-    the floor JSON numbers; an unknown, missing or mistyped key is a
-    ``ValidationError`` that names it.
+    Memberships come either from explicit ``row_labels``/``col_labels``
+    (labels in ``1..k_r`` and ``1..k_c``) or are sampled uniformly using
+    ``membership_seed``.  For the degree-corrected model, thetas come from
+    an explicit ``theta_row``/``theta_col`` pair or a ``theta`` generation
+    block ``{"seed": ..., "floor": ...}``; the plain model takes none of
+    them.
+    Counts, seeds and labels must be JSON integers, ``k_r`` and ``k_c`` at
+    least 1, and ``rho``, thetas and the floor JSON numbers; an unknown,
+    missing or mistyped key is a ``ValidationError`` that names it.
     """
     data = _fields(data, _MODEL_KEYS, "config", required=("k_r", "k_c", "mixing"))
     model = data.get("model", "bidfm")
@@ -297,12 +298,14 @@ def params_from_config(data: dict):
             raise ValidationError(f"missing config key {key!r}")
         return data[key]
 
+    for key in ("k_r", "k_c"):
+        _count(data[key], key)
     mixing = mixing_from_config(data["mixing"])
     membership_seed = data.get("membership_seed", 0)
 
     def side(labels_key, n_key, k, seed_offset):
         if labels_key in data:
-            return Membership(data[labels_key])
+            return Membership(data[labels_key], n_clusters=k)
         return sample_memberships(need(n_key), k, membership_seed + seed_offset)
 
     rows = side("row_labels", "n_r", data["k_r"], 0)

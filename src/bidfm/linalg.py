@@ -65,6 +65,17 @@ def as_matrix(m, name: str = "matrix", sparse: bool = False):
     return a
 
 
+def _count(value, name: str, most: int | None = None):
+    """Check a count of clusters or singular triplets: ``ValidationError``
+    unless ``value`` is an integer (not a bool), ``DimensionError`` unless it
+    is in ``[1, most]`` (at least 1 when ``most`` is None)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < 1 or (most is not None and value > most):
+        span = "at least 1" if most is None else f"in [1, {most}]"
+        raise DimensionError(f"{name}={value} must be {span}")
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Leading singular triplets: ``left @ diag(singular_values) @ right.T``.
@@ -111,15 +122,14 @@ def truncated_svd(m, k: int) -> SvdFactors:
     clear of overflow and underflow, and scales the singular values back;
     none comes back negative or ``-0.0``.
 
-    Raises ``DimensionError`` when ``k`` is out of range and
-    ``ConvergenceError`` if the iterative path fails: with the number of
-    triplets found when it exhausts its iteration cap, without one for any
-    other ARPACK error.
+    Raises ``ValidationError`` for a non-integer ``k``, ``DimensionError``
+    when ``k`` is out of range and ``ConvergenceError`` if the iterative
+    path fails: with the number of triplets found when it exhausts its
+    iteration cap, without one for any other ARPACK error.
     """
     a = as_matrix(m, sparse=True)
     n, p = a.shape
-    if not 1 <= k <= min(n, p):
-        raise DimensionError(f"k={k} out of range [1, {min(n, p)}]")
+    _count(k, "k", min(n, p))
     sparse = scipy.sparse.issparse(a)
     nonzero = a.count_nonzero() if sparse else np.count_nonzero(a)
     scale = np.ldexp(1.0, -int(np.frexp(max(a.max(), -a.min()))[1]))
@@ -368,12 +378,7 @@ def kmeans(x, k: int, seed: int) -> KMeansResult:
     ``[1, rows of x]``.
     """
     a = as_matrix(x)
-    n = a.shape[0]
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValidationError(f"k must be an integer, got {k!r}")
-    if k < 1 or k > n:
-        raise DimensionError(f"k={k} must be in [1, {n}] (rows of X)")
-
+    _count(k, "k", a.shape[0])
     centers = _kmeans_pp_init(a, k, [_rng(seed, (r,)) for r in range(_RESTARTS)])
     labels, centers, objectives, _, converged, histories = _lloyd(a, centers, _MAX_ITER)
     best = int(objectives.argmin())  # the first restart with the least objective

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .linalg import _rng, as_matrix
+from .linalg import _count, _rng, as_matrix
 
 # Mixing matrices used throughout the simulation protocol: the first for
 # laws that need non-negative block strengths, the second for signed ones.
@@ -201,8 +201,10 @@ def sample_memberships(n: int, k: int, seed: int) -> Membership:
 
     After 1000 draws that all miss a cluster, the last draw is repaired
     instead: ``k`` randomly chosen nodes are given the labels ``1..k``.
-    ``seed`` must be a non-negative integer (``ValidationError`` otherwise).
+    ``k`` must be an integer of at least 1 and ``seed`` a non-negative
+    integer (``ValidationError`` or ``DimensionError`` otherwise).
     """
+    _count(k, "k")
     if n < k:
         raise InfeasibleError(f"cannot place {n} nodes into {k} nonempty clusters")
     rng = _rng(seed)

@@ -92,7 +92,9 @@ class TheoryInputs:
     """Scalar summary of a model instance, the raw material of every bound.
 
     Build one by hand or from parameters via :func:`theory_inputs`.  Fields
-    that only apply to one model may stay ``None``.
+    that only apply to one model may stay ``None``.  Every number given must
+    be positive, except ``gamma``, which must be non-negative; one
+    ``ValidationError`` names every field that breaks this.
     """
 
     n_r: int
@@ -117,6 +119,16 @@ class TheoryInputs:
     delta_c_star: float | None = None  # same, normalized embedding
     m_v_c: float | None = None  # min column-centroid norm, normalized
     tau_is_empirical: bool = False  # tau came from an observed sample
+
+    def __post_init__(self):
+        bad = [f"{name} must be positive, got {value!r}"
+               for name, value in vars(self).items()
+               if name not in ("gamma", "tau_is_empirical")
+               and value is not None and not value > 0]
+        if not self.gamma >= 0:
+            bad.append(f"gamma must be non-negative, got {self.gamma!r}")
+        if bad:
+            raise ValidationError(bad)
 
 
 def theory_inputs(params, spec: DistributionSpec, observed=None) -> TheoryInputs:

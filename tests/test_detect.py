@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from bidfm import detect, linalg
+from bidfm import detect, fileio, linalg
+from bidfm.cli import main
 from bidfm.detect import (
     ALGORITHMS,
     _ratio_matrix,
@@ -15,7 +16,6 @@ from bidfm.detect import (
     embed,
     nbisc,
     rdscore,
-    run_algorithm,
     run_algorithms,
     shift_nonnegative,
 )
@@ -188,9 +188,22 @@ class TestDisim:
         assert set(result.row_labels.labels) == {1}
         assert set(result.col_labels.labels) == {1}
 
-    def test_negative_entries_rejected(self):
-        with pytest.raises(DomainError):
-            disim(np.array([[1.0, -0.5], [0.2, 0.3]]), 1, 2, seed=0)
+    def test_signed_matrix_is_shifted_on_every_route(self, tmp_path, capsys):
+        a = np.array([[1.0, -0.5], [0.2, 0.3]])
+        routes = [disim(a, 1, 2), disim(embed(a, 1, 2, "laplacian"), 1, 2),
+                  dict(run_algorithms(("disim",), a, 1, 2))["disim"]]
+        shift = routes[0].diagnostics["shift"]
+        assert shift == shift_nonnegative(a)[1] > 0
+        for result in routes[1:]:
+            assert same_result(result, routes[0])
+        path, prefix = tmp_path / "signed.txt", str(tmp_path / "det")
+        fileio.write_matrix(path, a)
+        assert main(["detect", "--input", str(path), "--alg", "disim",
+                     "--kr", "1", "--kc", "2", "--output", prefix]) == 0
+        assert f"applied non-negative shift {shift:.6g}" in capsys.readouterr().err
+        for side, labels in (("row", routes[0].row_labels), ("col", routes[0].col_labels)):
+            assert np.array_equal(fileio.read_labels(f"{prefix}_{side}_labels.txt")[1],
+                                  labels.labels)
 
     def test_records_regularizers(self):
         a = np.random.default_rng(1).uniform(size=(12, 15))
@@ -264,6 +277,14 @@ class TestShiftNonnegative:
         shifted, shift = shift_nonnegative(a)
         assert shift == pytest.approx(1.02)
         assert shifted.min() == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("a", [[[1e308, -1e308], [0.0, 1.0]],
+                                   [[1.7e308, -1e307], [0.0, 1.0]]])
+    def test_overflowing_shift_rejected(self, a):
+        with pytest.raises(DimensionError, match="non-finite"):
+            shift_nonnegative(np.array(a))
+        with pytest.raises(DimensionError, match="non-finite"):
+            disim(np.array(a), 1, 2)
 
     def test_noop_when_nonnegative(self):
         a = np.array([[0.0, 2.0], [1.0, 3.0]])
@@ -376,7 +397,7 @@ class TestRunAlgorithms:
         assert [name for name, _ in outcomes] == list(ALGORITHMS)
         for name, outcome in outcomes:
             try:
-                alone = run_algorithm(name, a, *counts, seed=2)
+                alone = getattr(detect, name)(a, *counts, seed=2)
             except UnsupportedError as exc:
                 assert isinstance(outcome, UnsupportedError) and str(outcome) == str(exc)
                 continue
@@ -520,7 +541,7 @@ class TestSparseInput:
     def test_methods_run_on_sparse_input(self):
         a = self.poisson()
         for name, result in run_algorithms(ALGORITHMS, scipy.sparse.csr_matrix(a), 2, 3):
-            alone = run_algorithm(name, a, 2, 3)
+            alone = getattr(detect, name)(a, 2, 3)
             assert result.diagnostics["svd_path"] == alone.diagnostics["svd_path"] == "dense"
             assert same_result(result, alone), name
 
@@ -544,7 +565,7 @@ class TestSparseInput:
         for name in ("disim", "rdscore"):
             assert isinstance(outcomes[name], DomainError), name
         for name in ("bisc", "nbisc", "dscore"):
-            assert same_result(outcomes[name], run_algorithm(name, a, 2, 3)), name
+            assert same_result(outcomes[name], getattr(detect, name)(a, 2, 3)), name
 
 
 def test_every_method_has_one_signature():

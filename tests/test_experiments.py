@@ -162,11 +162,11 @@ class TestRunSimulation:
         assert report.points[0].seeds == (11, 12, 13, 14)
 
     def test_laplacian_methods_get_shifted_negatives(self):
-        from bidfm.detect import run_algorithm
+        from bidfm.detect import disim
 
         rng = np.random.default_rng(3)
         a = rng.standard_normal((20, 30))
-        result = run_algorithm("disim", a, 2, 3, seed=0)
+        result = disim(a, 2, 3, seed=0)
         assert result.diagnostics["shift"] > 0
         assert len(result.row_labels) == 20
 

@@ -24,7 +24,11 @@ THEORY_INPUTS = {
 # a valid plain-model config, for the malformed variants below
 MODEL = {"n_r": 6, "n_c": 6, "k_r": 2, "k_c": 3, "mixing": "P1", "rho": 0.5}
 
-# configs with one key the model or theory reader must reject:
+# a valid simulation config, for the bad cluster counts below
+SIMULATION = {"model": "bidfm", "kind": "bernoulli", "mixing": "P1", "n_r": 30, "n_c": 45,
+              "rho_grid": [0.5], "replicates": 1}
+
+# configs with one key the config readers must reject:
 # id -> (command, config, the key its error names)
 PROBES = {
     "misspelled-key": ("generate", {**MODEL, "membership_sed": 1}, "membership_sed"),
@@ -36,6 +40,20 @@ PROBES = {
     "unknown-theory-key": ("theory", {"inputs": THEORY_INPUTS, "c_aplha": 1.0}, "c_aplha"),
     "flat-mixing": ("generate", {**MODEL, "mixing": [1.0, 0.2, 0.3, 0.3, 0.8, 0.2]},
                     "mixing"),
+    "generate-zero-k-r": ("generate", {**MODEL, "k_r": 0}, "k_r"),
+    "generate-negative-k-r": ("generate", {**MODEL, "k_r": -1}, "k_r"),
+    "simulate-zero-k-r": ("simulate", {**SIMULATION, "k_r": 0}, "k_r"),
+    "simulate-negative-k-r": ("simulate", {**SIMULATION, "k_r": -1}, "k_r"),
+    "theory-zero-sizes": ("theory", {"inputs": {**THEORY_INPUTS, "n_r": 0, "n_c": 0}},
+                          "n_c"),
+    "theory-negative-rho": ("theory", {"inputs": {**THEORY_INPUTS, "rho": -0.5}}, "rho"),
+    "theory-zero-sigma-min": ("theory", {"inputs": {**THEORY_INPUTS, "sigma_min_mixing": 0}},
+                              "sigma_min_mixing"),
+    "theory-zero-n-r-min": ("theory", {"inputs": {**THEORY_INPUTS, "n_r_min": 0}},
+                            "n_r_min"),
+    "theory-zero-theta-r-min": ("theory", {"model": "bidcdfm",
+                                           "inputs": {**THEORY_INPUTS, "theta_r_min": 0}},
+                                "theta_r_min"),
 }
 
 
@@ -480,6 +498,8 @@ class TestCli:
         ("generate", {k: v for k, v in MODEL.items() if k != "k_r"}),
         ("theory", {"inputs": THEORY_INPUTS, "c_alpha": "2"}),
         ("theory", {"model": "bidfm"}),
+        ("generate", {"k_r": 5, "k_c": 3, "mixing": "P1", "row_labels": [1, 2, 1, 2],
+                      "col_labels": [1, 2, 3, 1], "rho": 0.5}),
         *((command, config) for command, config, _ in PROBES.values()),
     ], ids=["unknown-key", "string-count", "list-model", "list-theory", "number-grid",
             "number-distribution", "number-theta", "string-c-alpha", "string-c",
@@ -488,7 +508,7 @@ class TestCli:
             "float-membership-seed", "float-labels", "string-labels",
             "string-mixing-entry", "ragged-mixing", "string-theta", "float-theta-seed",
             "missing-key", "numeric-string-c-alpha", "missing-theory-inputs",
-            *PROBES])
+            "labels-fewer-than-k-r", *PROBES])
     def test_malformed_config_is_data_error(self, tmp_path, command, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidfm import linalg
+from bidfm.detect import bisc
 from bidfm.errors import ConvergenceError, DimensionError, ValidationError
+from bidfm.experiments import estimate_k_eigengap
 from bidfm.linalg import (
     as_matrix,
     _lloyd,
@@ -18,6 +20,7 @@ from bidfm.linalg import (
     spectral_deviation,
     truncated_svd,
 )
+from bidfm.model import sample_memberships
 
 from oracles import (
     exhaustive_kmeans_objective,
@@ -407,6 +410,39 @@ class TestRng:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError):
             _rng(seed)
+
+
+# each caller of linalg._count: id -> (call, error, what the message says)
+COUNT_CASES = {
+    "svd-float-k-dense": (lambda: truncated_svd(np.eye(5), 2.5),
+                          ValidationError, "k must be an integer"),
+    "svd-float-k-lanczos": (lambda: truncated_svd(np.eye(200), 2.5),
+                            ValidationError, "k must be an integer"),
+    "svd-k-above-rank": (lambda: truncated_svd(np.eye(5), 6),
+                         DimensionError, r"k=6 must be in \[1, 5\]"),
+    "eigengap-float-m": (lambda: estimate_k_eigengap(np.eye(5), m=2.5),
+                         ValidationError, "m must be an integer"),
+    "eigengap-zero-m": (lambda: estimate_k_eigengap(np.eye(5), m=0),
+                        DimensionError, r"m=0 must be in \[1, 5\]"),
+    "kmeans-bool-k": (lambda: kmeans(np.eye(5), True, 0),
+                      ValidationError, "k must be an integer"),
+    "kmeans-zero-k": (lambda: kmeans(np.eye(5), 0, 0),
+                      DimensionError, r"k=0 must be in \[1, 5\]"),
+    "detect-float-kc": (lambda: bisc(np.eye(5), 2, 2.0),
+                        ValidationError, "k_c must be an integer"),
+    "detect-kc-above-columns": (lambda: bisc(np.ones((5, 4)), 2, 5),
+                                DimensionError, r"k_c=5 must be in \[1, 4\]"),
+    "memberships-zero-k": (lambda: sample_memberships(10, 0, 0),
+                           DimensionError, "k=0 must be at least 1"),
+    "memberships-float-k": (lambda: sample_memberships(10, 1.5, 0),
+                            ValidationError, "k must be an integer"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", COUNT_CASES.values(), ids=COUNT_CASES)
+def test_every_count_passes_one_check(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _assert_matches_sequential(x, k, seed, **kwargs):
