@@ -27,6 +27,7 @@ from .experiments import (
     preset,
     run_simulation,
 )
+from .linalg import _rng
 from .metrics import MetricsReport, combined_report
 from .model import expected_adjacency
 from .sampling import sample_adjacency
@@ -280,6 +281,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError(parser.format_usage())
+        if getattr(args, "seed", None) is not None:
+            _rng(args.seed)  # every command rejects a bad seed before any work
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -1,9 +1,9 @@
 """Community detection for weighted bipartite networks.
 
 Every method runs one pipeline: form an operator from the matrix, take its
-leading min(k_r, k_c) singular vectors (``embed``), read each side's rows
-out, and run k-means with ``k_r`` clusters on the left rows and ``k_c`` on
-the right rows.  The methods differ only in the operator and the read-out:
+leading min(k_r, k_c) singular vectors, read each side's rows out, and run
+k-means with ``k_r`` clusters on the left rows and ``k_c`` on the right
+rows.  The methods differ only in the operator and the read-out:
 
 ========  =====================  ============================================
 method    operator               read-out
@@ -20,21 +20,18 @@ reference baselines for comparison studies.  The pipeline assumes
 ``k_r <= k_c``; called the other way round it transposes the problem and
 swaps the labels and per-side diagnostics back.  Every method is
 ``method(a, k_r, k_c, *, seed=0)`` with ``a`` a dense or ``scipy.sparse``
-matrix or an ``Embedding`` of it, so methods on one operator can share one
-SVD; ``run_algorithms`` does that for several methods on one matrix.
-Operator settings (the Laplacian's regularizer) go to ``embed``.  The
-Laplacian needs non-negative entries: it is formed from
+matrix; ``run_algorithms`` runs several methods on one matrix and
+decomposes each operator once for all of them.  The Laplacian adds each
+side's mean degree to that side's degrees, the DI-SIM default of Rohe,
+Qin & Yu (2016).  It needs non-negative entries: it is formed from
 ``shift_nonnegative`` of the matrix, and the methods on it record a
-non-zero shift as ``diagnostics['shift']``.  The
-read-out settings are fixed: 10 k-means restarts per side, each capped at
-300 Lloyd iterations, a 1e-12 floor on normalized row norms and on the
-singular-vector entries a ratio divides, and a ratio clip at ``log(n)`` for
-a side with ``n`` nodes.
+non-zero shift as ``diagnostics['shift']``.  The read-out settings are
+fixed: 10 k-means restarts per side, each capped at 300 Lloyd iterations, a
+1e-12 floor on normalized row norms and on the singular-vector entries a
+ratio divides, and a ratio clip at ``log(n)`` for a side with ``n`` nodes.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +50,6 @@ _PIPELINES = {
     "rdscore": ("laplacian", "ratio"),
 }
 ALGORITHMS = tuple(_PIPELINES)
-_OPERATORS = ("adjacency", "laplacian")
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,9 @@ class DetectionResult:
 @dataclass(frozen=True)
 class Embedding:
     """Leading ``min(k_r, k_c)`` singular triplets of one operator of a
-    matrix: what every method on that operator reads out.
+    matrix: what every method on that operator reads out, built once per
+    operator by ``run_algorithms`` and passed to each method in place of the
+    matrix.
 
     When ``transposed`` (``k_r > k_c``) the factors decompose the operator of
     the transposed matrix, so the left factor always belongs to the side with
@@ -77,28 +75,22 @@ class Embedding:
     every entry before the Laplacian was formed, 0.0 when nothing was.
     """
 
-    operator: str
-    k_r: int
-    k_c: int
     factors: SvdFactors
     transposed: bool
     regularizers: tuple | None
     shift: float
 
 
-def _laplacian(a, regularizer):
-    """Regularized bipartite Laplacian ``D_r^-1/2 A D_c^-1/2``; the
-    regularizer is added to every degree.  A sparse matrix gets the two
-    diagonal scalings as sparse products, rows first as in the dense
+def _laplacian(a):
+    """Regularized bipartite Laplacian ``D_r^-1/2 A D_c^-1/2``; each side's
+    mean degree is added to that side's degrees.  A sparse matrix gets the
+    two diagonal scalings as sparse products, rows first as in the dense
     formula, so each stored entry takes the dense value for the same
     degrees; its degrees sum its stored entries, which is exact for integer
     weights."""
     d_r = a.sum(axis=1)
     d_c = a.sum(axis=0)
-    if regularizer == "auto":
-        tau_r, tau_c = float(d_r.mean()), float(d_c.mean())
-    else:
-        tau_r = tau_c = float(regularizer)
+    tau_r, tau_c = float(d_r.mean()), float(d_c.mean())
     with np.errstate(divide="ignore"):
         inv_r = np.where(d_r + tau_r > 0, 1.0 / np.sqrt(d_r + tau_r), 0.0)
         inv_c = np.where(d_c + tau_c > 0, 1.0 / np.sqrt(d_c + tau_c), 0.0)
@@ -136,54 +128,28 @@ def _check_readout(readout, k_r, k_c):
         raise UnsupportedError("ratio method needs min(k_r, k_c) >= 2")
 
 
-def _embed(a, k_r, k_c, operator, regularizer):
-    """``embed`` of a matrix that passed ``_checked``; the one transpose site."""
+def _embed(a, k_r, k_c, operator):
+    """Decompose ``operator`` (``'adjacency'`` or ``'laplacian'``) of a matrix
+    that passed ``_checked``; the one transpose site."""
     a, shift = shift_nonnegative(a) if operator == "laplacian" else (a, 0.0)
     transposed = k_r > k_c
     if transposed:
         a = a.T
     regularizers = None
     if operator == "laplacian":
-        a, regularizers = _laplacian(a, regularizer)
+        a, regularizers = _laplacian(a)
         if transposed:
             regularizers = regularizers[::-1]
     factors = truncated_svd(a, min(k_r, k_c))
-    return Embedding(operator, k_r, k_c, factors, transposed, regularizers, shift)
+    return Embedding(factors, transposed, regularizers, shift)
 
 
-def embed(a, k_r: int, k_c: int, operator: str = "adjacency",
-          regularizer="auto") -> Embedding:
-    """Decompose one operator of ``a`` for ``k_r`` row and ``k_c`` column
-    clusters: ``'adjacency'`` is ``a`` itself, ``'laplacian'`` its
-    regularized Laplacian.  Every method on that operator and those counts
-    accepts the result in place of ``a``.  The Laplacian is formed from
-    ``shift_nonnegative(a)``, so a signed dense ``a`` is shifted first and
-    the shift kept in ``shift``; a signed ``scipy.sparse`` ``a`` raises
-    ``DomainError``.
-
-    ``regularizer`` is added to every Laplacian degree: ``'auto'`` or a
-    finite real ``>= 0``; anything else raises ``ValidationError`` (not a
-    number) or ``DomainError`` (negative or non-finite), whatever the
-    operator.  With ``'auto'`` each side's regularizer is its mean degree;
-    both end up in ``regularizers`` and in the methods'
-    ``diagnostics['regularizers']`` as ``(row, column)``.
-    """
-    if operator not in _OPERATORS:
-        raise ValidationError(f"unknown operator {operator!r}; choose from {_OPERATORS}")
-    if not isinstance(regularizer, str) or regularizer != "auto":
-        if isinstance(regularizer, bool) or not isinstance(regularizer, numbers.Real):
-            raise ValidationError(f"regularizer must be 'auto' or a number, got {regularizer!r}")
-        if not 0 <= regularizer < math.inf:  # NaN fails too
-            raise DomainError(f"regularizer must be finite and non-negative, got {regularizer!r}")
-    return _embed(_checked(a, k_r, k_c), k_r, k_c, operator, regularizer)
-
-
-def _read_out(embedding, readout, seed):
+def _read_out(embedding, readout, k_r, k_c, seed):
     """Read each side's singular-vector rows out (``'raw'``, ``'normalize'``
     or ``'ratio'``) and run k-means on them."""
     factors = embedding.factors
     sides = ("col", "row") if embedding.transposed else ("row", "col")
-    counts = {"row": embedding.k_r, "col": embedding.k_c}
+    counts = {"row": k_r, "col": k_c}
     fits, degenerate = {}, {}
     for side, x in zip(sides, (factors.left, factors.right)):
         if readout == "normalize":
@@ -209,20 +175,16 @@ def _read_out(embedding, readout, seed):
 
 
 def _cocluster(name, a, k_r, k_c, seed):
-    """The pipeline behind every method, on a matrix or an ``Embedding``;
-    checks run in the same order for both."""
+    """The pipeline behind every method, on a matrix or on the ``Embedding``
+    that ``run_algorithms`` built for it; checks run in the same order for
+    both."""
     operator, readout = _PIPELINES[name]
     given = isinstance(a, Embedding)
     if not given:
         a = _checked(a, k_r, k_c)
-    elif (a.operator, a.k_r, a.k_c) != (operator, k_r, k_c):
-        raise ValidationError(
-            f"{name} for ({k_r}, {k_c}) clusters needs a {operator} embedding "
-            f"for them, got a {a.operator} one for ({a.k_r}, {a.k_c})"
-        )
     _check_readout(readout, k_r, k_c)
-    embedding = a if given else _embed(a, k_r, k_c, operator, "auto")
-    return _read_out(embedding, readout, seed)
+    embedding = a if given else _embed(a, k_r, k_c, operator)
+    return _read_out(embedding, readout, k_r, k_c, seed)
 
 
 def bisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
@@ -230,9 +192,8 @@ def bisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
 
     Runs k-means with ``k_r`` clusters on the rows of the left factor and
     ``k_c`` clusters on the rows of the right factor of the
-    min(k_r, k_c)-dimensional SVD of ``a``.  Like every method, it also
-    takes ``embed(a, k_r, k_c)`` in place of ``a`` (the Laplacian methods
-    take ``embed(a, k_r, k_c, "laplacian")``).
+    min(k_r, k_c)-dimensional SVD of ``a``.  To run it next to other
+    methods on one SVD, use ``run_algorithms``.
     """
     return _cocluster("bisc", a, k_r, k_c, seed)
 
@@ -250,14 +211,13 @@ def nbisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
 def disim(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
     """Regularized-Laplacian co-clustering baseline.
 
-    Given a matrix, each side's regularizer is its mean degree; another
-    regularizer goes to ``embed(a, k_r, k_c, "laplacian", regularizer=...)``.
-    The regularizers are reported under ``diagnostics['regularizers']`` as
-    ``(row, column)``.  A signed dense matrix is first shifted to
-    non-negative entries (``shift_nonnegative``) and a non-zero shift is
-    reported under ``diagnostics['shift']``.  Singular-vector rows are
-    unit-normalized before k-means, and rows too short to normalize are
-    reported as in ``nbisc``.
+    Each side's regularizer is its mean degree, added to every degree on
+    that side, and the two are reported under
+    ``diagnostics['regularizers']`` as ``(row, column)``.  A signed dense
+    matrix is first shifted to non-negative entries (``shift_nonnegative``)
+    and a non-zero shift is reported under ``diagnostics['shift']``.
+    Singular-vector rows are unit-normalized before k-means, and rows too
+    short to normalize are reported as in ``nbisc``.
     """
     return _cocluster("disim", a, k_r, k_c, seed)
 
@@ -324,7 +284,7 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
             _check_readout(readout, k_r, k_c)
             if operator not in embeddings:
                 try:
-                    embeddings[operator] = _embed(a, k_r, k_c, operator, "auto")
+                    embeddings[operator] = _embed(a, k_r, k_c, operator)
                 except BidfmError as exc:
                     embeddings[operator] = exc
             outcome = embeddings[operator]

@@ -93,6 +93,9 @@ class SimulationConfig:
             except DomainError as exc:
                 what = f"rho * mixing at rho = {rho}" if plain else "the mixing's signs"
                 raise ValidationError(f"the law does not admit {what}: {exc}") from None
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise ValidationError(f"algorithms must name one or more methods, none twice, "
+                                  f"got {list(self.algorithms)}")
         unknown = set(self.algorithms) - set(detect.ALGORITHMS)
         if unknown:
             raise ValidationError(f"unknown algorithms: {sorted(unknown)}")
@@ -151,20 +154,10 @@ class ExperimentReport:
         out = io.StringIO()
         out.write(f"# bidfm experiment report v1: {self.model}/{self.kind}\n")
         out.write(self.CSV_HEADER + "\n")
+        columns = self.CSV_HEADER.split(",")[2:]
         for p in self.points:
-            fields = [
-                p.algorithm,
-                self.swept_name,
-                format(p.value, ".10g"),
-                format(p.mean_error, ".10g"),
-                format(p.se_error, ".10g"),
-                format(p.mean_nmi, ".10g"),
-                format(p.se_nmi, ".10g"),
-                format(p.mean_ari, ".10g"),
-                format(p.se_ari, ".10g"),
-                str(p.replicates),
-                str(p.failed),
-            ]
+            fields = [p.algorithm, self.swept_name]
+            fields += [format(getattr(p, name), ".10g") for name in columns]
             out.write(",".join(fields) + "\n")
         return out.getvalue()
 

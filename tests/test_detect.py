@@ -13,7 +13,6 @@ from bidfm.detect import (
     bisc,
     disim,
     dscore,
-    embed,
     nbisc,
     rdscore,
     run_algorithms,
@@ -190,8 +189,7 @@ class TestDisim:
 
     def test_signed_matrix_is_shifted_on_every_route(self, tmp_path, capsys):
         a = np.array([[1.0, -0.5], [0.2, 0.3]])
-        routes = [disim(a, 1, 2), disim(embed(a, 1, 2, "laplacian"), 1, 2),
-                  dict(run_algorithms(("disim",), a, 1, 2))["disim"]]
+        routes = [disim(a, 1, 2), dict(run_algorithms(("disim",), a, 1, 2))["disim"]]
         shift = routes[0].diagnostics["shift"]
         assert shift == shift_nonnegative(a)[1] > 0
         for result in routes[1:]:
@@ -207,20 +205,9 @@ class TestDisim:
 
     def test_records_regularizers(self):
         a = np.random.default_rng(1).uniform(size=(12, 15))
-        result = disim(embed(a, 2, 3, "laplacian", regularizer=0.5), 2, 3, seed=0)
-        assert result.diagnostics["regularizers"] == (0.5, 0.5)
-
-    @pytest.mark.parametrize("operator", ["laplacian", "adjacency"])
-    @pytest.mark.parametrize("regularizer, error", [
-        (float("nan"), DomainError), (float("inf"), DomainError),
-        (-0.5, DomainError), (np.float64("nan"), DomainError),
-        ("x", ValidationError), (None, ValidationError), (True, ValidationError),
-        ([0.5], ValidationError),
-    ], ids=["nan", "inf", "negative", "numpy-nan", "str", "None", "bool", "list"])
-    def test_bad_regularizer_rejected(self, operator, regularizer, error):
-        a = np.random.default_rng(1).uniform(size=(12, 15))
-        with pytest.raises(error):
-            embed(a, 2, 3, operator, regularizer=regularizer)
+        mean_degrees = (a.sum(axis=1).mean(), a.sum(axis=0).mean())
+        for counts in ((2, 3), (3, 2)):
+            assert disim(a, *counts).diagnostics["regularizers"] == mean_degrees
 
     def test_comparable_with_nbisc_on_dense_bernoulli(self, bernoulli_dense_run):
         gap = abs(
@@ -315,45 +302,38 @@ def same_result(x, y):
             and x.diagnostics == y.diagnostics)
 
 
+def shared_embedding(a, k_r, k_c, operator="adjacency"):
+    """The ``Embedding`` that ``run_algorithms`` shares among the methods on
+    ``operator``."""
+    return detect._embed(detect._checked(a, k_r, k_c), k_r, k_c, operator)
+
+
 class TestEmbedding:
     @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
     @pytest.mark.parametrize("method", METHODS, ids=lambda f: f.__name__)
     def test_method_on_embedding_matches_method_on_matrix(self, method, counts):
         a = noisy_instance()
         operator = "laplacian" if method in LAPLACIAN_METHODS else "adjacency"
-        embedding = embed(a, *counts, operator)
+        embedding = shared_embedding(a, *counts, operator)
         assert same_result(method(embedding, *counts, seed=5), method(a, *counts, seed=5))
 
     def test_transposed_embedding_keeps_caller_orientation(self):
         a = noisy_instance()
-        embedding = embed(a, 3, 2, "laplacian")
+        embedding = shared_embedding(a, 3, 2, "laplacian")
         assert embedding.transposed
         assert embedding.factors.left.shape == (90, 2)  # the column side
-        assert embedding.regularizers == embed(a, 2, 3, "laplacian").regularizers
-
-    def test_mismatched_embedding_rejected(self):
-        a = noisy_instance()
-        with pytest.raises(ValidationError):
-            bisc(embed(a, 2, 3, "laplacian"), 2, 3)
-        with pytest.raises(ValidationError):
-            disim(embed(a, 2, 3), 2, 3)
-        with pytest.raises(ValidationError):
-            nbisc(embed(a, 2, 3), 3, 2)
-        with pytest.raises(TypeError):
-            disim(embed(a, 2, 3, "laplacian"), 2, 3, regularizer=0.5)
-        with pytest.raises(ValidationError):
-            embed(a, 2, 3, "cosine")
+        assert embedding.regularizers == shared_embedding(a, 2, 3, "laplacian").regularizers
 
     def test_ratio_method_rejects_single_cluster_embedding(self):
         with pytest.raises(UnsupportedError):
-            dscore(embed(noisy_instance(), 1, 3), 1, 3)
+            dscore(shared_embedding(noisy_instance(), 1, 3), 1, 3)
 
     def test_svd_path_recorded(self, monkeypatch):
         a = noisy_instance()
-        assert embed(a, 2, 3).factors.path == "dense"
+        assert shared_embedding(a, 2, 3).factors.path == "dense"
         assert bisc(a, 2, 3).diagnostics["svd_path"] == "dense"
         monkeypatch.setattr(linalg, "_DENSE_SIDE", 10)  # 60 x 90 now takes Lanczos
-        assert embed(a, 2, 3).factors.path == "lanczos"
+        assert shared_embedding(a, 2, 3).factors.path == "lanczos"
         assert bisc(a, 2, 3).diagnostics["svd_path"] == "lanczos"
 
     @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
@@ -382,7 +362,7 @@ class TestEmbedding:
 
 def bisc_side_fits(a, counts, seed):
     """k-means on each side's raw singular-vector rows, as bisc runs it."""
-    embedding = embed(a, *counts)
+    embedding = shared_embedding(a, *counts)
     sides = ("col", "row") if embedding.transposed else ("row", "col")
     k = dict(zip(("row", "col"), counts))
     return {side: linalg.kmeans(x, k[side], seed=seed)
@@ -526,15 +506,14 @@ class TestSparseInput:
         a[:, 5] = 0.0  # a zero-degree column
         return a
 
-    @pytest.mark.parametrize("regularizer", ["auto", 0.0, 2.5])
     @pytest.mark.parametrize("transposed", [False, True])
-    def test_laplacian_matches_dense_entry_for_entry(self, regularizer, transposed):
+    def test_laplacian_matches_dense_entry_for_entry(self, transposed):
         a = self.poisson()  # integer weights: both sum the degrees exactly
         m = scipy.sparse.csr_array(a)
         if transposed:
             a, m = a.T, m.T  # a CSC operand
-        dense, taus = detect._laplacian(a, regularizer)
-        sparse, sparse_taus = detect._laplacian(m, regularizer)
+        dense, taus = detect._laplacian(a)
+        sparse, sparse_taus = detect._laplacian(m)
         assert scipy.sparse.issparse(sparse) and sparse_taus == taus
         assert np.array_equal(sparse.toarray(), dense)
 
@@ -547,9 +526,9 @@ class TestSparseInput:
 
     def test_embed_takes_the_csr_operand(self):
         a = self.poisson((300, 400))
-        embedding = embed(scipy.sparse.csr_array(a), 3, 2, "laplacian")
+        embedding = shared_embedding(scipy.sparse.csr_array(a), 3, 2, "laplacian")
         assert embedding.transposed and embedding.factors.path == "sparse"
-        assert embedding.regularizers == embed(a, 3, 2, "laplacian").regularizers
+        assert embedding.regularizers == shared_embedding(a, 3, 2, "laplacian").regularizers
 
     def test_shift_leaves_a_non_negative_sparse_matrix_alone(self):
         m = scipy.sparse.csr_array(self.poisson())

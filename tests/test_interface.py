@@ -364,8 +364,9 @@ class TestCli:
                      "--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.parametrize("flag, value", [("--replicates", "0"), ("--algorithms", "")],
-                             ids=["zero-replicates", "no-algorithms"])
+    @pytest.mark.parametrize("flag, value", [("--replicates", "0"), ("--algorithms", ""),
+                                             ("--algorithms", "nbisc,nbisc")],
+                             ids=["zero-replicates", "no-algorithms", "repeated-algorithms"])
     def test_simulate_rejects_empty_override(self, tmp_path, flag, value):
         config = {
             "model": "bidfm", "kind": "bernoulli", "mixing": "P1",
@@ -500,6 +501,8 @@ class TestCli:
         ("theory", {"model": "bidfm"}),
         ("generate", {"k_r": 5, "k_c": 3, "mixing": "P1", "row_labels": [1, 2, 1, 2],
                       "col_labels": [1, 2, 3, 1], "rho": 0.5}),
+        ("simulate", {**SIMULATION, "algorithms": ["nbisc", "nbisc", "bisc"]}),
+        ("simulate", {**SIMULATION, "algorithms": []}),
         *((command, config) for command, config, _ in PROBES.values()),
     ], ids=["unknown-key", "string-count", "list-model", "list-theory", "number-grid",
             "number-distribution", "number-theta", "string-c-alpha", "string-c",
@@ -508,7 +511,7 @@ class TestCli:
             "float-membership-seed", "float-labels", "string-labels",
             "string-mixing-entry", "ragged-mixing", "string-theta", "float-theta-seed",
             "missing-key", "numeric-string-c-alpha", "missing-theory-inputs",
-            "labels-fewer-than-k-r", *PROBES])
+            "labels-fewer-than-k-r", "algorithms-repeated", "algorithms-empty", *PROBES])
     def test_malformed_config_is_data_error(self, tmp_path, command, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -543,17 +546,22 @@ class TestCli:
         assert "7.28 TiB" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["detect", "simulate", "generate"])
+    @pytest.mark.parametrize("command", ["detect", "simulate", "generate",
+                                         "generate-without-distribution"])
     def test_negative_seed_is_data_error(self, tmp_path, model_config, command):
         matrix = tmp_path / "a.txt"
         fileio.write_matrix(matrix, np.eye(6) + 0.1)
+        omega_only = tmp_path / "omega_only.json"
+        omega_only.write_text(json.dumps(MODEL))  # no distribution: nothing is sampled
         args = {
-            "detect": ["--input", str(matrix), "--alg", "bisc", "--kr", "2", "--kc", "2"],
-            "simulate": ["--preset", "sim1a", "--replicates", "1"],
-            "generate": ["--config", str(model_config)],
+            "detect": ["detect", "--input", str(matrix), "--alg", "bisc", "--kr", "2",
+                       "--kc", "2"],
+            "simulate": ["simulate", "--preset", "sim1a", "--replicates", "1"],
+            "generate": ["generate", "--config", str(model_config)],
+            "generate-without-distribution": ["generate", "--config", str(omega_only)],
         }[command]
         result = subprocess.run(
-            [sys.executable, "-m", "bidfm", command, *args, "--seed", "-1",
+            [sys.executable, "-m", "bidfm", *args, "--seed", "-1",
              "--output", str(tmp_path / "out")],
             capture_output=True, text=True,
         )
