@@ -11,11 +11,11 @@ from bidfm import (
     BiDCDFMParams,
     BiDFMParams,
     DistributionSpec,
+    ValidationError,
     expected_adjacency,
     sample_adjacency,
     sample_memberships,
     sample_theta,
-    validate,
 )
 
 # A small bipartite network: 2 row clusters, 3 column clusters.
@@ -26,7 +26,13 @@ print("col cluster sizes:", cols.cluster_sizes())
 
 # Plain model: one global sparsity scale.
 plain = BiDFMParams(rows, cols, P1, rho=0.5)
-print("violations:", validate(plain) or "none")
+
+# Parameters check themselves when built, and list every rule they break.
+try:
+    BiDFMParams(rows, cols, 0.5 * P1, rho=-1.0)
+except ValidationError as exc:
+    print("rejected:", exc.violations)
+
 omega = expected_adjacency(plain)
 print("expected adjacency block values:", sorted(set(np.round(omega.ravel(), 3))))
 
@@ -40,23 +46,20 @@ omega_dc = expected_adjacency(corrected)
 print("degree-corrected entry range: [%.3f, %.3f]" % (omega_dc.min(), omega_dc.max()))
 
 # The same expected matrix can drive very different edge laws.
-for spec in (
-    DistributionSpec.bernoulli(),
-    DistributionSpec.poisson(),
-):
+for spec in (DistributionSpec("bernoulli"), DistributionSpec("poisson")):
     a = sample_adjacency(omega, spec, seed=7)
     print(f"{spec.kind:9s} sample mean {a.mean():.4f} vs expected {omega.mean():.4f}")
 
 # Signed +/-1 networks and real-valued normal networks need a signed mixing
 # matrix; the admissible range of the expected entries depends on the law.
 signed_omega = expected_adjacency(BiDFMParams(rows, cols, P2, rho=0.5))
-for spec in (DistributionSpec.signed(), DistributionSpec.normal(sigma2=1.0)):
+for spec in (DistributionSpec("signed"), DistributionSpec("normal", sigma2=1.0)):
     a = sample_adjacency(signed_omega, spec, seed=8)
     print(f"{spec.kind:9s} sample mean {a.mean():.4f} vs expected {signed_omega.mean():.4f}")
 
 # Unbiasedness, more carefully: average many draws of one entry.
 draws = np.array([
-    sample_adjacency(signed_omega, DistributionSpec.signed(), seed)[0, 0]
+    sample_adjacency(signed_omega, DistributionSpec("signed"), seed)[0, 0]
     for seed in range(2000)
 ])
 print("entry (1,1): mean of 2000 signed draws = %.4f, expected %.4f"

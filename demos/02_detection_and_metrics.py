@@ -49,7 +49,7 @@ print("\nBernoulli draws from the degree-corrected model (5 replicates):")
 algorithms = {"bisc": bisc, "nbisc": nbisc, "disim": disim, "dscore": dscore}
 errors = {name: [] for name in algorithms}
 for rep in range(5):
-    a = sample_adjacency(omega_dc, DistributionSpec.bernoulli(), seed=100 + rep)
+    a = sample_adjacency(omega_dc, DistributionSpec("bernoulli"), seed=100 + rep)
     for name, fn in algorithms.items():
         res = fn(a, 2, 3, seed=rep)
         errors[name].append(

@@ -30,14 +30,14 @@ params = BiDFMParams(rows, cols, P1, rho=0.5)
 omega = expected_adjacency(params)
 
 # --- distribution-specific constants ---------------------------------------
-for spec in (DistributionSpec.bernoulli(), DistributionSpec.normal(1.0),
-             DistributionSpec.poisson()):
+for spec in (DistributionSpec("bernoulli"), DistributionSpec("normal", sigma2=1.0),
+             DistributionSpec("poisson")):
     gt = gamma_tau(spec, params)
     tau = "unbounded" if gt.tau_unbounded else f"{gt.tau:.3g}"
     print(f"{spec.kind:9s} gamma={gt.gamma:.4f} (bound {gt.gamma_bound:.4f}) tau={tau}")
 
 # --- signal-strength assumption and the deviation bound ---------------------
-spec = DistributionSpec.bernoulli()
+spec = DistributionSpec("bernoulli")
 inputs = theory_inputs(params, spec)
 check = check_assumption1(inputs)
 print(f"\nsignal assumption holds: {check.holds} (ratio {check.ratio:.1f})")

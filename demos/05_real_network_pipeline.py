@@ -37,7 +37,7 @@ params = BiDCDFMParams(
     sample_theta(n, 2.0, seed=33, floor=0.3),
     sample_theta(n, 2.0, seed=34, floor=0.3),
 )
-a = sample_adjacency(expected_adjacency(params), DistributionSpec.poisson(), seed=35)
+a = sample_adjacency(expected_adjacency(params), DistributionSpec("poisson"), seed=35)
 a[:3, :] = 0.0  # a few dead senders, as real snapshots have
 
 with tempfile.TemporaryDirectory(prefix="bidfm-demo-") as workdir:

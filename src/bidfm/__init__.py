@@ -64,7 +64,6 @@ from .model import (
     expected_adjacency,
     sample_memberships,
     sample_theta,
-    validate,
 )
 from .sampling import DistributionSpec, distribution_moments, sample_adjacency
 from .theory import (

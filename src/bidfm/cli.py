@@ -18,7 +18,7 @@ import sys
 
 from . import detect as detect_mod
 from . import fileio
-from .errors import BidfmError, ConvergenceError
+from .errors import BidfmError, ConvergenceError, DimensionError
 from .experiments import (
     FILTER_MODES,
     PRESET_NAMES,
@@ -139,15 +139,16 @@ def _write_label_pair(prefix, row_labels, col_labels):
 def _cmd_generate(args):
     config = fileio.load_json(args.config)
     params = fileio.params_from_config(config)
-    omega = expected_adjacency(params)
-    prefix = args.output or "generated"
-    fileio.write_matrix(f"{prefix}_omega.txt", omega)
-    written = [f"{prefix}_omega.txt"]
-    if "distribution" in config:
+    matrices = {"omega": expected_adjacency(params)}
+    if "distribution" in config:  # draw before writing, so a bad law leaves no file
         spec = fileio.distribution_from_config(config["distribution"])
-        a = sample_adjacency(omega, spec, args.seed if args.seed is not None else 0)
-        fileio.write_matrix(f"{prefix}_adjacency.txt", a)
-        written.append(f"{prefix}_adjacency.txt")
+        matrices["adjacency"] = sample_adjacency(
+            matrices["omega"], spec, args.seed if args.seed is not None else 0)
+    prefix = args.output or "generated"
+    written = []
+    for name, matrix in matrices.items():
+        written.append(f"{prefix}_{name}.txt")
+        fileio.write_matrix(written[-1], matrix)
     written += _write_label_pair(prefix, params.row_membership.labels,
                                  params.col_membership.labels)
     print("\n".join(written))
@@ -167,11 +168,19 @@ def _cmd_detect(args):
     return 0
 
 
+def _label_side(est_path, truth_path):
+    """Estimated and true labels of one side, whose files must list the same
+    node ids in the same order."""
+    est_ids, est = fileio.read_labels(est_path)
+    truth_ids, truth = fileio.read_labels(truth_path)
+    if est_ids != truth_ids:
+        raise DimensionError(f"{est_path} and {truth_path} list different node ids")
+    return est, truth
+
+
 def _cmd_evaluate(args):
-    est_r = fileio.read_labels(args.est_rows)[1]
-    truth_r = fileio.read_labels(args.truth_rows)[1]
-    est_c = fileio.read_labels(args.est_cols)[1]
-    truth_c = fileio.read_labels(args.truth_cols)[1]
+    est_r, truth_r = _label_side(args.est_rows, args.truth_rows)
+    est_c, truth_c = _label_side(args.est_cols, args.truth_cols)
     report = combined_report(est_r, truth_r, est_c, truth_c)
     _emit(args, report.__dict__, "# bidfm metrics v1\n" + MetricsReport.CSV_HEADER
           + "\n" + report.to_csv_row() + "\n")

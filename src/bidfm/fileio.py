@@ -185,13 +185,17 @@ def write_labels(path, ids, labels):
 
 def read_labels(path):
     """Return ``(ids, labels)`` from a label file (one ``id<TAB>label`` per
-    line; label order on disk is the node order)."""
-    ids, labels = [], []
+    line; label order on disk is the node order).  A repeated id is a
+    ``ParseError`` at its line."""
+    ids, labels, seen = [], [], set()
     for lineno, text in _records(path):
         parts = text.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'id label', got {text!r}", line=lineno)
         labels.append(_parse(int, parts[1], lineno, f"bad label {parts[1]!r}"))
+        if parts[0] in seen:
+            raise ParseError(f"repeated node id {parts[0]!r}", line=lineno)
+        seen.add(parts[0])
         ids.append(parts[0])
     if not ids:
         raise ParseError("label file contains no records")
@@ -350,13 +354,18 @@ _THEORY_KEYS = {"model": str, "inputs": dict, "c_alpha": float, "c": float}
 
 def theory_config_from_config(data: dict) -> tuple:
     """``(model, inputs, c_alpha, c)`` from a theory config; ``model`` is
-    ``"bidfm"`` (the default) or ``"bidcdfm"`` and the constants default to 1."""
+    ``"bidfm"`` (the default) or ``"bidcdfm"`` and the constants, which must
+    be positive, default to 1."""
     data = _fields(data, _THEORY_KEYS, "config", required=("inputs",))
     model = data.get("model", "bidfm")
     if model not in ("bidfm", "bidcdfm"):
         raise ValidationError(f"unknown model {model!r}")
-    return (model, theory_inputs_from_config(data["inputs"]),
-            float(data.get("c_alpha", 1.0)), float(data.get("c", 1.0)))
+    constants = {key: float(data.get(key, 1.0)) for key in ("c_alpha", "c")}
+    bad = [f"config key {key!r} must be positive, got {value!r}"
+           for key, value in constants.items() if not value > 0]
+    if bad:
+        raise ValidationError(bad)
+    return model, theory_inputs_from_config(data["inputs"]), *constants.values()
 
 
 def load_json(path) -> dict:

@@ -6,6 +6,10 @@ matrices ``Z`` and a full-rank mixing matrix ``P`` with ``max|P| = 1``, and
 its degree-corrected extension ``diag(theta_r) @ Z_r @ P @ Z_c.T @
 diag(theta_c)``.  Setting every theta to ``sqrt(rho)`` makes the second
 reduce exactly to the first.
+
+Both parameter types check themselves when built: an instance that breaks an
+invariant cannot exist, and building one raises a single ``ValidationError``
+that lists every broken rule.
 """
 from __future__ import annotations
 
@@ -84,7 +88,8 @@ class Membership:
 
 @dataclass(frozen=True)
 class BiDFMParams:
-    """Parameters of the distribution-free bipartite blockmodel."""
+    """Parameters of the distribution-free bipartite blockmodel; building an
+    invalid instance raises ``ValidationError``."""
 
     row_membership: Membership
     col_membership: Membership
@@ -93,6 +98,7 @@ class BiDFMParams:
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
+        _check(self, [] if self.rho > 0 else [f"rho must be positive, got {self.rho}"])
 
     @property
     def shape(self):
@@ -113,6 +119,16 @@ class BiDCDFMParams:
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
         object.__setattr__(self, "theta_row", np.asarray(self.theta_row, dtype=float))
         object.__setattr__(self, "theta_col", np.asarray(self.theta_col, dtype=float))
+        found = []
+        for side, theta, n in (
+            ("row", self.theta_row, len(self.row_membership)),
+            ("col", self.theta_col, len(self.col_membership)),
+        ):
+            if theta.shape != (n,):
+                found.append(f"theta_{side} must have length {n}, got {theta.shape}")
+            elif not np.all(theta > 0):
+                found.append(f"theta_{side} must be strictly positive")
+        _check(self, found)
 
     @property
     def shape(self):
@@ -146,9 +162,10 @@ def _mixing_violations(p, k_r, k_c):
     return found
 
 
-def validate(params) -> list:
-    """Collect every invariant violation; an empty list means the parameters
-    are valid.  Raise nothing: callers decide whether violations are fatal."""
+def _check(params, scale_violations):
+    """Raise one ``ValidationError`` listing every broken invariant, in this
+    order: memberships, ``K_r <= K_c``, the mixing, then
+    ``scale_violations`` (rho or the thetas)."""
     found = []
     for side, mem in (("row", params.row_membership), ("col", params.col_membership)):
         if not mem.is_complete():
@@ -159,28 +176,9 @@ def validate(params) -> list:
         found.append(
             f"K_r={k_r} exceeds K_c={k_c}; transpose the network so K_r <= K_c"
         )
-    found.extend(_mixing_violations(params.mixing, k_r, k_c))
-    if isinstance(params, BiDFMParams):
-        if not params.rho > 0:
-            found.append(f"rho must be positive, got {params.rho}")
-    elif isinstance(params, BiDCDFMParams):
-        for side, theta, n in (
-            ("row", params.theta_row, len(params.row_membership)),
-            ("col", params.theta_col, len(params.col_membership)),
-        ):
-            if theta.shape != (n,):
-                found.append(f"theta_{side} must have length {n}, got {theta.shape}")
-            elif not np.all(theta > 0):
-                found.append(f"theta_{side} must be strictly positive")
-    else:
-        found.append(f"unknown parameter type {type(params).__name__}")
-    return found
-
-
-def require_valid(params):
-    violations = validate(params)
-    if violations:
-        raise ValidationError(violations)
+    found += _mixing_violations(params.mixing, k_r, k_c) + scale_violations
+    if found:
+        raise ValidationError(found)
 
 
 def expected_adjacency(params) -> np.ndarray:
@@ -188,7 +186,6 @@ def expected_adjacency(params) -> np.ndarray:
     (entry (i, j) equals ``rho * P(g_i, g_j)``; the matrix has rank
     ``min(K_r, K_c)``), ``diag(theta_r) @ Z_r @ P @ Z_c.T @ diag(theta_c)``
     for the degree-corrected one."""
-    require_valid(params)
     cells = np.ix_(params.row_membership.labels - 1, params.col_membership.labels - 1)
     if isinstance(params, BiDFMParams):
         return (params.rho * params.mixing)[cells]

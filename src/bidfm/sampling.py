@@ -4,9 +4,10 @@ Given an expected adjacency and a distribution choice (bernoulli, normal,
 signed +/-1 or poisson), draw an observed matrix whose entries are
 independent with the prescribed means.  A law enters only through the
 interval its means may lie in, its entry variance as a function of the mean
-``w`` and its draw; ``_LAWS`` states each once, and the README tabulates
-them.  Means outside the interval are rejected outright, because clamping
-would silently break unbiasedness.
+``w``, its draw, the almost-sure bound ``tau`` on ``|A_ij - w|`` and the
+quoted bound on the noise-scale constant gamma; ``_LAWS`` states each once,
+and the README tabulates them.  Means outside the interval are rejected
+outright, because clamping would silently break unbiasedness.
 
 Random numbers come from numpy's counter-based Philox generator keyed by the
 caller's seed, so a fixed ``(omega, spec, seed)`` triple always reproduces
@@ -25,29 +26,40 @@ from .linalg import _rng, as_matrix
 
 
 # A law: its admissible mean interval [lo, hi], its entry variance
-# ``variance(means, spec)`` and its sampler ``draw(generator, means, spec)``.
-_Law = namedtuple("_Law", "lo hi variance draw")
+# ``variance(means, spec)``, its sampler ``draw(generator, means, spec)``, the
+# almost-sure deviation bound ``tau(means)`` (inf for unbounded support) and
+# the quoted gamma bound ``gamma_bound(gamma, scale)`` given the exact gamma
+# and the scale (rho, or the theta products).
+_Law = namedtuple("_Law", "lo hi variance draw tau gamma_bound")
 
 _LAWS = {
     "bernoulli": _Law(
         0.0, 1.0,
         lambda w, spec: w * (1.0 - w),
         lambda rng, w, spec: (rng.random(w.shape) < w).astype(float),
+        lambda w: 1.0,
+        lambda gamma, scale: 1.0,
     ),
     "normal": _Law(
         -np.inf, np.inf,
         lambda w, spec: np.full_like(w, spec.sigma2),
         lambda rng, w, spec: w + np.sqrt(spec.sigma2) * rng.standard_normal(w.shape),
+        lambda w: np.inf,
+        lambda gamma, scale: gamma,
     ),
     "signed": _Law(
         -1.0, 1.0,
         lambda w, spec: 1.0 - w * w,
         lambda rng, w, spec: np.where(rng.random(w.shape) < (1.0 + w) / 2.0, 1.0, -1.0),
+        lambda w: 1.0 + float(np.abs(w).max()),
+        lambda gamma, scale: 1.0 / float(np.min(scale)),
     ),
     "poisson": _Law(
         0.0, np.inf,
         lambda w, spec: w,
         lambda rng, w, spec: rng.poisson(w).astype(float),
+        lambda w: np.inf,
+        lambda gamma, scale: gamma,
     ),
 }
 
@@ -59,7 +71,8 @@ class DistributionSpec:
     """Edge-weight law plus its parameters.
 
     ``sigma2`` is the normal variance and must be present exactly for the
-    normal law.
+    normal law: ``DistributionSpec("normal", sigma2=1.0)``, spelled as in a
+    JSON config's ``distribution`` object.
     """
 
     kind: str
@@ -75,22 +88,6 @@ class DistributionSpec:
                 raise ValidationError("normal law requires sigma2 > 0")
         elif self.sigma2 is not None:
             raise ValidationError("sigma2 is only meaningful for the normal law")
-
-    @classmethod
-    def bernoulli(cls):
-        return cls("bernoulli")
-
-    @classmethod
-    def normal(cls, sigma2: float):
-        return cls("normal", sigma2=sigma2)
-
-    @classmethod
-    def signed(cls):
-        return cls("signed")
-
-    @classmethod
-    def poisson(cls):
-        return cls("poisson")
 
 
 def check_omega_range(omega, spec: DistributionSpec):

@@ -21,13 +21,8 @@ from .linalg import (
     row_normalize,
     truncated_svd,
 )
-from .model import (
-    BiDCDFMParams,
-    BiDFMParams,
-    expected_adjacency,
-    require_valid,
-)
-from .sampling import DistributionSpec, distribution_moments
+from .model import BiDCDFMParams, BiDFMParams, expected_adjacency
+from .sampling import _LAWS, DistributionSpec, distribution_moments
 
 _RANK_TOL = 1e-9
 
@@ -39,6 +34,7 @@ class GammaTau:
     ``gamma`` is the exact value ``max Var(A_ij) / scale`` (scale = rho, or
     the per-entry theta product for the degree-corrected model); ``gamma_bound``
     is the coarser law-level bound usually quoted (1 for Bernoulli, etc.).
+    ``tau`` and ``gamma_bound`` come from the law table in ``bidfm.sampling``.
     ``tau`` is ``inf`` for laws with unbounded support; assumption checks then
     need an empirical surrogate, see :func:`empirical_tau`.
     """
@@ -54,24 +50,14 @@ class GammaTau:
 
 def gamma_tau(spec: DistributionSpec, params) -> GammaTau:
     """Exact noise-scale constant and deviation bound for a model/law pair."""
-    require_valid(params)
     omega = expected_adjacency(params)
     if isinstance(params, BiDFMParams):
         scale = params.rho
     else:
         scale = np.outer(params.theta_row, params.theta_col)
     gamma = float(distribution_moments(spec, omega, scale)[1].max())
-    # tau and the quoted bound are facts of the theory, not of the sampler
-    if spec.kind == "bernoulli":
-        return GammaTau(gamma=gamma, tau=1.0, gamma_bound=1.0)
-    if spec.kind == "signed":
-        return GammaTau(
-            gamma=gamma,
-            tau=1.0 + float(np.abs(omega).max()),
-            gamma_bound=1.0 / float(np.min(scale)),
-        )
-    # normal and poisson: unbounded support, and the exact value is the bound
-    return GammaTau(gamma=gamma, tau=math.inf, gamma_bound=gamma)
+    law = _LAWS[spec.kind]
+    return GammaTau(gamma=gamma, tau=law.tau(omega), gamma_bound=law.gamma_bound(gamma, scale))
 
 
 def empirical_tau(a, omega) -> float:
@@ -139,7 +125,6 @@ def theory_inputs(params, spec: DistributionSpec, observed=None) -> TheoryInputs
     deviation is substituted for ``tau``.  Column-centroid gaps are measured
     on the population SVD.
     """
-    require_valid(params)
     gt = gamma_tau(spec, params)
     tau = gt.tau
     tau_is_empirical = False
@@ -452,7 +437,6 @@ def population_geometry_check(params) -> GeometryReport:
     cluster counts agree).  Degree-corrected model: the same statements for
     the row-normalized matrices with all gaps equal to ``sqrt(2)``.
     """
-    require_valid(params)
     omega = expected_adjacency(params)
     rows = params.row_membership
     cols = params.col_membership
@@ -506,7 +490,6 @@ def population_svd_oracle(params) -> SvdFactors:
     """
     if isinstance(params, BiDFMParams):
         params = BiDCDFMParams.from_bidfm(params)
-    require_valid(params)
     z_r = params.row_membership.to_onehot()
     z_c = params.col_membership.to_onehot()
     scaled_r = params.theta_row[:, None] * z_r

@@ -267,11 +267,11 @@ def test_criterion_8_spectral_deviation_scaling():
         cols = sample_memberships(n_c, 3, seed=602)
         params = BiDFMParams(rows, cols, P1, rho=0.5)
         omega = expected_adjacency(params)
-        gamma = gamma_tau(DistributionSpec.bernoulli(), params).gamma
+        gamma = gamma_tau(DistributionSpec("bernoulli"), params).gamma
         scale = math.sqrt(gamma * 0.5 * max(n_r, n_c) * math.log(n_r + n_c))
         ratios = [
             spectral_deviation(
-                sample_adjacency(omega, DistributionSpec.bernoulli(), 7000 + rep),
+                sample_adjacency(omega, DistributionSpec("bernoulli"), 7000 + rep),
                 omega,
             )
             / scale

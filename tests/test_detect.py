@@ -434,7 +434,7 @@ def test_same_labels_on_both_paths_at_sweep_small_size(monkeypatch, counts):
     """A 100 x 150 signed block-model matrix (the sim3a size, which now
     takes Lanczos by default)."""
     omega = expected_adjacency(plain_instance(3, n_r=100, n_c=150, p=P2, rho=0.6))
-    a = sample_adjacency(omega, DistributionSpec.signed(), seed=3)
+    a = sample_adjacency(omega, DistributionSpec("signed"), seed=3)
     assert_same_labels_on_both_paths(monkeypatch, a, counts)
 
 
@@ -493,7 +493,7 @@ def test_same_labels_on_every_operand_of_a_sweep_replicate(monkeypatch):
     second point of a sweep over (0.4, 0.6, 0.8)) with no zero-degree node."""
     config = preset("sim1b", rho_grid=(0.4, 0.6, 0.8), replicates=1, base_seed=1)
     params = _point_params(config, 1, 600, 900, 0.6)
-    a = sample_adjacency(expected_adjacency(params), DistributionSpec.bernoulli(), seed=1)
+    a = sample_adjacency(expected_adjacency(params), DistributionSpec("bernoulli"), seed=1)
     assert (np.abs(a).sum(axis=0) > 0).all() and (np.abs(a).sum(axis=1) > 0).all()
     assert_same_labels_on_every_operand(monkeypatch, a, (2, 3))
 

@@ -195,7 +195,7 @@ class TestEstimateK:
             np.array([[1.0, 0.2], [0.3, 0.8]]), 0.5,
         )
         omega = expected_adjacency(params)
-        spec = DistributionSpec.normal(0.01)
+        spec = DistributionSpec("normal", sigma2=0.01)
         agreements = sum(
             estimate_k_eigengap(sample_adjacency(omega, spec, seed), m=6).k_suggestion == 2
             for seed in range(20)

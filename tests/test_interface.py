@@ -54,6 +54,8 @@ PROBES = {
     "theory-zero-theta-r-min": ("theory", {"model": "bidcdfm",
                                            "inputs": {**THEORY_INPUTS, "theta_r_min": 0}},
                                 "theta_r_min"),
+    "nonpositive-c-alpha": ("theory", {"inputs": THEORY_INPUTS, "c_alpha": -2.0}, "c_alpha"),
+    "zero-c": ("theory", {"inputs": THEORY_INPUTS, "c": 0.0}, "'c'"),
 }
 
 
@@ -204,6 +206,13 @@ class TestLabelFiles:
         with pytest.raises(ValidationError):
             fileio.write_labels(tmp_path / "x.txt", ["a"], [1, 2])
 
+    def test_repeated_id_reports_line(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        path.write_text("# labels\na\t1\nb\t2\na\t1\n")
+        with pytest.raises(ParseError, match="repeated node id 'a'") as info:
+            fileio.read_labels(path)
+        assert info.value.line == 4
+
 
 class TestConfigParsing:
     def test_named_mixing(self):
@@ -320,6 +329,26 @@ class TestCli:
         row = out.strip().splitlines()[2].split(",")
         assert float(row[2]) == 0.0  # combined error rate
         assert float(row[5]) == 1.0  # combined nmi
+
+    def test_evaluate_rejects_mismatched_ids(self, tmp_path, capsys):
+        truth, est = tmp_path / "truth.txt", tmp_path / "est.txt"
+        fileio.write_labels(truth, ["1", "2", "3", "4"], [1, 2, 1, 2])
+        fileio.write_labels(est, ["d", "c", "b", "a"], [1, 2, 1, 2])
+        assert main(["evaluate", "--est-rows", str(truth), "--truth-rows", str(truth),
+                     "--est-cols", str(est), "--truth-cols", str(truth)]) == 2
+        err = capsys.readouterr().err
+        assert str(est) in err and str(truth) in err
+
+    @pytest.mark.parametrize("change", [
+        {"rho": 2.0, "distribution": {"kind": "bernoulli"}},
+        {"distribution": {"kind": "normal"}},
+    ], ids=["rho-outside-bernoulli", "normal-without-sigma2"])
+    def test_generate_bad_law_writes_nothing(self, tmp_path, capsys, change):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**MODEL, **change}))
+        assert main(["generate", "--config", str(path),
+                     "--output", str(tmp_path / "out")]) == 2
+        assert list(tmp_path.glob("out_*")) == []
 
     def test_simulate_deterministic_output(self, tmp_path, capsys):
         config = {

@@ -11,7 +11,6 @@ from bidfm.model import (
     expected_adjacency,
     sample_memberships,
     sample_theta,
-    validate,
 )
 
 from oracles import brute_force_expected_adjacency
@@ -105,11 +104,8 @@ class TestExpectedAdjacency:
 
     def test_invalid_params_rejected(self):
         params = small_instance()
-        bad = BiDFMParams(
-            params.row_membership, params.col_membership, P1 * 0.5, rho=0.5
-        )
         with pytest.raises(ValidationError, match="max"):
-            expected_adjacency(bad)
+            BiDFMParams(params.row_membership, params.col_membership, P1 * 0.5, rho=0.5)
 
 
 class TestSampleMemberships:
@@ -168,41 +164,60 @@ class TestSampleTheta:
             sample_theta(10, 1.0, seed=seed)
 
 
+def violations(cls, *args, **kwargs):
+    """The violations building ``cls(*args, **kwargs)`` reports."""
+    with pytest.raises(ValidationError) as info:
+        cls(*args, **kwargs)
+    return info.value.violations
+
+
 class TestValidate:
     def test_valid_instance(self):
-        assert validate(small_instance()) == []
+        # neither constructor raises on valid parameters
+        assert BiDCDFMParams.from_bidfm(small_instance()).shape == (8, 12)
 
     def test_scaled_mixing_rejected(self):
         params = small_instance()
-        bad = BiDFMParams(params.row_membership, params.col_membership, 0.5 * P1, 0.5)
-        assert any("max|P|" in v for v in validate(bad))
+        found = violations(BiDFMParams, params.row_membership, params.col_membership,
+                           0.5 * P1, 0.5)
+        assert any("max|P|" in v for v in found)
 
     def test_rank_deficient_mixing_rejected(self):
         p = np.array([[1.0, 0.5, 0.25], [1.0, 0.5, 0.25]])
         params = small_instance()
-        bad = BiDFMParams(params.row_membership, params.col_membership, p, 0.5)
-        assert any("rank deficient" in v for v in validate(bad))
+        found = violations(BiDFMParams, params.row_membership, params.col_membership, p, 0.5)
+        assert any("rank deficient" in v for v in found)
 
     def test_row_clusters_must_not_exceed_columns(self):
         rows = Membership([1, 2, 3])
         cols = Membership([1, 2, 2])
-        bad = BiDFMParams(rows, cols, P1.T, 0.5)
-        assert any("K_r" in v for v in validate(bad))
+        assert any("K_r" in v for v in violations(BiDFMParams, rows, cols, P1.T, 0.5))
 
     def test_multiple_violations_collected(self):
         rows = Membership([1, 1, 1], n_clusters=2)  # empty cluster
         cols = Membership([1, 2, 3])
-        bad = BiDFMParams(rows, cols, 0.5 * P1, rho=-1.0)
-        found = validate(bad)
+        found = violations(BiDFMParams, rows, cols, 0.5 * P1, rho=-1.0)
         assert len(found) >= 3
 
     def test_nonpositive_theta_rejected(self):
         params = small_instance()
-        bad = BiDCDFMParams(
-            params.row_membership,
-            params.col_membership,
-            P1,
-            np.zeros(8),
-            np.ones(12),
-        )
-        assert any("theta_row" in v for v in validate(bad))
+        found = violations(BiDCDFMParams, params.row_membership, params.col_membership,
+                           P1, np.zeros(8), np.ones(12))
+        assert any("theta_row" in v for v in found)
+
+    @pytest.mark.parametrize("cls, scale, last", [
+        (BiDFMParams, (-1.0,), ["rho must be positive, got -1.0"]),
+        (BiDCDFMParams, (np.ones(2), np.array([1.0, 0.0, 1.0])),
+         ["theta_row must have length 3, got (2,)", "theta_col must be strictly positive"]),
+    ], ids=["plain", "degree-corrected"])
+    def test_violation_order(self, cls, scale, last):
+        # breaks every rule group: an empty row cluster, K_r > K_c, a mixing
+        # of the wrong shape, then rho or the thetas
+        rows = Membership([1, 2, 3], n_clusters=4)
+        cols = Membership([1, 2, 2])
+        assert violations(cls, rows, cols, P1, *scale) == [
+            "row membership leaves at least one cluster empty",
+            "K_r=4 exceeds K_c=2; transpose the network so K_r <= K_c",
+            "mixing matrix shape (2, 3) does not match cluster counts (4, 2)",
+            *last,
+        ]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bidfm.errors import DomainError, ValidationError
-from bidfm.sampling import DistributionSpec, distribution_moments, sample_adjacency
+from bidfm.sampling import _LAWS, DistributionSpec, distribution_moments, sample_adjacency
 
 # Monte Carlo draws per entry for the unbiasedness / variance checks: each
 # entry of the small base matrix is replicated this many times in one call,
@@ -24,6 +24,21 @@ def replicated_draws(omega, spec, seed=0, r=R):
     return draws.reshape(r, *omega.shape)
 
 
+class TestLawTable:
+    # each law's tau and quoted gamma bound as the README's law table states
+    # them, for an exact gamma of 0.3 and scales whose smallest is 0.25
+    @pytest.mark.parametrize("kind, means, tau, bound", [
+        ("bernoulli", BASE, 1.0, 1.0),
+        ("normal", 2.0 * BASE - 1.0, np.inf, 0.3),
+        ("signed", 0.9 * (2.0 * BASE - 1.0), 1.9, 4.0),
+        ("poisson", 3.0 * BASE, np.inf, 0.3),
+    ])
+    def test_tau_and_gamma_bound(self, kind, means, tau, bound):
+        law = _LAWS[kind]
+        assert law.tau(means) == pytest.approx(tau)
+        assert law.gamma_bound(0.3, np.array([[0.5, 0.25]])) == pytest.approx(bound)
+
+
 class TestDistributionSpec:
     def test_sigma2_required_for_normal(self):
         with pytest.raises(ValidationError):
@@ -41,46 +56,46 @@ class TestDistributionSpec:
 class TestSampleAdjacency:
     def test_degenerate_bernoulli(self):
         omega = np.ones((4, 5))
-        a = sample_adjacency(omega, DistributionSpec.bernoulli(), seed=0)
+        a = sample_adjacency(omega, DistributionSpec("bernoulli"), seed=0)
         assert np.all(a == 1.0)
 
     @pytest.mark.parametrize("seed", [-1, 2.0, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValidationError):
-            sample_adjacency(np.ones((4, 5)), DistributionSpec.bernoulli(), seed=seed)
+            sample_adjacency(np.ones((4, 5)), DistributionSpec("bernoulli"), seed=seed)
 
     def test_bernoulli_range_enforced(self):
         with pytest.raises(DomainError, match=r"\(1, 2\)"):
             sample_adjacency(
-                np.array([[0.5, 1.5]]), DistributionSpec.bernoulli(), seed=0
+                np.array([[0.5, 1.5]]), DistributionSpec("bernoulli"), seed=0
             )
 
     def test_signed_range_enforced(self):
         with pytest.raises(DomainError):
-            sample_adjacency(np.array([[-1.2]]), DistributionSpec.signed(), seed=0)
+            sample_adjacency(np.array([[-1.2]]), DistributionSpec("signed"), seed=0)
 
     def test_poisson_rejects_negative_mean(self):
         with pytest.raises(DomainError):
-            sample_adjacency(np.array([[-0.1]]), DistributionSpec.poisson(), seed=0)
+            sample_adjacency(np.array([[-0.1]]), DistributionSpec("poisson"), seed=0)
 
     def test_signed_zero_mean(self):
-        draws = replicated_draws(np.zeros((1, 1)), DistributionSpec.signed())
+        draws = replicated_draws(np.zeros((1, 1)), DistributionSpec("signed"))
         assert set(np.unique(draws)) == {-1.0, 1.0}
         assert abs(draws.mean()) < 4 / np.sqrt(R)
 
     def test_normal_mean(self):
         draws = replicated_draws(
-            np.full((1, 1), -2.4), DistributionSpec.normal(1.0)
+            np.full((1, 1), -2.4), DistributionSpec("normal", sigma2=1.0)
         )
         assert abs(draws.mean() + 2.4) < 4 / np.sqrt(R)
 
     @pytest.mark.parametrize(
         "spec, omega",
         [
-            (DistributionSpec.bernoulli(), BASE),
-            (DistributionSpec.normal(1.0), 2.0 * BASE - 1.0),
-            (DistributionSpec.signed(), 2.0 * BASE - 1.0),
-            (DistributionSpec.poisson(), 3.0 * BASE),
+            (DistributionSpec("bernoulli"), BASE),
+            (DistributionSpec("normal", sigma2=1.0), 2.0 * BASE - 1.0),
+            (DistributionSpec("signed"), 2.0 * BASE - 1.0),
+            (DistributionSpec("poisson"), 3.0 * BASE),
         ],
         ids=["bernoulli", "normal", "signed", "poisson"],
     )
@@ -96,10 +111,10 @@ class TestSampleAdjacency:
     @pytest.mark.parametrize(
         "spec, omega",
         [
-            (DistributionSpec.bernoulli(), BASE),
-            (DistributionSpec.normal(1.0), 2.0 * BASE - 1.0),
-            (DistributionSpec.signed(), 0.9 * (2.0 * BASE - 1.0)),
-            (DistributionSpec.poisson(), 3.0 * BASE + 0.2),
+            (DistributionSpec("bernoulli"), BASE),
+            (DistributionSpec("normal", sigma2=1.0), 2.0 * BASE - 1.0),
+            (DistributionSpec("signed"), 0.9 * (2.0 * BASE - 1.0)),
+            (DistributionSpec("poisson"), 3.0 * BASE + 0.2),
         ],
         ids=["bernoulli", "normal", "signed", "poisson"],
     )
@@ -115,7 +130,7 @@ class TestSampleAdjacency:
                     assert abs(observed[i, j] - variance) < 0.1 * variance
 
     def test_deterministic_same_seed(self):
-        spec = DistributionSpec.normal(2.0)
+        spec = DistributionSpec("normal", sigma2=2.0)
         omega = 2.0 * BASE - 1.0
         a = sample_adjacency(omega, spec, seed=7)
         b = sample_adjacency(omega, spec, seed=7)
@@ -123,7 +138,7 @@ class TestSampleAdjacency:
 
     def test_seeds_differ(self):
         omega = np.full((50, 50), 0.5)
-        spec = DistributionSpec.bernoulli()
+        spec = DistributionSpec("bernoulli")
         a = sample_adjacency(omega, spec, seed=1)
         b = sample_adjacency(omega, spec, seed=2)
         assert np.any(a != b)
@@ -132,7 +147,7 @@ class TestSampleAdjacency:
 class TestDistributionMoments:
     def test_bernoulli_midpoint(self):
         variance, contribution = distribution_moments(
-            DistributionSpec.bernoulli(), 0.5, 1.0
+            DistributionSpec("bernoulli"), 0.5, 1.0
         )
         assert variance == pytest.approx(0.25)
         assert contribution == pytest.approx(0.25)
@@ -140,29 +155,29 @@ class TestDistributionMoments:
 
     def test_normal_scaled(self):
         variance, contribution = distribution_moments(
-            DistributionSpec.normal(1.0), -2.4, 0.5
+            DistributionSpec("normal", sigma2=1.0), -2.4, 0.5
         )
         assert variance == pytest.approx(1.0)
         assert contribution == pytest.approx(2.0)
 
     def test_signed_zero_mean(self):
         variance, contribution = distribution_moments(
-            DistributionSpec.signed(), 0.0, 0.5
+            DistributionSpec("signed"), 0.0, 0.5
         )
         assert variance == pytest.approx(1.0)
         assert contribution == pytest.approx(2.0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
-            distribution_moments(DistributionSpec.bernoulli(), 1.2, 1.0)
+            distribution_moments(DistributionSpec("bernoulli"), 1.2, 1.0)
 
     @pytest.mark.parametrize(
         "spec, omega",
         [
-            (DistributionSpec.bernoulli(), BASE),
-            (DistributionSpec.normal(1.7), 2.0 * BASE - 1.0),
-            (DistributionSpec.signed(), 2.0 * BASE - 1.0),
-            (DistributionSpec.poisson(), 3.0 * BASE),
+            (DistributionSpec("bernoulli"), BASE),
+            (DistributionSpec("normal", sigma2=1.7), 2.0 * BASE - 1.0),
+            (DistributionSpec("signed"), 2.0 * BASE - 1.0),
+            (DistributionSpec("poisson"), 3.0 * BASE),
         ],
         ids=["bernoulli", "normal", "signed", "poisson"],
     )

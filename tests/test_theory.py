@@ -63,7 +63,7 @@ def basic_inputs(**overrides):
 class TestGammaTau:
     def test_bernoulli_exact_and_bound(self):
         params = plain_instance()
-        gt = gamma_tau(DistributionSpec.bernoulli(), params)
+        gt = gamma_tau(DistributionSpec("bernoulli"), params)
         # largest mean is 0.5, so the exact constant is 0.25 / 0.5
         assert gt.gamma == pytest.approx(0.5)
         assert gt.gamma <= gt.gamma_bound == 1.0
@@ -71,14 +71,14 @@ class TestGammaTau:
 
     def test_normal(self):
         params = plain_instance(p=P2)
-        gt = gamma_tau(DistributionSpec.normal(1.0), params)
+        gt = gamma_tau(DistributionSpec("normal", sigma2=1.0), params)
         assert gt.gamma == pytest.approx(2.0)
         assert gt.gamma_bound == pytest.approx(2.0)
         assert gt.tau_unbounded
 
     def test_signed(self):
         params = plain_instance(p=P2)
-        gt = gamma_tau(DistributionSpec.signed(), params)
+        gt = gamma_tau(DistributionSpec("signed"), params)
         # smallest |mean| is 0.5 * 0.2 = 0.1, largest 0.5
         assert gt.gamma == pytest.approx((1 - 0.1**2) / 0.5)
         assert gt.gamma_bound == pytest.approx(2.0)
@@ -88,14 +88,15 @@ class TestGammaTau:
 
     def test_poisson(self):
         params = plain_instance()
-        gt = gamma_tau(DistributionSpec.poisson(), params)
+        gt = gamma_tau(DistributionSpec("poisson"), params)
         assert gt.gamma == pytest.approx(1.0)  # max mean / rho = max P
+        assert gt.gamma_bound == gt.gamma
         assert gt.tau_unbounded
 
     def test_constant_theta_matches_plain(self):
         params = plain_instance()
         lifted = BiDCDFMParams.from_bidfm(params)
-        for spec in (DistributionSpec.bernoulli(), DistributionSpec.signed()):
+        for spec in (DistributionSpec("bernoulli"), DistributionSpec("signed")):
             a = gamma_tau(spec, params)
             b = gamma_tau(spec, lifted)
             assert a.gamma == pytest.approx(b.gamma, rel=1e-12)
@@ -270,7 +271,7 @@ class TestEmpiricalTau:
     def test_feeds_assumption_check(self):
         params = plain_instance(p=P2)
         omega = expected_adjacency(params)
-        spec = DistributionSpec.normal(0.5)
+        spec = DistributionSpec("normal", sigma2=0.5)
         from bidfm.sampling import sample_adjacency
 
         a = sample_adjacency(omega, spec, seed=3)
@@ -367,7 +368,7 @@ class TestPopulationSvdOracle:
 class TestTheoryInputs:
     def test_from_params_populates_geometry(self):
         params = corrected_instance(2, k_r=2, k_c=2, p=np.array([[1.0, 0.2], [0.3, 0.8]]))
-        inputs = theory_inputs(params, DistributionSpec.bernoulli())
+        inputs = theory_inputs(params, DistributionSpec("bernoulli"))
         assert inputs.delta_c_star == pytest.approx(math.sqrt(2), abs=1e-9)
         assert inputs.m_v_c == pytest.approx(1.0, abs=1e-9)
         assert inputs.n_r_min <= inputs.n_r_max
@@ -375,7 +376,7 @@ class TestTheoryInputs:
 
     def test_plain_delta_c_matches_closed_form_when_counts_agree(self):
         params = plain_instance(4, k_r=2, k_c=2, p=np.array([[1.0, 0.2], [0.3, 0.8]]))
-        inputs = theory_inputs(params, DistributionSpec.bernoulli())
+        inputs = theory_inputs(params, DistributionSpec("bernoulli"))
         sizes = params.col_membership.cluster_sizes()
         assert inputs.delta_c == pytest.approx(
             math.sqrt(1 / sizes[0] + 1 / sizes[1]), abs=1e-9
