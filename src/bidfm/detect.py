@@ -87,13 +87,18 @@ def _laplacian(a):
     two diagonal scalings as sparse products, rows first as in the dense
     formula, so each stored entry takes the dense value for the same
     degrees; its degrees sum its stored entries, which is exact for integer
-    weights."""
-    d_r = a.sum(axis=1)
-    d_c = a.sum(axis=0)
-    tau_r, tau_c = float(d_r.mean()), float(d_c.mean())
+    weights.  A regularized degree beyond the float range is a
+    ``DomainError``."""
+    with np.errstate(over="ignore"):
+        d_r = a.sum(axis=1)
+        d_c = a.sum(axis=0)
+        tau_r, tau_c = float(d_r.mean()), float(d_c.mean())
+        d_r, d_c = d_r + tau_r, d_c + tau_c
+    if not (np.isfinite(d_r).all() and np.isfinite(d_c).all()):
+        raise DomainError("the Laplacian needs regularized degrees within the float range")
     with np.errstate(divide="ignore"):
-        inv_r = np.where(d_r + tau_r > 0, 1.0 / np.sqrt(d_r + tau_r), 0.0)
-        inv_c = np.where(d_c + tau_c > 0, 1.0 / np.sqrt(d_c + tau_c), 0.0)
+        inv_r = np.where(d_r > 0, 1.0 / np.sqrt(d_r), 0.0)
+        inv_c = np.where(d_c > 0, 1.0 / np.sqrt(d_c), 0.0)
     if scipy.sparse.issparse(a):
         scaled = scipy.sparse.diags_array(inv_r) @ a @ scipy.sparse.diags_array(inv_c)
     else:
@@ -258,7 +263,8 @@ def shift_nonnegative(a) -> tuple:
         )
     spread = hi - lo
     shift = -lo + 0.01 * (spread if spread > 0 else 1.0)
-    return as_matrix(a + shift), shift
+    with np.errstate(over="ignore"):  # as_matrix rejects what overflowed
+        return as_matrix(a + shift), shift
 
 
 def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:

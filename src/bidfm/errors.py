@@ -51,10 +51,14 @@ class ConvergenceError(BidfmError, RuntimeError):
 
 
 class ParseError(BidfmError, ValueError):
-    """A file could not be parsed; carries the offending line number."""
+    """A file could not be parsed; carries the problem (``reason``), the
+    offending line number and the file's path, each shown when known:
+    ``"net.txt: line 3: bad label 'x'"``."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
+        self.reason, self.line, self.path = message, line, path
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,27 +72,25 @@ class SimulationConfig:
         ]
         if len(grids) != 1 or len(grids[0]) == 0:
             raise ValidationError("exactly one non-empty swept grid is required")
-        if self.replicates < 1:
-            raise ValidationError("replicates must be >= 1")
-        for key in ("k_r", "k_c"):
+        for key in ("replicates", "k_r", "k_c"):
             _count(getattr(self, key), key)
         _rng(self.base_seed)  # raises for a seed no replicate could draw from
         if self.n_grid is None and (self.n_r is None or self.n_c is None):
             raise ValidationError("fixed dimensions n_r, n_c are required")
         if self.rho_grid is None and self.rho is None:
             raise ValidationError("rho is required when not swept")
-        # each point's law must be valid and admit its expected entries: rho
-        # times the mixing's entries in the plain model, and (thetas > 0)
-        # entries with the mixing's signs in the degree-corrected one
-        plain = self.model == "bidfm"
+        # each point's law must be valid and admit rho * mixing: those are
+        # the plain model's expected entries, and they bound the
+        # degree-corrected ones, since thetas never exceed sqrt(rho) and
+        # every law's interval contains 0
         for _, _, _, rho, spec in self._points():
             if not rho > 0:
                 raise ValidationError(f"rho must be positive, got {rho}")
             try:
-                check_omega_range(rho * self.mixing if plain else np.sign(self.mixing), spec)
+                check_omega_range(rho * self.mixing, spec)
             except DomainError as exc:
-                what = f"rho * mixing at rho = {rho}" if plain else "the mixing's signs"
-                raise ValidationError(f"the law does not admit {what}: {exc}") from None
+                raise ValidationError(
+                    f"the law does not admit rho * mixing at rho = {rho}: {exc}") from None
         if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
             raise ValidationError(f"algorithms must name one or more methods, none twice, "
                                   f"got {list(self.algorithms)}")
@@ -291,14 +289,14 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 def preset(name: str, **overrides) -> SimulationConfig:
     """Return a named simulation configuration (2 row / 3 column clusters,
-    50 replicates, all five algorithms); keyword overrides are applied on
-    top, e.g. ``preset('sim1a', replicates=5)`` for a quick look."""
+    50 replicates, all five algorithms); keyword overrides replace the
+    preset's fields before the one configuration is built and checked, e.g.
+    ``preset('sim1a', replicates=5)`` for a quick look."""
     if name not in _PRESETS:
         raise ValidationError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}"
         )
-    config = SimulationConfig(name=name, **_PRESETS[name])
-    return replace(config, **overrides) if overrides else config
+    return SimulationConfig(**{"name": name, **_PRESETS[name], **overrides})
 
 
 @dataclass(frozen=True)
@@ -314,17 +312,17 @@ def estimate_k_eigengap(a, m: int = 8) -> KEstimate:
     singular values.
 
     The suggestion is argmax over k < m of ``sigma_k / sigma_{k+1}`` (a zero
-    successor counts as an infinite gap).  The raw values always come back
-    too: the numeric suggestion is advisory and an eyeball on the elbow is
-    worth more.  ``a`` may be dense or ``scipy.sparse``, and ``m`` an
-    integer in ``[1, min(a.shape)]``.
+    successor, or a ratio beyond the float range, counts as an infinite
+    gap).  The raw values always come back too: the numeric suggestion is
+    advisory and an eyeball on the elbow is worth more.  ``a`` may be dense
+    or ``scipy.sparse``, and ``m`` an integer in ``[1, min(a.shape)]``.
     """
     a = as_matrix(a, sparse=True)
     _count(m, "m", min(a.shape))
     sv = truncated_svd(a, m).singular_values
     if m == 1:
         return KEstimate(k_suggestion=1, singular_values=tuple(sv))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratios = sv[:-1] / sv[1:]
     ratios = np.where(np.isnan(ratios), 0.0, ratios)  # 0/0: no gap evidence
     return KEstimate(
@@ -334,9 +332,11 @@ def estimate_k_eigengap(a, m: int = 8) -> KEstimate:
 
 def degree_profiles(a) -> tuple:
     """Absolute-value row and column degree sequences of a dense or
-    ``scipy.sparse`` matrix; a sparse one's degrees sum its stored entries."""
+    ``scipy.sparse`` matrix; a sparse one's degrees sum its stored entries.
+    A degree beyond the float range reads ``inf``."""
     weights = abs(as_matrix(a, sparse=True))
-    return weights.sum(axis=1), weights.sum(axis=0)
+    with np.errstate(over="ignore"):
+        return weights.sum(axis=1), weights.sum(axis=0)
 
 
 FILTER_MODES = ("rows", "cols", "both-and", "both-or")
@@ -368,46 +368,35 @@ def filter_zero_degree(a, mode: str) -> FilterResult:
     drops nodes dead on both sides, ``both-or`` nodes dead on either side;
     these two need a square matrix since they remove the same node from both
     sides.  Retained entries are copied verbatim, into a CSR array when
-    ``a`` is ``scipy.sparse`` and a dense array otherwise.
+    ``a`` is ``scipy.sparse`` and a dense array otherwise.  ``removed``
+    lists each side's zero-degree nodes, and in the two square modes also
+    the nodes dead on both sides and on either side; every index is 1-based.
     """
     a = as_matrix(a, sparse=True)
     if mode not in FILTER_MODES:
         raise ValidationError(f"unknown mode {mode!r}; choose from {FILTER_MODES}")
-    d_r, d_c = degree_profiles(a)
-    zero_r = np.nonzero(d_r == 0)[0]
-    zero_c = np.nonzero(d_c == 0)[0]
-    sets = ZeroDegreeSets(
-        rows=tuple(int(i) for i in zero_r + 1),
-        cols=tuple(int(i) for i in zero_c + 1),
-    )
-    if mode in ("both-and", "both-or"):
-        if a.shape[0] != a.shape[1]:
-            raise DimensionError(
-                f"mode {mode!r} removes the same node from both sides and "
-                f"needs a square matrix, got {a.shape}"
-            )
-        both = np.intersect1d(zero_r, zero_c)
-        either = np.union1d(zero_r, zero_c)
-        sets = ZeroDegreeSets(
-            rows=sets.rows,
-            cols=sets.cols,
-            both=tuple(int(i) for i in both + 1),
-            either=tuple(int(i) for i in either + 1),
+    square = mode in ("both-and", "both-or")
+    if square and a.shape[0] != a.shape[1]:
+        raise DimensionError(
+            f"mode {mode!r} removes the same node from both sides and "
+            f"needs a square matrix, got {a.shape}"
         )
-        drop = both if mode == "both-and" else either
-        keep = np.setdiff1d(np.arange(a.shape[0]), drop)
-        keep_rows = keep_cols = keep
-    elif mode == "rows":
-        keep_rows = np.setdiff1d(np.arange(a.shape[0]), zero_r)
-        keep_cols = np.arange(a.shape[1])
-    else:
-        keep_rows = np.arange(a.shape[0])
-        keep_cols = np.setdiff1d(np.arange(a.shape[1]), zero_c)
+    zero_r, zero_c = (np.nonzero(d == 0)[0] for d in degree_profiles(a))
+    both, either = np.intersect1d(zero_r, zero_c), np.union1d(zero_r, zero_c)
+    drop_r, drop_c = {"rows": (zero_r, zero_c[:0]), "cols": (zero_r[:0], zero_c),
+                      "both-and": (both, both), "both-or": (either, either)}[mode]
+    keep_r, keep_c = (np.setdiff1d(np.arange(n), drop)
+                      for n, drop in zip(a.shape, (drop_r, drop_c)))
+
+    def ids(indices):  # 0-based positions to 1-based node ids
+        return tuple(int(i) for i in indices + 1)
+
     return FilterResult(
-        matrix=a[np.ix_(keep_rows, keep_cols)],
-        kept_rows=tuple(int(i) for i in keep_rows + 1),
-        kept_cols=tuple(int(i) for i in keep_cols + 1),
-        removed=sets,
+        matrix=a[np.ix_(keep_r, keep_c)],
+        kept_rows=ids(keep_r),
+        kept_cols=ids(keep_c),
+        removed=ZeroDegreeSets(ids(zero_r), ids(zero_c),
+                               *((ids(both), ids(either)) if square else ())),
     )
 
 

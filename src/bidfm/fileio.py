@@ -7,6 +7,7 @@ round-trips IEEE doubles exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -19,7 +20,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .experiments import SimulationConfig
 from .linalg import _count, as_matrix
-from .model import P1, P2, BiDCDFMParams, BiDFMParams, Membership, sample_memberships, sample_theta
+from .model import (_INT_MAX, P1, P2, BiDCDFMParams, BiDFMParams, Membership,
+                    sample_memberships, sample_theta)
 from .sampling import DistributionSpec
 from .theory import TheoryInputs
 
@@ -45,6 +47,17 @@ def atomic_write_text(path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _names_its_file(reader):
+    """``reader(path, ...)``, whose ``ParseError`` names ``path``."""
+    @functools.wraps(reader)
+    def read(path, *args, **kwargs):
+        try:
+            return reader(path, *args, **kwargs)
+        except ParseError as exc:
+            raise ParseError(exc.reason, exc.line, path) from None
+    return read
 
 
 def _records(path, header: bool = False):
@@ -80,9 +93,11 @@ def write_matrix(path, m):
                    (" ".join(repr(v) for v in row) for row in a.tolist()))
 
 
+@_names_its_file
 def read_matrix(path) -> np.ndarray:
-    """Parse the dense text format; raises ``ParseError`` with the offending
-    line number on truncation, shape mismatch, or non-finite values."""
+    """Parse the dense text format; raises ``ParseError`` with the path and
+    the offending line number on truncation, shape mismatch, or non-finite
+    values."""
     body = list(_records(path))
     if not body:
         raise ParseError("empty matrix file")
@@ -97,18 +112,20 @@ def read_matrix(path) -> np.ndarray:
     if len(body) - 1 != rows:
         raise ParseError(f"expected {rows} data rows, found {len(body) - 1}",
                          line=lineno)
-    out = np.empty((rows, cols))
     for r, (lineno, line) in enumerate(body[1:]):
         values = line.split()
         if len(values) != cols:
             raise ParseError(f"expected {cols} values, found {len(values)}",
                              line=lineno)
+        if r == 0:  # allocate once a row shows the file holds ``cols`` values
+            out = np.empty((rows, cols))
         out[r] = _parse(lambda vs: [float(v) for v in vs], values, lineno)
         if not np.all(np.isfinite(out[r])):
             raise ParseError("non-finite value", line=lineno)
     return out
 
 
+@_names_its_file
 def read_edge_list(path, delimiter: str | None = None, header: bool = False,
                    directed_as_bipartite: bool = True):
     """Build a dense adjacency matrix from a (source, target, weight) file.
@@ -183,16 +200,20 @@ def write_labels(path, ids, labels):
                    (f"{node}\t{label}" for node, label in zip(ids, labels)))
 
 
+@_names_its_file
 def read_labels(path):
     """Return ``(ids, labels)`` from a label file (one ``id<TAB>label`` per
-    line; label order on disk is the node order).  A repeated id is a
-    ``ParseError`` at its line."""
+    line; label order on disk is the node order).  A repeated id, or a label
+    that is not an integer from 1 to the int64 maximum, is a ``ParseError``
+    at its line."""
     ids, labels, seen = [], [], set()
     for lineno, text in _records(path):
         parts = text.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'id label', got {text!r}", line=lineno)
         labels.append(_parse(int, parts[1], lineno, f"bad label {parts[1]!r}"))
+        if not 1 <= labels[-1] <= _INT_MAX:
+            raise ParseError(f"label {parts[1]!r} is not in 1..{_INT_MAX}", line=lineno)
         if parts[0] in seen:
             raise ParseError(f"repeated node id {parts[0]!r}", line=lineno)
         seen.add(parts[0])
@@ -368,9 +389,10 @@ def theory_config_from_config(data: dict) -> tuple:
     return model, theory_inputs_from_config(data["inputs"]), *constants.values()
 
 
+@_names_its_file
 def load_json(path) -> dict:
     """The JSON object in the UTF-8 file ``path``; any other top-level value
-    is a ParseError."""
+    is a ParseError that names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)

@@ -174,7 +174,8 @@ def truncated_svd(m, k: int) -> SvdFactors:
         u, s, vt = u[:, order], s[order], vt[order, :]
 
     u, vt = _canonicalize_signs(u, vt)
-    s = np.where(s > 0.0, s, 0.0) / scale
+    with np.errstate(over="ignore"):  # a singular value beyond the float range is inf
+        s = np.where(s > 0.0, s, 0.0) / scale
     return SvdFactors(left=u, singular_values=s, right=vt.T, path=path)
 
 

@@ -13,6 +13,7 @@ that lists every broken rule.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,19 +31,30 @@ _RANK_TOL = 1e-10
 # sample_memberships redraws at most this often: at n = k a draw hits every
 # cluster with probability k!/k^k, about 2e-8 at k = 20.
 _MEMBERSHIP_DRAWS = 1000
+# the largest node count or label numpy can hold (the int64/intp maximum)
+_INT_MAX = int(np.iinfo(np.intp).max)
 
 
 class Membership:
     """Hard cluster assignment for one side of the network.
 
     ``labels`` holds one integer in ``1..n_clusters`` per node; every cluster
-    must be nonempty.  Converts losslessly to a one-hot matrix.
+    must be nonempty.  A label that is not an integer numpy can hold
+    (``1.5``, ``"1"``, ``10**20``) is a ``ValidationError``, not truncated;
+    an integral float such as ``2.0`` is accepted.  Converts losslessly to a
+    one-hot matrix.
     """
 
     __slots__ = ("labels", "n_clusters")
 
     def __init__(self, labels, n_clusters: int | None = None):
-        labels = np.asarray(labels, dtype=int)
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "biu":
+            bad = [v for v in labels.ravel().tolist() if not (
+                isinstance(v, numbers.Real) and abs(v) <= _INT_MAX and float(v).is_integer())]
+            if bad:
+                raise ValidationError(f"labels must be integers that fit in int64, got {bad[0]!r}")
+        labels = labels.astype(int)
         if labels.ndim != 1 or labels.size == 0:
             raise DimensionError("labels must be a non-empty 1-D sequence")
         if n_clusters is None:
@@ -198,9 +210,11 @@ def sample_memberships(n: int, k: int, seed: int) -> Membership:
 
     After 1000 draws that all miss a cluster, the last draw is repaired
     instead: ``k`` randomly chosen nodes are given the labels ``1..k``.
-    ``k`` must be an integer of at least 1 and ``seed`` a non-negative
-    integer (``ValidationError`` or ``DimensionError`` otherwise).
+    ``n`` and ``k`` must be integers of at least 1, ``n`` one numpy can
+    index, and ``seed`` a non-negative integer (``ValidationError`` or
+    ``DimensionError`` otherwise).
     """
+    _count(n, "n", _INT_MAX)
     _count(k, "k")
     if n < k:
         raise InfeasibleError(f"cannot place {n} nodes into {k} nonempty clusters")
@@ -218,9 +232,11 @@ def sample_theta(n: int, rho: float, seed: int, floor: float = 0.05) -> np.ndarr
 
     The positive floor (default 0.05) keeps the smallest factors bounded away
     from zero so normalized embeddings and theta-dependent bounds stay
-    non-degenerate at desk scale.  ``seed`` must be a non-negative integer
-    (``ValidationError`` otherwise).
+    non-degenerate at desk scale.  ``n`` must be an integer of at least 1
+    that numpy can index, and ``seed`` a non-negative integer
+    (``ValidationError`` or ``DimensionError`` otherwise).
     """
+    _count(n, "n", _INT_MAX)
     if not rho > 0:
         raise ValidationError(f"rho must be positive, got {rho}")
     if not 0 <= floor < 1:

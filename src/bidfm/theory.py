@@ -78,7 +78,9 @@ class TheoryInputs:
     """Scalar summary of a model instance, the raw material of every bound.
 
     Build one by hand or from parameters via :func:`theory_inputs`.  Fields
-    that only apply to one model may stay ``None``.  Every number given must
+    that only apply to one model may stay ``None``; a check, bound or
+    envelope that reads one raises a single ``ValidationError`` naming every
+    such field it lacks.  Every number given must
     be positive, except ``gamma``, which must be non-negative; one
     ``ValidationError`` names every field that breaks this.
     """
@@ -122,8 +124,11 @@ def theory_inputs(params, spec: DistributionSpec, observed=None) -> TheoryInputs
 
     ``gamma``/``tau`` come from :func:`gamma_tau`; when the law's deviation
     bound is unbounded and ``observed`` is given, the empirical maximum
-    deviation is substituted for ``tau``.  Column-centroid gaps are measured
-    on the population SVD.
+    deviation is substituted for ``tau``.  ``delta_c`` and ``delta_c_star``
+    are the smallest distance between the representative rows of two column
+    clusters in the population right factor, raw and row-normalized (``inf``
+    with one column cluster), and ``m_v_c`` the smallest norm of a
+    normalized representative row.
     """
     gt = gamma_tau(spec, params)
     tau = gt.tau
@@ -143,8 +148,10 @@ def theory_inputs(params, spec: DistributionSpec, observed=None) -> TheoryInputs
     )
 
     factors = population_svd_oracle(params)
-    x_c = _cluster_rows(factors.right, cols.labels)
-    v_c = _cluster_rows(row_normalize(factors.right).matrix, cols.labels)
+    v_c = row_normalize(factors.right).matrix
+
+    def min_gap(matrix):
+        return min(_cluster_gaps(matrix, cols.labels).values(), default=math.inf)
 
     common = dict(
         tau_is_empirical=tau_is_empirical,
@@ -159,9 +166,9 @@ def theory_inputs(params, spec: DistributionSpec, observed=None) -> TheoryInputs
         n_r_max=int(row_sizes.max()),
         n_c_min=int(col_sizes.min()),
         n_c_max=int(col_sizes.max()),
-        delta_c=_min_pairwise_gap(x_c),
-        delta_c_star=_min_pairwise_gap(v_c),
-        m_v_c=float(np.linalg.norm(v_c, axis=1).min()),
+        delta_c=min_gap(factors.right),
+        delta_c_star=min_gap(v_c),
+        m_v_c=float(np.linalg.norm(_cluster_rows(v_c, cols.labels), axis=1).min()),
     )
     if isinstance(params, BiDFMParams):
         return TheoryInputs(rho=params.rho, **common)
@@ -204,27 +211,28 @@ def _signal_requirement(inputs: TheoryInputs, lhs: float, rhs_scale: float):
     return AssumptionCheck(holds=lhs >= rhs, ratio=lhs / rhs, lhs=lhs, rhs=rhs, note=note)
 
 
+def _require(inputs: TheoryInputs, what: str, *fields):
+    """Raise one ``ValidationError`` naming each of ``fields`` that ``inputs``
+    leaves at ``None``."""
+    missing = [name for name in fields if getattr(inputs, name) is None]
+    if missing:
+        raise ValidationError(f"{what} needs {', '.join(missing)}")
+
+
+# the optional inputs that every degree-corrected formula reads
+_BALANCE = ("theta_r_max", "theta_c_max", "theta_r_l1", "theta_c_l1")
+
+
 def check_assumption1(inputs: TheoryInputs) -> AssumptionCheck:
     """Signal-strength requirement of the plain model:
     ``gamma * rho >= tau^2 log(n_r + n_c) / max(n_r, n_c)``."""
-    if inputs.rho is None:
-        raise ValidationError("assumption check for the plain model needs rho")
+    _require(inputs, "assumption check for the plain model", "rho")
     return _signal_requirement(
         inputs, inputs.gamma * inputs.rho, max(inputs.n_r, inputs.n_c)
     )
 
 
 def _theta_balance(inputs: TheoryInputs) -> float:
-    needed = (
-        inputs.theta_r_max,
-        inputs.theta_c_max,
-        inputs.theta_r_l1,
-        inputs.theta_c_l1,
-    )
-    if any(v is None for v in needed):
-        raise ValidationError(
-            "degree-corrected bound needs theta extrema and l1 norms"
-        )
     return max(
         inputs.theta_r_max * inputs.theta_c_l1,
         inputs.theta_c_max * inputs.theta_r_l1,
@@ -235,14 +243,14 @@ def check_assumption2(inputs: TheoryInputs) -> AssumptionCheck:
     """Degree-corrected signal requirement:
     ``gamma * max(theta_r_max * |theta_c|_1, theta_c_max * |theta_r|_1)
     >= tau^2 log(n_r + n_c)``."""
+    _require(inputs, "assumption check for the degree-corrected model", *_BALANCE)
     return _signal_requirement(inputs, inputs.gamma * _theta_balance(inputs), 1.0)
 
 
 def deviation_bound_bidfm(inputs: TheoryInputs, c_alpha: float = 1.0) -> float:
     """High-probability bound on the spectral norm of ``A - Omega``:
     ``C_alpha * sqrt(gamma * rho * max(n_r, n_c) * log(n_r + n_c))``."""
-    if inputs.rho is None:
-        raise ValidationError("plain-model deviation bound needs rho")
+    _require(inputs, "plain-model deviation bound", "rho")
     return c_alpha * math.sqrt(
         inputs.gamma
         * inputs.rho
@@ -254,6 +262,7 @@ def deviation_bound_bidfm(inputs: TheoryInputs, c_alpha: float = 1.0) -> float:
 def deviation_bound_bidcdfm(inputs: TheoryInputs, c_alpha: float = 1.0) -> float:
     """Degree-corrected spectral deviation bound; equals the plain bound when
     every theta is ``sqrt(rho)``."""
+    _require(inputs, "degree-corrected deviation bound", *_BALANCE)
     return c_alpha * math.sqrt(
         inputs.gamma * _theta_balance(inputs) * math.log(inputs.n_r + inputs.n_c)
     )
@@ -272,8 +281,7 @@ def error_envelope_bidfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelope:
     and the cluster counts agree, the guaranteed lower bound
     ``sqrt(2 / n_c_max)`` is substituted.
     """
-    if inputs.rho is None:
-        raise ValidationError("plain-model envelope needs rho")
+    _require(inputs, "plain-model envelope", "rho")
     tail = (
         max(inputs.n_r, inputs.n_c)
         * math.log(inputs.n_r + inputs.n_c)
@@ -310,14 +318,7 @@ def error_envelope_bidcdfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelop
     ``delta_c_star = sqrt(2)`` and ``m_v_c = 1``; otherwise both must be
     supplied in ``inputs``.
     """
-    needed = (
-        inputs.theta_r_min,
-        inputs.theta_r_max,
-        inputs.theta_c_min,
-        inputs.theta_c_max,
-    )
-    if any(v is None for v in needed):
-        raise ValidationError("degree-corrected envelope needs theta extrema")
+    _require(inputs, "degree-corrected envelope", "theta_r_min", "theta_c_min", *_BALANCE)
     balance = _theta_balance(inputs)
     log_n = math.log(inputs.n_r + inputs.n_c)
     sigma2 = inputs.sigma_min_mixing**2
@@ -375,13 +376,12 @@ def _cluster_rows(matrix, labels):
     return matrix[first]
 
 
-def _min_pairwise_gap(rows) -> float:
-    gaps = [
-        float(np.linalg.norm(rows[k] - rows[l]))
-        for k in range(len(rows))
-        for l in range(k + 1, len(rows))
-    ]
-    return min(gaps) if gaps else math.inf
+def _cluster_gaps(matrix, labels) -> dict:
+    """Distance between the representative rows (see :func:`_cluster_rows`)
+    of each cluster pair, keyed by the 0-based pair ``(k, l)``, ``k < l``."""
+    reps = _cluster_rows(matrix, labels)
+    return {(k, l): float(np.linalg.norm(reps[k] - reps[l]))
+            for k in range(len(reps)) for l in range(k + 1, len(reps))}
 
 
 @dataclass(frozen=True)
@@ -417,25 +417,15 @@ def _within_cluster_spread(matrix, labels):
     return worst
 
 
-def _gap_deviation(matrix, labels, expected):
-    """Max |achieved - expected| over between-centroid distances; ``expected``
-    maps a cluster pair (k, l) to the theoretical distance."""
-    reps = _cluster_rows(matrix, labels)
-    worst = 0.0
-    for k in range(len(reps)):
-        for l in range(k + 1, len(reps)):
-            achieved = float(np.linalg.norm(reps[k] - reps[l]))
-            worst = max(worst, abs(achieved - expected(k, l)))
-    return worst
-
-
 def population_geometry_check(params) -> GeometryReport:
     """Verify the exact-recovery geometry on the expected adjacency.
 
     Plain model: same-cluster rows of the singular-vector matrices coincide
     and row centroids sit ``sqrt(1/n_k + 1/n_l)`` apart (columns too when the
     cluster counts agree).  Degree-corrected model: the same statements for
-    the row-normalized matrices with all gaps equal to ``sqrt(2)``.
+    the row-normalized matrices with all gaps equal to ``sqrt(2)``.  The
+    model type picks the read-out and the expected gap together; each gap
+    is the distance between two clusters' representative rows.
     """
     omega = expected_adjacency(params)
     rows = params.row_membership
@@ -448,35 +438,25 @@ def population_geometry_check(params) -> GeometryReport:
             "checks are meaningless"
         )
 
-    degree_corrected = isinstance(params, BiDCDFMParams)
-    if degree_corrected:
-        u_r = row_normalize(factors.left).matrix
-        u_c = row_normalize(factors.right).matrix
+    if isinstance(params, BiDCDFMParams):
+        u_r, u_c = (row_normalize(u).matrix for u in (factors.left, factors.right))
+        expected = lambda sizes, k_, l_: math.sqrt(2.0)
     else:
         u_r, u_c = factors.left, factors.right
+        expected = lambda sizes, k_, l_: math.sqrt(1.0 / sizes[k_] + 1.0 / sizes[l_])
 
-    row_sizes = rows.cluster_sizes()
-    col_sizes = cols.cluster_sizes()
-    if degree_corrected:
-        row_expected = lambda k_, l_: math.sqrt(2.0)
-        col_expected = row_expected
-    else:
-        row_expected = lambda k_, l_: math.sqrt(
-            1.0 / row_sizes[k_] + 1.0 / row_sizes[l_]
-        )
-        col_expected = lambda k_, l_: math.sqrt(
-            1.0 / col_sizes[k_] + 1.0 / col_sizes[l_]
-        )
+    def gap_deviation(u, membership):
+        """Max |achieved - expected| over between-centroid distances."""
+        sizes = membership.cluster_sizes()
+        return max([0.0, *(abs(gap - expected(sizes, *pair)) for pair, gap
+                           in _cluster_gaps(u, membership.labels).items())])
 
     return GeometryReport(
         within_row=_within_cluster_spread(u_r, rows.labels),
         within_col=_within_cluster_spread(u_c, cols.labels),
-        row_gap_dev=_gap_deviation(u_r, rows.labels, row_expected),
-        col_gap_dev=(
-            _gap_deviation(u_c, cols.labels, col_expected)
-            if rows.n_clusters == cols.n_clusters
-            else None
-        ),
+        row_gap_dev=gap_deviation(u_r, rows),
+        col_gap_dev=(gap_deviation(u_c, cols) if rows.n_clusters == cols.n_clusters
+                     else None),
     )
 
 

@@ -8,6 +8,7 @@ import scipy.sparse
 from bidfm.detect import nbisc
 from bidfm.errors import ConvergenceError, DimensionError, ValidationError
 from bidfm.experiments import (
+    PRESET_NAMES,
     SimulationConfig,
     degree_profiles,
     estimate_k_eigengap,
@@ -70,6 +71,21 @@ class TestPresets:
             config = preset(name)
             assert (config.k_r, config.k_c) == (2, 3)
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_builds(self, name):
+        # the law admits rho * mixing at every point, for both models
+        assert preset(name).name == name
+
+    def test_overrides_merged_into_one_build(self):
+        config = preset("sim1b", rho_grid=(0.4,), replicates=2, n_r=60, n_c=90)
+        assert repr(config) == repr(SimulationConfig(
+            name="sim1b", model="bidcdfm", kind="bernoulli", mixing=P1, n_r=60, n_c=90,
+            rho_grid=(0.4,), replicates=2))
+
+    def test_override_checked(self):
+        with pytest.raises(ValidationError, match="rho = 2.0"):
+            preset("sim1b", rho_grid=(0.5, 2.0))
+
 
 class TestConfigValidation:
     def test_exactly_one_grid(self):
@@ -95,6 +111,16 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             tiny_config(kind="normal", mixing=P2)
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(model="sbm"), "unknown model 'sbm'"),
+        (dict(n_r=None), "fixed dimensions n_r, n_c are required"),
+        (dict(n_c=None), "fixed dimensions n_r, n_c are required"),
+        (dict(rho_grid=None, n_grid=(30, 40)), "rho is required when not swept"),
+    ], ids=["unknown-model", "no-n-r", "no-n-c", "no-rho"])
+    def test_incomplete_config_rejected(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            tiny_config(**overrides)
+
     @pytest.mark.parametrize("overrides", [
         dict(kind="cauchy"),
         dict(kind="bernoulli", sigma2=1.0),
@@ -104,9 +130,12 @@ class TestConfigValidation:
         dict(rho_grid=(0.5, -0.5)),
         dict(model="bidcdfm", rho_grid=(0.5, -0.5)),
         dict(rho=0.0, rho_grid=None, n_grid=(30, 40)),
+        # thetas stay below sqrt(rho), so rho * mixing bounds every entry
+        dict(model="bidcdfm", rho_grid=(0.5, 3.0)),
     ], ids=["unknown-kind", "sigma2-on-bernoulli", "negative-sigma2-in-grid",
             "rho-times-mixing-above-one", "negative-rho-in-grid",
-            "negative-rho-in-degree-corrected-grid", "zero-fixed-rho"])
+            "negative-rho-in-degree-corrected-grid", "zero-fixed-rho",
+            "degree-corrected-rho-times-mixing-above-one"])
     def test_bad_law_rejected_when_built(self, overrides):
         with pytest.raises(ValidationError):
             tiny_config(**overrides)
@@ -208,6 +237,11 @@ class TestEstimateK:
         assert len(estimate.singular_values) == 8
         sv = np.array(estimate.singular_values)
         assert np.all(np.diff(sv) <= 1e-12)
+
+    def test_m_one(self):
+        estimate = estimate_k_eigengap(np.diag([3.0, 2.0, 1.0]), m=1)
+        assert estimate.k_suggestion == 1
+        assert estimate.singular_values == pytest.approx((3.0,))
 
     def test_m_out_of_range(self):
         with pytest.raises(DimensionError):

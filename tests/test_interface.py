@@ -11,6 +11,7 @@ from bidfm import fileio
 from bidfm.cli import main
 from bidfm.errors import ParseError, ValidationError
 from bidfm.model import P2
+from bidfm.theory import check_assumption2, deviation_bound_bidcdfm, error_envelope_bidcdfm
 
 
 # every field the assumption checks, bounds and envelopes of both models read
@@ -212,6 +213,56 @@ class TestLabelFiles:
         with pytest.raises(ParseError, match="repeated node id 'a'") as info:
             fileio.read_labels(path)
         assert info.value.line == 4
+
+
+class TestErrorsNameTheirFile:
+    # each reader's ParseError: (reader, file text, the line and problem it names)
+    CASES = {
+        "repeated-id": (fileio.read_labels, "# labels\n1\t1\n1\t2\n",
+                        "line 3: repeated node id '1'"),
+        "zero-label": (fileio.read_labels, "1\t0\n2\t1\n", "line 1: label '0' is not in"),
+        "label-beyond-int64": (fileio.read_labels, "1\t1\n2\t99999999999999999999\n",
+                               "line 2: label '99999999999999999999' is not in"),
+        "bad-label": (fileio.read_labels, "1\tx\n", "line 1: bad label 'x'"),
+        "bad-value": (fileio.read_matrix, "2 2\n1 2\n1 x\n",
+                      "line 3: could not convert string to float: 'x'"),
+        "empty-matrix": (fileio.read_matrix, "# nothing\n", "empty matrix file"),
+        "bad-weight": (fileio.read_edge_list, "a b 1\na c w\n", "line 2: bad weight 'w'"),
+        "bad-json": (fileio.load_json, '{"a": \n', "line 2: Expecting value"),
+        "json-list": (fileio.load_json, "[1]", "expected a JSON object, got list"),
+        "not-utf8": (fileio.read_labels, "caf\xe9".encode("latin-1"), "not UTF-8 text"),
+    }
+
+    @pytest.mark.parametrize("reader, text, message", CASES.values(), ids=CASES)
+    def test_parse_error_names_path(self, tmp_path, reader, text, message):
+        path = tmp_path / "input.txt"
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ParseError) as info:
+            reader(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
+        assert info.value.path == path
+
+    @pytest.mark.parametrize("args, bad, message", [
+        (["evaluate", "--est-rows", "{ok}", "--truth-rows", "{bad}", "--est-cols", "{ok}",
+          "--truth-cols", "{ok}"], "1\t1\n2\t2\n1\t1\n", "line 3: repeated node id '1'"),
+        (["evaluate", "--est-rows", "{bad}", "--truth-rows", "{ok}", "--est-cols", "{ok}",
+          "--truth-cols", "{ok}"], "1\t0\n2\t1\n3\t1\n",
+         "line 1: label '0' is not in 1..9223372036854775807"),
+        (["evaluate", "--est-rows", "{ok}", "--truth-rows", "{ok}", "--est-cols", "{bad}",
+          "--truth-cols", "{ok}"], "1\t99999999999999999999\n2\t1\n3\t1\n",
+         "line 1: label '99999999999999999999' is not in 1..9223372036854775807"),
+        (["detect", "--input", "{bad}", "--alg", "bisc", "--kr", "1", "--kc", "1"],
+         "# m\n2 2\n1 2\n1 x\n", "line 4: could not convert string to float: 'x'"),
+    ], ids=["evaluate-repeated-id", "evaluate-zero-label", "evaluate-huge-label",
+            "detect-bad-value"])
+    def test_cli_error_names_path(self, tmp_path, capsys, args, bad, message):
+        ok, bad_path = tmp_path / "ok.txt", tmp_path / "bad.txt"
+        fileio.write_labels(ok, ["1", "2", "3"], [1, 2, 1])
+        bad_path.write_text(bad)
+        args = [a.format(ok=ok, bad=bad_path) for a in args]
+        assert main([*args, "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"data error: {bad_path}: {message}\n"
 
 
 class TestConfigParsing:
@@ -473,6 +524,41 @@ class TestCli:
         assert payload["assumption_holds"] is True
         assert payload["spectral_deviation_bound"] > 0
 
+    def test_theory_subcommand_degree_corrected(self, tmp_path, capsys):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"model": "bidcdfm", "inputs": THEORY_INPUTS,
+                                    "c_alpha": 2.0}))
+        assert main(["theory", "--config", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        inputs = fileio.theory_inputs_from_config(THEORY_INPUTS)
+        check = check_assumption2(inputs)
+        envelope = error_envelope_bidcdfm(inputs)
+        assert payload == {
+            "model": "bidcdfm", "assumption_holds": check.holds,
+            "assumption_ratio": check.ratio, "assumption_note": "",
+            "spectral_deviation_bound": deviation_bound_bidcdfm(inputs, 2.0),
+            "row_error_envelope": envelope.f_r, "col_error_envelope": envelope.f_c,
+        }
+
+    def test_theory_missing_inputs_named(self, tmp_path, capsys):
+        inputs = {k: v for k, v in THEORY_INPUTS.items()
+                  if k not in ("theta_r_min", "theta_c_l1")}
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"model": "bidcdfm", "inputs": inputs}))
+        assert main(["theory", "--config", str(path)]) == 2
+        assert "needs theta_c_l1" in capsys.readouterr().err
+
+    def test_degree_corrected_sweep_out_of_law_writes_nothing(self, tmp_path, capsys):
+        # thetas reach up to sqrt(rho), so rho = 3 breaks the Bernoulli range
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "model": "bidcdfm", "kind": "bernoulli", "mixing": "P1", "n_r": 60, "n_c": 90,
+            "rho_grid": [0.5, 3.0], "replicates": 1, "algorithms": ["bisc"]}))
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert "rho = 3.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
@@ -532,6 +618,8 @@ class TestCli:
                       "col_labels": [1, 2, 3, 1], "rho": 0.5}),
         ("simulate", {**SIMULATION, "algorithms": ["nbisc", "nbisc", "bisc"]}),
         ("simulate", {**SIMULATION, "algorithms": []}),
+        ("generate", {**MODEL, "n_r": 10**29}),
+        ("simulate", {**SIMULATION, "replicates": 10**29, "n_r": 10**29}),
         *((command, config) for command, config, _ in PROBES.values()),
     ], ids=["unknown-key", "string-count", "list-model", "list-theory", "number-grid",
             "number-distribution", "number-theta", "string-c-alpha", "string-c",
@@ -540,7 +628,8 @@ class TestCli:
             "float-membership-seed", "float-labels", "string-labels",
             "string-mixing-entry", "ragged-mixing", "string-theta", "float-theta-seed",
             "missing-key", "numeric-string-c-alpha", "missing-theory-inputs",
-            "labels-fewer-than-k-r", "algorithms-repeated", "algorithms-empty", *PROBES])
+            "labels-fewer-than-k-r", "algorithms-repeated", "algorithms-empty",
+            "unindexable-n-r", "unindexable-sizes", *PROBES])
     def test_malformed_config_is_data_error(self, tmp_path, command, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

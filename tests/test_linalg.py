@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bidfm import linalg
 from bidfm.detect import bisc
 from bidfm.errors import ConvergenceError, DimensionError, ValidationError
-from bidfm.experiments import estimate_k_eigengap
+from bidfm.experiments import estimate_k_eigengap, preset
 from bidfm.linalg import (
     as_matrix,
     _lloyd,
@@ -20,7 +20,7 @@ from bidfm.linalg import (
     spectral_deviation,
     truncated_svd,
 )
-from bidfm.model import sample_memberships
+from bidfm.model import sample_memberships, sample_theta
 
 from oracles import (
     exhaustive_kmeans_objective,
@@ -436,6 +436,20 @@ COUNT_CASES = {
                            DimensionError, "k=0 must be at least 1"),
     "memberships-float-k": (lambda: sample_memberships(10, 1.5, 0),
                             ValidationError, "k must be an integer"),
+    "memberships-float-n": (lambda: sample_memberships(2.5, 2, 0),
+                            ValidationError, "n must be an integer"),
+    "memberships-huge-n": (lambda: sample_memberships(10**29, 2, 0),
+                           DimensionError, r"n=10{29} must be in \[1, 9223372036854775807\]"),
+    "theta-negative-n": (lambda: sample_theta(-1, 0.5, 0),
+                         DimensionError, r"n=-1 must be in \[1, "),
+    "theta-float-n": (lambda: sample_theta(2.5, 0.5, 0),
+                      ValidationError, "n must be an integer"),
+    "simulation-float-replicates": (lambda: preset("sim3a", replicates=2.5),
+                                    ValidationError, "replicates must be an integer"),
+    "simulation-bool-replicates": (lambda: preset("sim3a", replicates=True),
+                                   ValidationError, "replicates must be an integer"),
+    "simulation-zero-replicates": (lambda: preset("sim3a", replicates=0),
+                                   DimensionError, "replicates=0 must be at least 1"),
 }
 
 

@@ -37,6 +37,15 @@ class TestMembership:
         with pytest.raises(ValidationError):
             Membership([1, 4], n_clusters=3)
 
+    @pytest.mark.parametrize("labels", [[1.5, 2.0], [1, np.nan], ["1", "2"], [1, 10**20]],
+                             ids=["fraction", "nan", "strings", "beyond-int64"])
+    def test_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            Membership(labels)
+
+    def test_integral_floats_accepted(self):
+        assert np.array_equal(Membership([2.0, 1.0]).labels, [2, 1])
+
     def test_cluster_sizes(self):
         m = Membership([1, 1, 2], n_clusters=3)
         assert list(m.cluster_sizes()) == [2, 1, 0]

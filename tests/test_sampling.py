@@ -171,6 +171,12 @@ class TestDistributionMoments:
         with pytest.raises(DomainError):
             distribution_moments(DistributionSpec("bernoulli"), 1.2, 1.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.array([0.5, 0.0])],
+                             ids=["zero", "negative", "array-with-zero"])
+    def test_nonpositive_scale_rejected(self, scale):
+        with pytest.raises(DomainError, match="scale must be positive"):
+            distribution_moments(DistributionSpec("bernoulli"), 0.5, scale)
+
     @pytest.mark.parametrize(
         "spec, omega",
         [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bidfm.errors import ValidationError
+from bidfm.errors import DimensionError, ValidationError
 from bidfm.linalg import truncated_svd
 from bidfm.model import (
     P1,
@@ -262,11 +262,42 @@ class TestErrorEnvelopes:
                 assert direction * delta > 0, (field, attr)
 
 
+# every optional field the degree-corrected envelope reads
+THETAS = dict(theta_r_min=0.2, theta_r_max=0.9, theta_c_min=0.3, theta_c_max=0.8,
+              theta_r_l1=100.0, theta_c_l1=150.0)
+
+
+class TestMissingInputs:
+    # each check, bound and envelope names every optional field it needs
+    # that the inputs leave out, in one error
+    @pytest.mark.parametrize("function, given, message", [
+        (check_assumption1, {}, "assumption check for the plain model needs rho"),
+        (deviation_bound_bidfm, {}, "plain-model deviation bound needs rho"),
+        (error_envelope_bidfm, {}, "plain-model envelope needs rho"),
+        (check_assumption2, {}, "assumption check for the degree-corrected model needs "
+         "theta_r_max, theta_c_max, theta_r_l1, theta_c_l1"),
+        (deviation_bound_bidcdfm, {"theta_r_max": 0.9},
+         "degree-corrected deviation bound needs theta_c_max, theta_r_l1, theta_c_l1"),
+        (error_envelope_bidcdfm, {}, "degree-corrected envelope needs theta_r_min, "
+         "theta_c_min, theta_r_max, theta_c_max, theta_r_l1, theta_c_l1"),
+        (error_envelope_bidcdfm, {k: v for k, v in THETAS.items() if k != "theta_c_min"},
+         "degree-corrected envelope needs theta_c_min$"),
+    ], ids=["assumption1", "bound-bidfm", "envelope-bidfm", "assumption2", "bound-bidcdfm",
+            "envelope-bidcdfm", "envelope-bidcdfm-one-missing"])
+    def test_every_missing_field_named(self, function, given, message):
+        with pytest.raises(ValidationError, match=message):
+            function(basic_inputs(k_c=2, rho=None, **given))
+
+
 class TestEmpiricalTau:
     def test_max_deviation(self):
         omega = np.zeros((2, 2))
         a = np.array([[0.5, -1.25], [0.0, 0.75]])
         assert empirical_tau(a, omega) == 1.25
+
+    def test_mismatched_shapes(self):
+        with pytest.raises(DimensionError, match=r"shape mismatch: \(2, 2\) vs \(2, 3\)"):
+            empirical_tau(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_feeds_assumption_check(self):
         params = plain_instance(p=P2)
@@ -366,6 +397,10 @@ class TestPopulationSvdOracle:
 
 
 class TestTheoryInputs:
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(ValidationError, match="gamma must be non-negative, got -0.5"):
+            basic_inputs(gamma=-0.5)
+
     def test_from_params_populates_geometry(self):
         params = corrected_instance(2, k_r=2, k_c=2, p=np.array([[1.0, 0.2], [0.3, 0.8]]))
         inputs = theory_inputs(params, DistributionSpec("bernoulli"))
