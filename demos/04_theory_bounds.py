@@ -10,9 +10,9 @@ from bidfm import (
     P1,
     BiDFMParams,
     DistributionSpec,
-    check_assumption1,
-    deviation_bound_bidfm,
-    error_envelope_bidfm,
+    check_assumption,
+    deviation_bound,
+    error_envelope,
     expected_adjacency,
     gamma_tau,
     population_geometry_check,
@@ -39,10 +39,10 @@ for spec in (DistributionSpec("bernoulli"), DistributionSpec("normal", sigma2=1.
 # --- signal-strength assumption and the deviation bound ---------------------
 spec = DistributionSpec("bernoulli")
 inputs = theory_inputs(params, spec)
-check = check_assumption1(inputs)
+check = check_assumption("bidfm", inputs)
 print(f"\nsignal assumption holds: {check.holds} (ratio {check.ratio:.1f})")
 
-bound = deviation_bound_bidfm(inputs, c_alpha=1.0)
+bound = deviation_bound("bidfm", inputs, c_alpha=1.0)
 observed = [
     spectral_deviation(sample_adjacency(omega, spec, seed), omega)
     for seed in range(20)
@@ -54,7 +54,7 @@ print(f"deviation bound (C=1): {bound:.2f}; observed max over 20 draws: "
 print("\nrow-error envelope vs sparsity (decreasing):")
 for rho in (0.25, 0.5, 1.0):
     scaled = theory_inputs(BiDFMParams(rows, cols, P1, rho), spec)
-    print(f"  rho={rho:4.2f}: {error_envelope_bidfm(scaled).f_r:10.4f}")
+    print(f"  rho={rho:4.2f}: {error_envelope('bidfm', scaled).f_r:10.4f}")
 
 # --- exact population geometry ----------------------------------------------
 geometry = population_geometry_check(params)

@@ -70,13 +70,10 @@ from .theory import (
     ErrorEnvelope,
     GammaTau,
     TheoryInputs,
-    check_assumption1,
-    check_assumption2,
-    deviation_bound_bidcdfm,
-    deviation_bound_bidfm,
+    check_assumption,
+    deviation_bound,
     empirical_tau,
-    error_envelope_bidcdfm,
-    error_envelope_bidfm,
+    error_envelope,
     gamma_tau,
     population_geometry_check,
     population_svd_oracle,

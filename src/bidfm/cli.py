@@ -31,14 +31,7 @@ from .linalg import _rng
 from .metrics import MetricsReport, combined_report
 from .model import expected_adjacency
 from .sampling import sample_adjacency
-from .theory import (
-    check_assumption1,
-    check_assumption2,
-    deviation_bound_bidcdfm,
-    deviation_bound_bidfm,
-    error_envelope_bidcdfm,
-    error_envelope_bidfm,
-)
+from .theory import check_assumption, deviation_bound, error_envelope
 
 
 class UsageError(Exception):
@@ -250,20 +243,14 @@ def _cmd_preprocess(args):
 def _cmd_theory(args):
     config = fileio.load_json(args.config)
     model, inputs, c_alpha, c = fileio.theory_config_from_config(config)
-    if model == "bidfm":
-        check = check_assumption1(inputs)
-        bound = deviation_bound_bidfm(inputs, c_alpha)
-        envelope = error_envelope_bidfm(inputs, c)
-    else:
-        check = check_assumption2(inputs)
-        bound = deviation_bound_bidcdfm(inputs, c_alpha)
-        envelope = error_envelope_bidcdfm(inputs, c)
+    check = check_assumption(model, inputs)
+    envelope = error_envelope(model, inputs, c)
     payload = {
         "model": model,
         "assumption_holds": check.holds,
         "assumption_ratio": check.ratio,
         "assumption_note": check.note,
-        "spectral_deviation_bound": bound,
+        "spectral_deviation_bound": deviation_bound(model, inputs, c_alpha),
         "row_error_envelope": envelope.f_r,
         "col_error_envelope": envelope.f_c,
     }

@@ -31,6 +31,7 @@ from .model import (
     sample_theta,
 )
 from .sampling import DistributionSpec, check_omega_range, sample_adjacency
+from .theory import MODELS
 
 # Per-point parameter seeds stride by this prime so they never collide
 # with the per-replicate draw seeds (base_seed + rep).
@@ -65,7 +66,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
-        if self.model not in ("bidfm", "bidcdfm"):
+        if self.model not in MODELS:
             raise ValidationError(f"unknown model {self.model!r}")
         grids = [
             g for g in (self.rho_grid, self.n_grid, self.sigma2_grid) if g is not None

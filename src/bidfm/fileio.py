@@ -23,7 +23,7 @@ from .linalg import _count, as_matrix
 from .model import (_INT_MAX, P1, P2, BiDCDFMParams, BiDFMParams, Membership,
                     sample_memberships, sample_theta)
 from .sampling import DistributionSpec
-from .theory import TheoryInputs
+from .theory import MODELS, TheoryInputs
 
 MATRIX_HEADER = "# bidfm dense matrix v1"
 LABELS_HEADER = "# bidfm labels v1"
@@ -315,7 +315,7 @@ def params_from_config(data: dict):
     """
     data = _fields(data, _MODEL_KEYS, "config", required=("k_r", "k_c", "mixing"))
     model = data.get("model", "bidfm")
-    if model not in ("bidfm", "bidcdfm"):
+    if model not in MODELS:
         raise ValidationError(f"unknown model {model!r}")
 
     def need(key):  # a key required only in some configs
@@ -379,7 +379,7 @@ def theory_config_from_config(data: dict) -> tuple:
     be positive, default to 1."""
     data = _fields(data, _THEORY_KEYS, "config", required=("inputs",))
     model = data.get("model", "bidfm")
-    if model not in ("bidfm", "bidcdfm"):
+    if model not in MODELS:
         raise ValidationError(f"unknown model {model!r}")
     constants = {key: float(data.get(key, 1.0)) for key in ("c_alpha", "c")}
     bad = [f"config key {key!r} must be positive, got {value!r}"

@@ -32,10 +32,21 @@ def _coerce_pair(estimated, truth):
     return est, tru
 
 
+def _compact(membership):
+    """``membership`` renumbered to the clusters that occur, in increasing
+    order, when it names more clusters than it has nodes; no score depends on
+    empty clusters, and a label such as 2**62 then needs no 2**62 columns."""
+    if membership.n_clusters <= len(membership):
+        return membership
+    occurring, labels = np.unique(membership.labels, return_inverse=True)
+    return Membership(labels + 1, n_clusters=len(occurring))
+
+
 def confusion_matrix(estimated, truth) -> np.ndarray:
     """Counts of common nodes: entry (k, l) pairs truth cluster k with
-    estimated cluster l."""
-    est, tru = _coerce_pair(estimated, truth)
+    estimated cluster l.  A side with more clusters than nodes is first
+    renumbered to its occurring clusters (see :func:`_compact`)."""
+    est, tru = (_compact(m) for m in _coerce_pair(estimated, truth))
     counts = np.zeros((tru.n_clusters, est.n_clusters), dtype=np.int64)
     np.add.at(counts, (tru.labels - 1, est.labels - 1), 1)
     return counts

@@ -9,6 +9,7 @@ monotonicity in the model parameters, never as guarantees.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,12 @@ class TheoryInputs:
     Build one by hand or from parameters via :func:`theory_inputs`.  Fields
     that only apply to one model may stay ``None``; a check, bound or
     envelope that reads one raises a single ``ValidationError`` naming every
-    such field it lacks.  Every number given must
-    be positive, except ``gamma``, which must be non-negative; one
-    ``ValidationError`` names every field that breaks this.
+    such field it lacks.  Every number given must be positive, except
+    ``gamma`` and the gaps ``delta_c`` and ``delta_c_star``, which must be
+    non-negative; one ``ValidationError`` names every field that breaks
+    this.  A zero gap (two column clusters whose centroids coincide) voids
+    the column guarantee, not the model: the column envelope is then
+    infinite.
     """
 
     n_r: int
@@ -109,12 +113,12 @@ class TheoryInputs:
     tau_is_empirical: bool = False  # tau came from an observed sample
 
     def __post_init__(self):
-        bad = [f"{name} must be positive, got {value!r}"
+        zero_ok = ("gamma", "delta_c", "delta_c_star")
+        bad = [f"{name} must be {'non-negative' if name in zero_ok else 'positive'}, "
+               f"got {value!r}"
                for name, value in vars(self).items()
-               if name not in ("gamma", "tau_is_empirical")
-               and value is not None and not value > 0]
-        if not self.gamma >= 0:
-            bad.append(f"gamma must be non-negative, got {self.gamma!r}")
+               if name != "tau_is_empirical" and value is not None
+               and not (value >= 0 if name in zero_ok else value > 0)]
         if bad:
             raise ValidationError(bad)
 
@@ -127,8 +131,9 @@ def theory_inputs(params, spec: DistributionSpec, observed=None) -> TheoryInputs
     deviation is substituted for ``tau``.  ``delta_c`` and ``delta_c_star``
     are the smallest distance between the representative rows of two column
     clusters in the population right factor, raw and row-normalized (``inf``
-    with one column cluster), and ``m_v_c`` the smallest norm of a
-    normalized representative row.
+    with one column cluster, 0 where two clusters' rows coincide, as when
+    ``K_r = 1`` and two mixing entries share a sign), and ``m_v_c`` the
+    smallest norm of a normalized representative row.
     """
     gt = gamma_tau(spec, params)
     tau = gt.tau
@@ -192,44 +197,10 @@ class AssumptionCheck:
     note: str = ""
 
 
-def _signal_requirement(inputs: TheoryInputs, lhs: float, rhs_scale: float):
-    if math.isinf(inputs.tau):
-        return AssumptionCheck(
-            holds=None,
-            ratio=None,
-            lhs=lhs,
-            rhs=None,
-            note="tau is unbounded for this law; substitute an empirical "
-            "max|A - Omega| (heuristic) to obtain a verdict",
-        )
-    rhs = inputs.tau**2 * math.log(inputs.n_r + inputs.n_c) / rhs_scale
-    note = (
-        "tau is an empirical max|A - Omega| surrogate; the verdict is heuristic"
-        if inputs.tau_is_empirical
-        else ""
-    )
-    return AssumptionCheck(holds=lhs >= rhs, ratio=lhs / rhs, lhs=lhs, rhs=rhs, note=note)
-
-
-def _require(inputs: TheoryInputs, what: str, *fields):
-    """Raise one ``ValidationError`` naming each of ``fields`` that ``inputs``
-    leaves at ``None``."""
-    missing = [name for name in fields if getattr(inputs, name) is None]
-    if missing:
-        raise ValidationError(f"{what} needs {', '.join(missing)}")
-
-
-# the optional inputs that every degree-corrected formula reads
-_BALANCE = ("theta_r_max", "theta_c_max", "theta_r_l1", "theta_c_l1")
-
-
-def check_assumption1(inputs: TheoryInputs) -> AssumptionCheck:
-    """Signal-strength requirement of the plain model:
-    ``gamma * rho >= tau^2 log(n_r + n_c) / max(n_r, n_c)``."""
-    _require(inputs, "assumption check for the plain model", "rho")
-    return _signal_requirement(
-        inputs, inputs.gamma * inputs.rho, max(inputs.n_r, inputs.n_c)
-    )
+@dataclass(frozen=True)
+class ErrorEnvelope:
+    f_r: float
+    f_c: float
 
 
 def _theta_balance(inputs: TheoryInputs) -> float:
@@ -239,49 +210,14 @@ def _theta_balance(inputs: TheoryInputs) -> float:
     )
 
 
-def check_assumption2(inputs: TheoryInputs) -> AssumptionCheck:
-    """Degree-corrected signal requirement:
-    ``gamma * max(theta_r_max * |theta_c|_1, theta_c_max * |theta_r|_1)
-    >= tau^2 log(n_r + n_c)``."""
-    _require(inputs, "assumption check for the degree-corrected model", *_BALANCE)
-    return _signal_requirement(inputs, inputs.gamma * _theta_balance(inputs), 1.0)
-
-
-def deviation_bound_bidfm(inputs: TheoryInputs, c_alpha: float = 1.0) -> float:
-    """High-probability bound on the spectral norm of ``A - Omega``:
-    ``C_alpha * sqrt(gamma * rho * max(n_r, n_c) * log(n_r + n_c))``."""
-    _require(inputs, "plain-model deviation bound", "rho")
-    return c_alpha * math.sqrt(
-        inputs.gamma
-        * inputs.rho
-        * max(inputs.n_r, inputs.n_c)
-        * math.log(inputs.n_r + inputs.n_c)
-    )
-
-
-def deviation_bound_bidcdfm(inputs: TheoryInputs, c_alpha: float = 1.0) -> float:
-    """Degree-corrected spectral deviation bound; equals the plain bound when
-    every theta is ``sqrt(rho)``."""
-    _require(inputs, "degree-corrected deviation bound", *_BALANCE)
-    return c_alpha * math.sqrt(
-        inputs.gamma * _theta_balance(inputs) * math.log(inputs.n_r + inputs.n_c)
-    )
-
-
-@dataclass(frozen=True)
-class ErrorEnvelope:
-    f_r: float
-    f_c: float
-
-
-def error_envelope_bidfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelope:
+def _plain_envelope(inputs: TheoryInputs, c: float) -> ErrorEnvelope:
     """Order-of-magnitude misclustering envelopes for the plain model.
 
     The column envelope needs the centroid gap ``delta_c``; when it is absent
     and the cluster counts agree, the guaranteed lower bound
-    ``sqrt(2 / n_c_max)`` is substituted.
+    ``sqrt(2 / n_c_max)`` is substituted.  A zero gap voids the column
+    guarantee: ``f_c`` is then infinite.
     """
-    _require(inputs, "plain-model envelope", "rho")
     tail = (
         max(inputs.n_r, inputs.n_c)
         * math.log(inputs.n_r + inputs.n_c)
@@ -300,6 +236,8 @@ def error_envelope_bidfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelope:
                 "column envelope needs delta_c when cluster counts differ"
             )
         delta_c = math.sqrt(2.0 / inputs.n_c_max)
+    if delta_c == 0:
+        return ErrorEnvelope(f_r=f_r, f_c=math.inf)
     f_c = (
         c
         * inputs.gamma
@@ -311,14 +249,14 @@ def error_envelope_bidfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelope:
     return ErrorEnvelope(f_r=f_r, f_c=f_c)
 
 
-def error_envelope_bidcdfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelope:
+def _corrected_envelope(inputs: TheoryInputs, c: float) -> ErrorEnvelope:
     """Degree-corrected misclustering envelopes.
 
     When the cluster counts agree, the normalized-embedding geometry pins
     ``delta_c_star = sqrt(2)`` and ``m_v_c = 1``; otherwise both must be
-    supplied in ``inputs``.
+    supplied in ``inputs``.  A zero ``delta_c_star`` voids the column
+    guarantee: ``f_c`` is then infinite.
     """
-    _require(inputs, "degree-corrected envelope", "theta_r_min", "theta_c_min", *_BALANCE)
     balance = _theta_balance(inputs)
     log_n = math.log(inputs.n_r + inputs.n_c)
     sigma2 = inputs.sigma_min_mixing**2
@@ -348,6 +286,8 @@ def error_envelope_bidcdfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelop
             )
         delta_star = math.sqrt(2.0) if delta_star is None else delta_star
         m_v_c = 1.0 if m_v_c is None else m_v_c
+    if delta_star == 0:
+        return ErrorEnvelope(f_r=f_r, f_c=math.inf)
     f_c = (
         c
         * inputs.gamma
@@ -368,6 +308,87 @@ def error_envelope_bidcdfm(inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelop
         )
     )
     return ErrorEnvelope(f_r=f_r, f_c=f_c)
+
+
+# A model's theory: its name in messages, the optional inputs its signal
+# reads, the further ones its envelope reads, its signal ``(s, m)`` (see
+# check_assumption and deviation_bound) and its ``envelope(inputs, c)``.
+_Theory = namedtuple("_Theory", "label signal_fields envelope_fields signal envelope")
+
+_THEORIES = {
+    "bidfm": _Theory(
+        "plain-model", ("rho",), (),
+        lambda inputs: (inputs.rho, max(inputs.n_r, inputs.n_c)),
+        _plain_envelope,
+    ),
+    "bidcdfm": _Theory(
+        "degree-corrected",
+        ("theta_r_max", "theta_c_max", "theta_r_l1", "theta_c_l1"),
+        ("theta_r_min", "theta_c_min"),
+        lambda inputs: (_theta_balance(inputs), 1.0),
+        _corrected_envelope,
+    ),
+}
+
+MODELS = tuple(_THEORIES)
+
+
+def _theory(model: str, inputs: TheoryInputs, what: str, envelope: bool = False):
+    """``model``'s row of ``_THEORIES``; raises one ``ValidationError``
+    naming every optional field that ``what`` reads and ``inputs`` leaves
+    at ``None``."""
+    if model not in _THEORIES:
+        raise ValidationError(f"unknown model {model!r}")
+    theory = _THEORIES[model]
+    fields = theory.signal_fields
+    if envelope:
+        fields = theory.envelope_fields + fields
+    missing = [name for name in fields if getattr(inputs, name) is None]
+    if missing:
+        raise ValidationError(f"{theory.label} {what} needs {', '.join(missing)}")
+    return theory
+
+
+def check_assumption(model: str, inputs: TheoryInputs) -> AssumptionCheck:
+    """Signal-strength requirement of ``model``:
+    ``gamma * s >= tau^2 log(n_r + n_c) / m``, where ``(s, m)`` is
+    ``(rho, max(n_r, n_c))`` for the plain model and
+    ``(max(theta_r_max * |theta_c|_1, theta_c_max * |theta_r|_1), 1)`` for
+    the degree-corrected one."""
+    s, m = _theory(model, inputs, "assumption check").signal(inputs)
+    lhs = inputs.gamma * s
+    if math.isinf(inputs.tau):
+        return AssumptionCheck(
+            holds=None,
+            ratio=None,
+            lhs=lhs,
+            rhs=None,
+            note="tau is unbounded for this law; substitute an empirical "
+            "max|A - Omega| (heuristic) to obtain a verdict",
+        )
+    rhs = inputs.tau**2 * math.log(inputs.n_r + inputs.n_c) / m
+    note = (
+        "tau is an empirical max|A - Omega| surrogate; the verdict is heuristic"
+        if inputs.tau_is_empirical
+        else ""
+    )
+    return AssumptionCheck(holds=lhs >= rhs, ratio=lhs / rhs, lhs=lhs, rhs=rhs, note=note)
+
+
+def deviation_bound(model: str, inputs: TheoryInputs, c_alpha: float = 1.0) -> float:
+    """High-probability bound on the spectral norm of ``A - Omega``:
+    ``C_alpha * sqrt(gamma * s * m * log(n_r + n_c))``, with ``model``'s
+    signal ``(s, m)`` as in :func:`check_assumption`.  The two models'
+    bounds agree when every theta is ``sqrt(rho)``."""
+    s, m = _theory(model, inputs, "deviation bound").signal(inputs)
+    return c_alpha * math.sqrt(inputs.gamma * s * m * math.log(inputs.n_r + inputs.n_c))
+
+
+def error_envelope(model: str, inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelope:
+    """Order-of-magnitude misclustering envelopes ``(f_r, f_c)`` of
+    ``model``; see :func:`_plain_envelope` and :func:`_corrected_envelope`
+    for the formulas and the gaps they substitute."""
+    return _theory(model, inputs, "envelope", envelope=True).envelope(inputs, c)
 
 
 def _cluster_rows(matrix, labels):

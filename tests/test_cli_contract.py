@@ -2,9 +2,10 @@
 returns 0, 1, 2 or 3 and lets no exception escape.
 
 Hypothesis writes small, often malformed matrix, label and JSON files and
-calls ``cli.main`` on them in-process.  Every size and label it draws is
-small, apart from values that no array can hold (``10**29``,
-``99999999999999999999``), so no example asks for a large allocation.
+calls ``cli.main`` on them in-process.  Every size it draws is small, apart
+from values that no array can hold (``10**29``), so no example asks for a
+large allocation.  Labels come from the whole int64 range and beyond it
+(``99999999999999999999``).
 """
 import json
 import os
@@ -24,7 +25,7 @@ NUMBER = st.sampled_from(["0", "1", "2", "0.5", "-1", "1e308", "-1e308"])
 BAD_VALUE = st.sampled_from(["nan", "inf", "x", "1,2", ""])
 BAD_DIMS = st.sampled_from(["0 2", "-1 2", "2", "a b", "2 2 2", f"{HUGE} 1", f"1 {HUGE}",
                             "1 100000000"])
-LABEL = st.sampled_from(["1", "2", "3"])
+LABEL = st.sampled_from(["1", "2", "3"]) | st.integers(1, 2**63 - 1).map(str)
 COUNT = st.sampled_from(["1", "2", "3", "0", "-1"])
 BAD_LABEL = st.sampled_from(["0", "-1", "1.5", "x", "", HUGE_LABEL])
 
@@ -172,6 +173,9 @@ REPEATED_ID = "1\t1\n2\t2\n1\t1\n"
            "--truth-cols", "{ok}"], {"ok": "1\t1\n2\t2\n", "bad": "1\t0\n2\t1\n"}))
 @example((["evaluate", "--est-rows", "{bad}", "--truth-rows", "{ok}", "--est-cols", "{ok}",
            "--truth-cols", "{ok}"], {"ok": "1\t1\n2\t2\n", "bad": f"1\t{HUGE_LABEL}\n2\t1\n"}))
+@example((["evaluate", "--est-rows", "{ok}", "--truth-rows", "{huge}", "--est-cols", "{ok}",
+           "--truth-cols", "{ok}"], {"ok": "1\t1\n2\t2\n3\t1\n",
+                                     "huge": f"1\t1\n2\t{2**62}\n3\t1\n"}))
 @example((["detect", "--input", "{m}", "--alg", "bisc", "--kr", "1", "--kc", "1"],
           {"m": "2 2\n1 2\n1 x\n"}))
 @example((["detect", "--input", "{m}", "--alg", "bisc", "--kr", "1", "--kc", "1"],

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import stat
 import subprocess
@@ -10,8 +12,9 @@ import pytest
 from bidfm import fileio
 from bidfm.cli import main
 from bidfm.errors import ParseError, ValidationError
-from bidfm.model import P2
-from bidfm.theory import check_assumption2, deviation_bound_bidcdfm, error_envelope_bidcdfm
+from bidfm.model import P2, BiDCDFMParams, BiDFMParams, Membership
+from bidfm.sampling import DistributionSpec
+from bidfm.theory import check_assumption, deviation_bound, error_envelope, theory_inputs
 
 
 # every field the assumption checks, bounds and envelopes of both models read
@@ -381,6 +384,16 @@ class TestCli:
         assert float(row[2]) == 0.0  # combined error rate
         assert float(row[5]) == 1.0  # combined nmi
 
+    @pytest.mark.parametrize("huge", [2**62, 2**63 - 1])
+    def test_evaluate_huge_label(self, tmp_path, capsys, huge):
+        # a label far past the node count scores like any other name
+        truth, est = tmp_path / "truth.txt", tmp_path / "est.txt"
+        fileio.write_labels(truth, ["1", "2", "3"], [1, 2, 1])
+        fileio.write_labels(est, ["1", "2", "3"], [1, huge, 1])
+        assert main(["evaluate", "--est-rows", str(est), "--truth-rows", str(truth),
+                     "--est-cols", str(truth), "--truth-cols", str(est)]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == "0,0,0,1,1,1,1,1,1"
+
     def test_evaluate_rejects_mismatched_ids(self, tmp_path, capsys):
         truth, est = tmp_path / "truth.txt", tmp_path / "est.txt"
         fileio.write_labels(truth, ["1", "2", "3", "4"], [1, 2, 1, 2])
@@ -531,12 +544,12 @@ class TestCli:
         assert main(["theory", "--config", str(path), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         inputs = fileio.theory_inputs_from_config(THEORY_INPUTS)
-        check = check_assumption2(inputs)
-        envelope = error_envelope_bidcdfm(inputs)
+        check = check_assumption("bidcdfm", inputs)
+        envelope = error_envelope("bidcdfm", inputs)
         assert payload == {
             "model": "bidcdfm", "assumption_holds": check.holds,
             "assumption_ratio": check.ratio, "assumption_note": "",
-            "spectral_deviation_bound": deviation_bound_bidcdfm(inputs, 2.0),
+            "spectral_deviation_bound": deviation_bound("bidcdfm", inputs, 2.0),
             "row_error_envelope": envelope.f_r, "col_error_envelope": envelope.f_c,
         }
 
@@ -547,6 +560,95 @@ class TestCli:
         path.write_text(json.dumps({"model": "bidcdfm", "inputs": inputs}))
         assert main(["theory", "--config", str(path)]) == 2
         assert "needs theta_c_l1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [
+        BiDFMParams(Membership([1, 1, 1, 1]), Membership([1, 2, 1, 2]), [[1.0, 1.0]], 0.5),
+        BiDCDFMParams(Membership([1, 1, 1, 1]), Membership([1, 2, 1, 2]), [[1.0, 0.5]],
+                      [0.5] * 4, [0.5] * 4),
+    ], ids=["bidfm", "bidcdfm"])
+    def test_theory_zero_column_gap(self, tmp_path, capsys, params):
+        # two column clusters whose population rows coincide: the report
+        # still comes out, with an infinite column envelope
+        model = "bidfm" if isinstance(params, BiDFMParams) else "bidcdfm"
+        inputs = dataclasses.asdict(theory_inputs(params, DistributionSpec("bernoulli")))
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"model": model, "inputs": inputs}))
+        assert main(["theory", "--config", str(path), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["col_error_envelope"] == math.inf
+        assert math.isfinite(payload["row_error_envelope"])
+
+    @pytest.mark.parametrize("config, csv, json_text", [
+        ({"inputs": {**THEORY_INPUTS, "k_c": 3, "delta_c": 0.2}},
+         "# bidfm theory report v1\n"
+         "quantity,value\n"
+         "model,bidfm\n"
+         "assumption_holds,True\n"
+         "assumption_ratio,24.136678874100372\n"
+         "assumption_note,\n"
+         "spectral_deviation_bound,30.531806608245912\n"
+         "row_error_envelope,5.787148282128602\n"
+         "col_error_envelope,1.2682873670249368\n",
+         '{\n'
+         '  "model": "bidfm",\n'
+         '  "assumption_holds": true,\n'
+         '  "assumption_ratio": 24.136678874100372,\n'
+         '  "assumption_note": "",\n'
+         '  "spectral_deviation_bound": 30.531806608245912,\n'
+         '  "row_error_envelope": 5.787148282128602,\n'
+         '  "col_error_envelope": 1.2682873670249368\n'
+         '}\n'),
+        ({"model": "bidcdfm", "inputs": THEORY_INPUTS, "c_alpha": 2.0, "c": 0.5},
+         "# bidfm theory report v1\n"
+         "quantity,value\n"
+         "model,bidcdfm\n"
+         "assumption_holds,True\n"
+         "assumption_ratio,30.41221538136647\n"
+         "assumption_note,\n"
+         "spectral_deviation_bound,68.54373583637805\n"
+         "row_error_envelope,47.25090829392361\n"
+         "col_error_envelope,22.09133374780844\n",
+         '{\n'
+         '  "model": "bidcdfm",\n'
+         '  "assumption_holds": true,\n'
+         '  "assumption_ratio": 30.41221538136647,\n'
+         '  "assumption_note": "",\n'
+         '  "spectral_deviation_bound": 68.54373583637805,\n'
+         '  "row_error_envelope": 47.25090829392361,\n'
+         '  "col_error_envelope": 22.09133374780844\n'
+         '}\n'),
+        ({"model": "bidcdfm", "inputs": {**{k: v for k, v in THEORY_INPUTS.items()
+                                            if k != "tau"},
+                                         "k_c": 3, "delta_c_star": 1.2, "m_v_c": 0.9}},
+         "# bidfm theory report v1\n"
+         "quantity,value\n"
+         "model,bidcdfm\n"
+         "assumption_holds,None\n"
+         "assumption_ratio,None\n"
+         "assumption_note,tau is unbounded for this law; substitute an empirical "
+         "max|A - Omega| (heuristic) to obtain a verdict\n"
+         "spectral_deviation_bound,34.271867918189024\n"
+         "row_error_envelope,94.50181658784722\n"
+         "col_error_envelope,113.63854808543434\n",
+         '{\n'
+         '  "model": "bidcdfm",\n'
+         '  "assumption_holds": null,\n'
+         '  "assumption_ratio": null,\n'
+         '  "assumption_note": "tau is unbounded for this law; substitute an empirical '
+         'max|A - Omega| (heuristic) to obtain a verdict",\n'
+         '  "spectral_deviation_bound": 34.271867918189024,\n'
+         '  "row_error_envelope": 94.50181658784722,\n'
+         '  "col_error_envelope": 113.63854808543434\n'
+         '}\n'),
+    ], ids=["bidfm", "bidcdfm", "bidcdfm-unbounded-tau"])
+    def test_theory_report_bytes(self, tmp_path, capsys, config, csv, json_text):
+        # both report formats of both models, byte for byte
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps(config))
+        assert main(["theory", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == csv
+        assert main(["theory", "--config", str(path), "--format", "json"]) == 0
+        assert capsys.readouterr().out == json_text
 
     def test_degree_corrected_sweep_out_of_law_writes_nothing(self, tmp_path, capsys):
         # thetas reach up to sqrt(rho), so rho = 3 breaks the Bernoulli range

@@ -206,6 +206,20 @@ class TestInvarianceProperties:
             assert nmi(est, truth) < 1.0
             assert ari(est, truth) < 1.0
 
+    @pytest.mark.parametrize("top", [7, 2**62], ids=["within-node-count", "past-node-count"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_label_gaps_change_no_score(self, seed, top):
+        # labels 1, 2, 3 renamed 1, 3, top leave empty clusters between them;
+        # past the node count (12) a side is compacted before counting
+        rng = np.random.default_rng(700 + seed)
+        est, truth = rng.integers(1, 4, 12), rng.integers(1, 4, 12)
+        gapped = np.array([0, 1, 3, top])
+        for pair in ((gapped[est], truth), (est, gapped[truth]), (gapped[est], gapped[truth])):
+            assert hamming_error(*pair) == hamming_error(est, truth)
+            assert nmi(*pair) == nmi(est, truth)
+            assert ari(*pair) == ari(est, truth)
+            assert criterion_f(*pair) == criterion_f(est, truth)
+
 
 class TestCombinedReport:
     def test_perfect_sides(self):

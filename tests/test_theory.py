@@ -19,13 +19,10 @@ from bidfm.model import (
 from bidfm.sampling import DistributionSpec
 from bidfm.theory import (
     TheoryInputs,
-    check_assumption1,
-    check_assumption2,
-    deviation_bound_bidcdfm,
-    deviation_bound_bidfm,
+    check_assumption,
+    deviation_bound,
     empirical_tau,
-    error_envelope_bidcdfm,
-    error_envelope_bidfm,
+    error_envelope,
     gamma_tau,
     population_geometry_check,
     population_svd_oracle,
@@ -105,25 +102,25 @@ class TestGammaTau:
 
 class TestAssumptionChecks:
     def test_comfortably_holds(self):
-        check = check_assumption1(basic_inputs())
+        check = check_assumption("bidfm", basic_inputs())
         rhs = math.log(500) / 300
         assert check.holds is True
         assert check.ratio == pytest.approx(0.5 / rhs)
 
     def test_boundary(self):
         rho = math.log(500) / 300
-        check = check_assumption1(basic_inputs(rho=rho))
+        check = check_assumption("bidfm", basic_inputs(rho=rho))
         assert check.holds is True
         assert check.ratio == pytest.approx(1.0)
 
     def test_fails_below_boundary(self):
         rho = 0.5 * math.log(500) / 300
-        check = check_assumption1(basic_inputs(rho=rho))
+        check = check_assumption("bidfm", basic_inputs(rho=rho))
         assert check.holds is False
         assert check.ratio == pytest.approx(0.5)
 
     def test_unbounded_tau_indeterminate(self):
-        check = check_assumption1(basic_inputs(tau=math.inf))
+        check = check_assumption("bidfm", basic_inputs(tau=math.inf))
         assert check.holds is None
         assert "empirical" in check.note
 
@@ -134,8 +131,8 @@ class TestAssumptionChecks:
             theta_r_min=root, theta_r_max=root, theta_c_min=root,
             theta_c_max=root, theta_r_l1=200 * root, theta_c_l1=300 * root,
         )
-        one = check_assumption1(inputs)
-        two = check_assumption2(inputs)
+        one = check_assumption("bidfm", inputs)
+        two = check_assumption("bidcdfm", inputs)
         assert one.holds == two.holds
         assert one.ratio == pytest.approx(two.ratio, rel=1e-12)
 
@@ -144,7 +141,7 @@ class TestAssumptionChecks:
             gamma=1.0, tau=1.0, theta_r_min=0.1, theta_r_max=0.9,
             theta_c_min=0.1, theta_c_max=0.8, theta_r_l1=100.0, theta_c_l1=120.0,
         )
-        check = check_assumption2(inputs)
+        check = check_assumption("bidcdfm", inputs)
         lhs = max(0.9 * 120.0, 0.8 * 100.0)
         assert check.holds is True
         assert check.ratio == pytest.approx(lhs / math.log(500))
@@ -155,18 +152,18 @@ class TestDeviationBounds:
         # choose rho so the product under the square root is exactly 100
         rho = 100.0 / (300 * math.log(500))
         inputs = basic_inputs(gamma=1.0, rho=rho)
-        assert deviation_bound_bidfm(inputs, 1.0) == pytest.approx(10.0)
+        assert deviation_bound("bidfm", inputs, 1.0) == pytest.approx(10.0)
 
     def test_simulation_shape_value(self):
         inputs = basic_inputs()
         expected = math.sqrt(1.0 * 0.5 * 300 * math.log(500))
-        assert deviation_bound_bidfm(inputs, 1.0) == pytest.approx(expected)
-        assert deviation_bound_bidfm(inputs, 2.5) == pytest.approx(2.5 * expected)
+        assert deviation_bound("bidfm", inputs, 1.0) == pytest.approx(expected)
+        assert deviation_bound("bidfm", inputs, 2.5) == pytest.approx(2.5 * expected)
 
     def test_monotone_in_size(self):
         small = basic_inputs()
         large = basic_inputs(n_c=600)
-        ratio = deviation_bound_bidfm(large) / deviation_bound_bidfm(small)
+        ratio = deviation_bound("bidfm", large) / deviation_bound("bidfm", small)
         assert ratio == pytest.approx(
             math.sqrt(2.0 * math.log(800) / math.log(500))
         )
@@ -178,8 +175,8 @@ class TestDeviationBounds:
             theta_r_min=root, theta_r_max=root, theta_c_min=root,
             theta_c_max=root, theta_r_l1=200 * root, theta_c_l1=300 * root,
         )
-        assert deviation_bound_bidcdfm(inputs) == pytest.approx(
-            deviation_bound_bidfm(inputs), rel=1e-12
+        assert deviation_bound("bidcdfm", inputs) == pytest.approx(
+            deviation_bound("bidfm", inputs), rel=1e-12
         )
 
     def test_degree_corrected_direct_case(self):
@@ -189,17 +186,17 @@ class TestDeviationBounds:
             theta_r_l1=100.0, theta_c_l1=120.0,
         )
         expected = math.sqrt(2.0 * max(0.9 * 120, 0.8 * 100) * math.log(500))
-        assert deviation_bound_bidcdfm(inputs) == pytest.approx(expected)
+        assert deviation_bound("bidcdfm", inputs) == pytest.approx(expected)
 
 
 class TestErrorEnvelopes:
     def test_plain_direct_evaluation(self):
         inputs = basic_inputs(delta_c=0.2)
         tail = 300 * math.log(500) / (0.25 * 0.5 * 90 * 95)
-        assert error_envelope_bidfm(inputs).f_r == pytest.approx(
+        assert error_envelope("bidfm", inputs).f_r == pytest.approx(
             1.0 * 4 * 110 / 90 * tail
         )
-        assert error_envelope_bidfm(inputs).f_c == pytest.approx(
+        assert error_envelope("bidfm", inputs).f_c == pytest.approx(
             1.0 * 6 / (0.04 * 95) * tail
         )
 
@@ -207,13 +204,13 @@ class TestErrorEnvelopes:
         inputs = basic_inputs(k_c=2)
         expected_gap2 = 2.0 / 105
         tail = 300 * math.log(500) / (0.25 * 0.5 * 90 * 95)
-        assert error_envelope_bidfm(inputs).f_c == pytest.approx(
+        assert error_envelope("bidfm", inputs).f_c == pytest.approx(
             4 / (expected_gap2 * 95) * tail
         )
 
     def test_plain_needs_gap_when_counts_differ(self):
         with pytest.raises(ValidationError):
-            error_envelope_bidfm(basic_inputs(delta_c=None))
+            error_envelope("bidfm", basic_inputs(delta_c=None))
 
     def test_degree_corrected_direct_evaluation(self):
         inputs = basic_inputs(
@@ -229,7 +226,7 @@ class TestErrorEnvelopes:
         f_c = 1.5 * 0.64 * 4 * 105 * balance * log_n / (
             0.2**2 * 0.3**4 * 0.25 * 2.0 * 1.0 * 90 * 95**2
         )
-        envelope = error_envelope_bidcdfm(inputs)
+        envelope = error_envelope("bidcdfm", inputs)
         assert envelope.f_r == pytest.approx(f_r)
         assert envelope.f_c == pytest.approx(f_c)
 
@@ -243,8 +240,8 @@ class TestErrorEnvelopes:
             theta_c_min=root, theta_c_max=root, theta_r_l1=200 * root,
             theta_c_l1=300 * root,
         )
-        plain = error_envelope_bidfm(inputs)
-        corrected = error_envelope_bidcdfm(inputs)
+        plain = error_envelope("bidfm", inputs)
+        corrected = error_envelope("bidcdfm", inputs)
         assert corrected.f_r == pytest.approx(plain.f_r, rel=1e-12)
         assert corrected.f_c == pytest.approx(plain.f_c, rel=1e-12)
 
@@ -255,8 +252,8 @@ class TestErrorEnvelopes:
             ("sigma_min_mixing", -1), ("gamma", +1),
         ):
             bumped = dataclasses.replace(base, **{field: getattr(base, field) * 1.25})
-            before = error_envelope_bidfm(base)
-            after = error_envelope_bidfm(bumped)
+            before = error_envelope("bidfm", base)
+            after = error_envelope("bidfm", bumped)
             for attr in ("f_r", "f_c"):
                 delta = getattr(after, attr) - getattr(before, attr)
                 assert direction * delta > 0, (field, attr)
@@ -270,23 +267,28 @@ THETAS = dict(theta_r_min=0.2, theta_r_max=0.9, theta_c_min=0.3, theta_c_max=0.8
 class TestMissingInputs:
     # each check, bound and envelope names every optional field it needs
     # that the inputs leave out, in one error
-    @pytest.mark.parametrize("function, given, message", [
-        (check_assumption1, {}, "assumption check for the plain model needs rho"),
-        (deviation_bound_bidfm, {}, "plain-model deviation bound needs rho"),
-        (error_envelope_bidfm, {}, "plain-model envelope needs rho"),
-        (check_assumption2, {}, "assumption check for the degree-corrected model needs "
+    @pytest.mark.parametrize("function, model, given, message", [
+        (check_assumption, "bidfm", {}, "plain-model assumption check needs rho"),
+        (deviation_bound, "bidfm", {}, "plain-model deviation bound needs rho"),
+        (error_envelope, "bidfm", {}, "plain-model envelope needs rho"),
+        (check_assumption, "bidcdfm", {}, "degree-corrected assumption check needs "
          "theta_r_max, theta_c_max, theta_r_l1, theta_c_l1"),
-        (deviation_bound_bidcdfm, {"theta_r_max": 0.9},
+        (deviation_bound, "bidcdfm", {"theta_r_max": 0.9},
          "degree-corrected deviation bound needs theta_c_max, theta_r_l1, theta_c_l1"),
-        (error_envelope_bidcdfm, {}, "degree-corrected envelope needs theta_r_min, "
+        (error_envelope, "bidcdfm", {}, "degree-corrected envelope needs theta_r_min, "
          "theta_c_min, theta_r_max, theta_c_max, theta_r_l1, theta_c_l1"),
-        (error_envelope_bidcdfm, {k: v for k, v in THETAS.items() if k != "theta_c_min"},
+        (error_envelope, "bidcdfm", {k: v for k, v in THETAS.items() if k != "theta_c_min"},
          "degree-corrected envelope needs theta_c_min$"),
     ], ids=["assumption1", "bound-bidfm", "envelope-bidfm", "assumption2", "bound-bidcdfm",
             "envelope-bidcdfm", "envelope-bidcdfm-one-missing"])
-    def test_every_missing_field_named(self, function, given, message):
+    def test_every_missing_field_named(self, function, model, given, message):
         with pytest.raises(ValidationError, match=message):
-            function(basic_inputs(k_c=2, rho=None, **given))
+            function(model, basic_inputs(k_c=2, rho=None, **given))
+
+    @pytest.mark.parametrize("function", [check_assumption, deviation_bound, error_envelope])
+    def test_unknown_model(self, function):
+        with pytest.raises(ValidationError, match="unknown model 'sbm'"):
+            function("sbm", basic_inputs())
 
 
 class TestEmpiricalTau:
@@ -309,7 +311,7 @@ class TestEmpiricalTau:
         inputs = theory_inputs(params, spec, observed=a)
         assert math.isfinite(inputs.tau)
         assert inputs.tau_is_empirical
-        check = check_assumption1(inputs)
+        check = check_assumption("bidfm", inputs)
         assert check.holds is not None
         assert "heuristic" in check.note
 
@@ -416,3 +418,40 @@ class TestTheoryInputs:
         assert inputs.delta_c == pytest.approx(
             math.sqrt(1 / sizes[0] + 1 / sizes[1]), abs=1e-9
         )
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValidationError, match="delta_c_star must be non-negative, got -0.1"):
+            basic_inputs(delta_c_star=-0.1)
+
+
+# K_r = 1 with two mixing entries of one sign: the two column clusters'
+# row-normalized population rows coincide (delta_c_star = 0), and with equal
+# entries the raw rows too (delta_c = 0)
+COINCIDING = {
+    "plain": BiDFMParams(Membership([1, 1, 1, 1]), Membership([1, 2, 1, 2]),
+                         [[1.0, 0.5]], 0.5),
+    "plain-equal-entries": BiDFMParams(Membership([1, 1, 1, 1]), Membership([1, 2, 1, 2]),
+                                       [[1.0, 1.0]], 0.5),
+    "degree-corrected": BiDCDFMParams(Membership([1, 1, 1, 1]), Membership([1, 2, 1, 2]),
+                                      [[1.0, 0.5]], [0.5] * 4, [0.5] * 4),
+}
+
+
+class TestCoincidingColumnClusters:
+    @pytest.mark.parametrize("name", list(COINCIDING))
+    def test_inputs_admit_zero_gaps(self, name):
+        inputs = theory_inputs(COINCIDING[name], DistributionSpec("bernoulli"))
+        assert inputs.delta_c_star == 0.0
+        assert (inputs.delta_c == 0.0) == (name == "plain-equal-entries")
+
+    @pytest.mark.parametrize("name", list(COINCIDING))
+    def test_zero_gap_voids_only_the_column_envelope(self, name):
+        params = COINCIDING[name]
+        if isinstance(params, BiDFMParams):
+            plain = error_envelope("bidfm", theory_inputs(params, DistributionSpec("bernoulli")))
+            assert math.isfinite(plain.f_r)
+            assert math.isinf(plain.f_c) == (name == "plain-equal-entries")
+            params = BiDCDFMParams.from_bidfm(params)
+        corrected = error_envelope("bidcdfm", theory_inputs(params, DistributionSpec("bernoulli")))
+        assert math.isfinite(corrected.f_r)
+        assert corrected.f_c == math.inf
