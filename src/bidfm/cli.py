@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import detect as detect_mod
@@ -254,9 +255,12 @@ def _cmd_theory(args):
         "row_error_envelope": envelope.f_r,
         "col_error_envelope": envelope.f_c,
     }
-    _emit(args, payload, "# bidfm theory report v1\nquantity,value\n" + "\n".join(
+    csv_text = "# bidfm theory report v1\nquantity,value\n" + "\n".join(
         f"{k},{v}" for k, v in payload.items()
-    ) + "\n")
+    ) + "\n"
+    # JSON has no infinity: a void bound (inf in CSV) is written as null
+    _emit(args, {k: None if isinstance(v, float) and not math.isfinite(v) else v
+                 for k, v in payload.items()}, csv_text)
     return 0
 
 

@@ -32,29 +32,21 @@ def _coerce_pair(estimated, truth):
     return est, tru
 
 
-def _compact(membership):
-    """``membership`` renumbered to the clusters that occur, in increasing
-    order, when it names more clusters than it has nodes; no score depends on
-    empty clusters, and a label such as 2**62 then needs no 2**62 columns."""
-    if membership.n_clusters <= len(membership):
-        return membership
-    occurring, labels = np.unique(membership.labels, return_inverse=True)
-    return Membership(labels + 1, n_clusters=len(occurring))
-
-
 def confusion_matrix(estimated, truth) -> np.ndarray:
-    """Counts of common nodes: entry (k, l) pairs truth cluster k with
-    estimated cluster l.  A side with more clusters than nodes is first
-    renumbered to its occurring clusters (see :func:`_compact`)."""
-    est, tru = (_compact(m) for m in _coerce_pair(estimated, truth))
-    counts = np.zeros((tru.n_clusters, est.n_clusters), dtype=np.int64)
-    np.add.at(counts, (tru.labels - 1, est.labels - 1), 1)
+    """Counts of common nodes: entry (k, l) pairs the k-th truth cluster with
+    the l-th estimated cluster, counting only the clusters that occur, in
+    increasing label order.  No score depends on empty clusters, and a label
+    such as 2**62 then needs no 2**62 columns."""
+    est, tru = _coerce_pair(estimated, truth)
+    tru_ids, rows = np.unique(tru.labels, return_inverse=True)
+    est_ids, cols = np.unique(est.labels, return_inverse=True)
+    counts = np.zeros((len(tru_ids), len(est_ids)), dtype=np.int64)
+    np.add.at(counts, (rows, cols), 1)
     return counts
 
 
-def _square_confusion(estimated, truth):
-    """Confusion matrix padded with empty clusters to a square shape."""
-    c = confusion_matrix(estimated, truth)
+def _square(c):
+    """Confusion matrix ``c`` padded with empty clusters to a square shape."""
     k = max(c.shape)
     padded = np.zeros((k, k), dtype=np.int64)
     padded[: c.shape[0], : c.shape[1]] = c
@@ -68,7 +60,11 @@ def hamming_error(estimated, truth) -> float:
     the smaller partition is padded with empty clusters when the cluster
     counts differ.
     """
-    c = _square_confusion(estimated, truth)
+    return _hamming(confusion_matrix(estimated, truth))
+
+
+def _hamming(counts) -> float:
+    c = _square(counts)
     n = int(c.sum())
     from scipy.optimize import linear_sum_assignment
 
@@ -84,7 +80,11 @@ def nmi(estimated, truth) -> float:
     single cluster the normalizer vanishes; the value is then 1, since the
     partitions are identical.
     """
-    c = confusion_matrix(estimated, truth).astype(float)
+    return _nmi(confusion_matrix(estimated, truth))
+
+
+def _nmi(counts) -> float:
+    c = counts.astype(float)
     n = c.sum()
     row = c.sum(axis=1)
     col = c.sum(axis=0)
@@ -94,7 +94,6 @@ def nmi(estimated, truth) -> float:
     numer = -2.0 * float(
         (c[nz] * np.log(c[nz] * n / np.outer(row, col)[nz])).sum()
     )
-    row, col = row[row > 0], col[col > 0]  # 0 log 0 = 0 for empty clusters
     denom = float((row * np.log(row / n)).sum() + (col * np.log(col / n)).sum())
     return float(min(max(numer / denom, 0.0), 1.0))
 
@@ -105,11 +104,13 @@ def ari(estimated, truth) -> float:
     Degenerate normalizers (both partitions all singletons, or both a single
     cluster) yield 1 for identical partitions and 0 otherwise.
     """
-    est, tru = _coerce_pair(estimated, truth)
-    n = len(est)
+    return _ari(confusion_matrix(estimated, truth))
+
+
+def _ari(c) -> float:
+    n = int(c.sum())
     if n < 2:
         raise DimensionError("adjusted Rand index needs at least 2 nodes")
-    c = confusion_matrix(est, tru)
     index = sum(math.comb(int(v), 2) for v in c.ravel())
     sum_rows = sum(math.comb(int(v), 2) for v in c.sum(axis=1))
     sum_cols = sum(math.comb(int(v), 2) for v in c.sum(axis=0))
@@ -151,13 +152,13 @@ class MetricsReport:
 
 def combined_report(est_r, truth_r, est_c, truth_c) -> MetricsReport:
     """Score both sides and combine: max of the error rates, min of NMI and
-    of ARI, so the combined numbers reflect the worse side."""
-    e_r = hamming_error(est_r, truth_r)
-    e_c = hamming_error(est_c, truth_c)
-    n_r = nmi(est_r, truth_r)
-    n_c = nmi(est_c, truth_c)
-    a_r = ari(est_r, truth_r)
-    a_c = ari(est_c, truth_c)
+    of ARI, so the combined numbers reflect the worse side.  Each side's
+    confusion matrix is built once for its three scores."""
+    c_r = confusion_matrix(est_r, truth_r)
+    c_c = confusion_matrix(est_c, truth_c)
+    e_r, e_c = _hamming(c_r), _hamming(c_c)
+    n_r, n_c = _nmi(c_r), _nmi(c_c)
+    a_r, a_c = _ari(c_r), _ari(c_c)
     return MetricsReport(
         error_rate_r=e_r,
         error_rate_c=e_c,
@@ -174,7 +175,7 @@ def combined_report(est_r, truth_r, est_c, truth_c) -> MetricsReport:
 def _criterion_costs(estimated, truth):
     """Cost matrix M[k, j] = symmetric-difference size of truth cluster k and
     estimated cluster j, divided by the truth cluster size."""
-    c = _square_confusion(estimated, truth).astype(float)
+    c = _square(confusion_matrix(estimated, truth)).astype(float)
     truth_sizes = c.sum(axis=1)
     est_sizes = c.sum(axis=0)
     raw = truth_sizes[:, None] + est_sizes[None, :] - 2.0 * c

@@ -568,14 +568,15 @@ class TestCli:
     ], ids=["bidfm", "bidcdfm"])
     def test_theory_zero_column_gap(self, tmp_path, capsys, params):
         # two column clusters whose population rows coincide: the report
-        # still comes out, with an infinite column envelope
+        # still comes out, with an infinite column envelope (null in JSON)
         model = "bidfm" if isinstance(params, BiDFMParams) else "bidcdfm"
         inputs = dataclasses.asdict(theory_inputs(params, DistributionSpec("bernoulli")))
         path = tmp_path / "theory.json"
         path.write_text(json.dumps({"model": model, "inputs": inputs}))
         assert main(["theory", "--config", str(path), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["col_error_envelope"] == math.inf
+        # standard JSON: Infinity or NaN would reach parse_constant and fail
+        payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert payload["col_error_envelope"] is None
         assert math.isfinite(payload["row_error_envelope"])
 
     @pytest.mark.parametrize("config, csv, json_text", [

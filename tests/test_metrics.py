@@ -209,8 +209,8 @@ class TestInvarianceProperties:
     @pytest.mark.parametrize("top", [7, 2**62], ids=["within-node-count", "past-node-count"])
     @pytest.mark.parametrize("seed", range(10))
     def test_label_gaps_change_no_score(self, seed, top):
-        # labels 1, 2, 3 renamed 1, 3, top leave empty clusters between them;
-        # past the node count (12) a side is compacted before counting
+        # labels 1, 2, 3 renamed 1, 3, top leave empty clusters between them,
+        # below and past the node count (12)
         rng = np.random.default_rng(700 + seed)
         est, truth = rng.integers(1, 4, 12), rng.integers(1, 4, 12)
         gapped = np.array([0, 1, 3, top])
@@ -219,6 +219,12 @@ class TestInvarianceProperties:
             assert nmi(*pair) == nmi(est, truth)
             assert ari(*pair) == ari(est, truth)
             assert criterion_f(*pair) == criterion_f(est, truth)
+
+    def test_confusion_counts_only_occurring_clusters(self):
+        # 20,000 nodes in clusters 1 and 20000: a 2 x 2 count, not 20000 x 20000
+        labels = np.repeat([1, 20000], 10000)
+        assert np.array_equal(confusion_matrix(labels, labels[::-1]), [[0, 10000], [10000, 0]])
+        assert hamming_error(labels, labels[::-1]) == 0.0
 
 
 class TestCombinedReport:
