@@ -19,7 +19,7 @@ import numpy as np
 from . import detect
 from .errors import BidfmError, DimensionError, DomainError, ValidationError
 from .linalg import _count, _rng, as_matrix, truncated_svd
-from .metrics import ari, combined_report, hamming_error, nmi
+from .metrics import _scores, combined_report, confusion_matrix
 from .model import (
     P1,
     P2,
@@ -404,9 +404,10 @@ def filter_zero_degree(a, mode: str) -> FilterResult:
 def row_column_similarity(row_labels, col_labels) -> tuple:
     """Compare the row and column partitions of a shared node universe.
 
-    Returns ``(hamming, nmi, ari)`` between the two estimated partitions; no
-    ground truth is involved.  A large Hamming value (or small NMI/ARI)
-    indicates an asymmetric sending/receiving structure.
+    Returns ``(hamming, nmi, ari)`` between the two estimated partitions,
+    the columns scored as the estimate of the rows, all read off one
+    confusion matrix; no ground truth is involved.  A large Hamming value
+    (or small NMI/ARI) indicates an asymmetric sending/receiving structure.
     """
     rows = Membership.coerce(row_labels)
     cols = Membership.coerce(col_labels)
@@ -420,8 +421,4 @@ def row_column_similarity(row_labels, col_labels) -> tuple:
             f"row and column partitions use different cluster counts: "
             f"{rows.n_clusters} vs {cols.n_clusters}"
         )
-    return (
-        hamming_error(cols, rows),
-        nmi(cols, rows),
-        ari(cols, rows),
-    )
+    return _scores(confusion_matrix(cols, rows))

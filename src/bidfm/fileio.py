@@ -12,6 +12,7 @@ import json
 import math
 import os
 import secrets
+import sys
 import typing
 import warnings
 
@@ -90,7 +91,7 @@ def _parse(convert, value, lineno, message=None):
 def write_matrix(path, m):
     a = as_matrix(m)
     _write_records(path, f"{MATRIX_HEADER}\n{a.shape[0]} {a.shape[1]}",
-                   (" ".join(repr(v) for v in row) for row in a.tolist()))
+                   (" ".join(map(repr, row)) for row in a.tolist()))
 
 
 @_names_its_file
@@ -381,12 +382,12 @@ def theory_config_from_config(data: dict) -> tuple:
     model = data.get("model", "bidfm")
     if model not in MODELS:
         raise ValidationError(f"unknown model {model!r}")
-    constants = {key: float(data.get(key, 1.0)) for key in ("c_alpha", "c")}
-    bad = [f"config key {key!r} must be positive, got {value!r}"
-           for key, value in constants.items() if not value > 0]
+    constants = {key: data.get(key, 1.0) for key in ("c_alpha", "c")}
+    bad = [f"config key {key!r} must be a positive float, got {value!r}"
+           for key, value in constants.items() if not 0 < value <= sys.float_info.max]
     if bad:
         raise ValidationError(bad)
-    return model, theory_inputs_from_config(data["inputs"]), *constants.values()
+    return model, theory_inputs_from_config(data["inputs"]), *map(float, constants.values())
 
 
 @_names_its_file

@@ -45,26 +45,17 @@ def confusion_matrix(estimated, truth) -> np.ndarray:
     return counts
 
 
-def _square(c):
-    """Confusion matrix ``c`` padded with empty clusters to a square shape."""
-    k = max(c.shape)
-    padded = np.zeros((k, k), dtype=np.int64)
-    padded[: c.shape[0], : c.shape[1]] = c
-    return padded
-
-
 def hamming_error(estimated, truth) -> float:
     """Fraction of misassigned nodes under the best cluster relabeling.
 
-    Solved exactly by maximum-weight assignment on the confusion matrix;
-    the smaller partition is padded with empty clusters when the cluster
-    counts differ.
+    Solved exactly by maximum-weight assignment on the confusion matrix.
+    When the cluster counts differ, the clusters of the larger partition
+    left without a partner count as wholly misassigned.
     """
     return _hamming(confusion_matrix(estimated, truth))
 
 
-def _hamming(counts) -> float:
-    c = _square(counts)
+def _hamming(c) -> float:
     n = int(c.sum())
     from scipy.optimize import linear_sum_assignment
 
@@ -124,6 +115,11 @@ def _ari(c) -> float:
     return numer / denom
 
 
+def _scores(counts) -> tuple:
+    """``(hamming, nmi, ari)`` read off one confusion matrix."""
+    return _hamming(counts), _nmi(counts), _ari(counts)
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Per-side scores plus the combined conventions: worst-side error rate,
@@ -156,9 +152,7 @@ def combined_report(est_r, truth_r, est_c, truth_c) -> MetricsReport:
     confusion matrix is built once for its three scores."""
     c_r = confusion_matrix(est_r, truth_r)
     c_c = confusion_matrix(est_c, truth_c)
-    e_r, e_c = _hamming(c_r), _hamming(c_c)
-    n_r, n_c = _nmi(c_r), _nmi(c_c)
-    a_r, a_c = _ari(c_r), _ari(c_c)
+    (e_r, n_r, a_r), (e_c, n_c, a_c) = _scores(c_r), _scores(c_c)
     return MetricsReport(
         error_rate_r=e_r,
         error_rate_c=e_c,
@@ -172,40 +166,36 @@ def combined_report(est_r, truth_r, est_c, truth_c) -> MetricsReport:
     )
 
 
-def _criterion_costs(estimated, truth):
+def _criterion_costs(counts):
     """Cost matrix M[k, j] = symmetric-difference size of truth cluster k and
-    estimated cluster j, divided by the truth cluster size."""
-    c = _square(confusion_matrix(estimated, truth)).astype(float)
+    estimated cluster j, divided by the truth cluster size, from the
+    confusion matrix ``counts`` of no more estimated clusters than truth
+    clusters.  Empty estimated clusters pad it to a square: each costs 1
+    against every truth cluster."""
+    c = counts.astype(float)
+    c = np.pad(c, ((0, 0), (0, c.shape[0] - c.shape[1])))
     truth_sizes = c.sum(axis=1)
     est_sizes = c.sum(axis=0)
-    raw = truth_sizes[:, None] + est_sizes[None, :] - 2.0 * c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        costs = raw / truth_sizes[:, None]
-    # empty padded truth clusters: zero cost against empty estimated
-    # clusters, impossible against nonempty ones
-    costs = np.where(raw == 0.0, 0.0, costs)
-    return np.where(np.isfinite(costs), costs, np.inf)
+    return (truth_sizes[:, None] + est_sizes[None, :] - 2.0 * c) / truth_sizes[:, None]
 
 
 def _bottleneck_assignment(costs):
-    """Exact min over permutations of the max matched cost: binary-search the
-    candidate cost levels for the smallest feasible bottleneck."""
+    """Exact min over permutations of the max matched cost of the square,
+    finite ``costs``: binary-search the candidate cost levels for the
+    smallest feasible bottleneck."""
     from scipy.optimize import linear_sum_assignment
 
-    levels = np.unique(costs[np.isfinite(costs)])
-    feasible_value = np.inf
-    lo, hi = 0, len(levels) - 1
-    while lo <= hi:
+    levels = np.unique(costs)
+    lo, hi = 0, len(levels) - 1  # the largest level admits every matching
+    while lo < hi:
         mid = (lo + hi) // 2
-        allowed = costs <= levels[mid]
-        penalty = (~allowed).astype(float)
+        penalty = (costs > levels[mid]).astype(float)
         rows, cols = linear_sum_assignment(penalty)
         if penalty[rows, cols].sum() == 0:
-            feasible_value = levels[mid]
-            hi = mid - 1
+            hi = mid
         else:
             lo = mid + 1
-    return float(feasible_value)
+    return float(levels[lo])
 
 
 def criterion_f(estimated, truth) -> float:
@@ -214,6 +204,12 @@ def criterion_f(estimated, truth) -> float:
     ``(|C_k \\ Chat_pi(k)| + |Chat_pi(k) \\ C_k|) / |C_k|``.
 
     Exact for any number of clusters: a bottleneck-assignment search finds
-    the smallest cost level that admits a complete matching.
+    the smallest cost level that admits a complete matching.  When the
+    cluster counts differ, a truth cluster left without an estimated partner
+    costs 1, and an estimate with more clusters than the truth has some
+    estimated cluster that no relabeling matches, so its ``f`` is ``inf``.
     """
-    return _bottleneck_assignment(_criterion_costs(estimated, truth))
+    c = confusion_matrix(estimated, truth)
+    if c.shape[1] > c.shape[0]:
+        return math.inf
+    return _bottleneck_assignment(_criterion_costs(c))

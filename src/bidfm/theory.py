@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, DomainError, ValidationError
 from .linalg import (
     SvdFactors,
     _canonicalize_signs,
@@ -210,116 +210,109 @@ def _theta_balance(inputs: TheoryInputs) -> float:
     )
 
 
-def _plain_envelope(inputs: TheoryInputs, c: float) -> ErrorEnvelope:
-    """Order-of-magnitude misclustering envelopes for the plain model.
+def _in_float_range(what: str, formula) -> float:
+    """The value of ``formula()``, or a ``DomainError`` naming ``what`` when
+    its arithmetic leaves the float range: it overflows (raising, or giving
+    ``inf`` or ``nan``) or divides by a zero that an underflow left, since
+    no denominator here is zero otherwise."""
+    try:
+        value = float(formula())
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is outside the float range")
+    return value
 
-    The column envelope needs the centroid gap ``delta_c``; when it is absent
-    and the cluster counts agree, the guaranteed lower bound
-    ``sqrt(2 / n_c_max)`` is substituted.  A zero gap voids the column
-    guarantee: ``f_c`` is then infinite.
-    """
-    tail = (
-        max(inputs.n_r, inputs.n_c)
-        * math.log(inputs.n_r + inputs.n_c)
-        / (
-            inputs.sigma_min_mixing**2
-            * inputs.rho
-            * inputs.n_r_min
-            * inputs.n_c_min
-        )
-    )
-    f_r = c * inputs.gamma * inputs.k_r**2 * inputs.n_r_max / inputs.n_r_min * tail
-    delta_c = inputs.delta_c
-    if delta_c is None:
-        if inputs.k_r != inputs.k_c:
-            raise ValidationError(
-                "column envelope needs delta_c when cluster counts differ"
+
+def _plain_envelope(inputs: TheoryInputs, c: float) -> ErrorEnvelope:
+    """Order-of-magnitude misclustering envelopes for the plain model.  A
+    zero centroid gap ``delta_c`` voids the column guarantee: ``f_c`` is
+    then infinite."""
+
+    def tail():
+        return (
+            max(inputs.n_r, inputs.n_c)
+            * math.log(inputs.n_r + inputs.n_c)
+            / (
+                inputs.sigma_min_mixing**2
+                * inputs.rho
+                * inputs.n_r_min
+                * inputs.n_c_min
             )
-        delta_c = math.sqrt(2.0 / inputs.n_c_max)
-    if delta_c == 0:
+        )
+
+    f_r = _in_float_range("the row envelope", lambda: (
+        c * inputs.gamma * inputs.k_r**2 * inputs.n_r_max / inputs.n_r_min * tail()))
+    if inputs.delta_c == 0:
         return ErrorEnvelope(f_r=f_r, f_c=math.inf)
-    f_c = (
+    f_c = _in_float_range("the column envelope", lambda: (
         c
         * inputs.gamma
         * inputs.k_r
         * inputs.k_c
-        / (delta_c**2 * inputs.n_c_min)
-        * tail
-    )
+        / (inputs.delta_c**2 * inputs.n_c_min)
+        * tail()
+    ))
     return ErrorEnvelope(f_r=f_r, f_c=f_c)
 
 
 def _corrected_envelope(inputs: TheoryInputs, c: float) -> ErrorEnvelope:
-    """Degree-corrected misclustering envelopes.
-
-    When the cluster counts agree, the normalized-embedding geometry pins
-    ``delta_c_star = sqrt(2)`` and ``m_v_c = 1``; otherwise both must be
-    supplied in ``inputs``.  A zero ``delta_c_star`` voids the column
-    guarantee: ``f_c`` is then infinite.
-    """
-    balance = _theta_balance(inputs)
-    log_n = math.log(inputs.n_r + inputs.n_c)
-    sigma2 = inputs.sigma_min_mixing**2
-    f_r = (
+    """Degree-corrected misclustering envelopes.  A zero normalized
+    centroid gap ``delta_c_star`` voids the column guarantee: ``f_c`` is
+    then infinite."""
+    f_r = _in_float_range("the row envelope", lambda: (
         c
         * inputs.gamma
         * inputs.theta_r_max**2
         * inputs.k_r**2
         * inputs.n_r_max
-        * balance
-        * log_n
+        * _theta_balance(inputs)
+        * math.log(inputs.n_r + inputs.n_c)
         / (
             inputs.theta_r_min**4
             * inputs.theta_c_min**2
-            * sigma2
+            * inputs.sigma_min_mixing**2
             * inputs.n_r_min**2
             * inputs.n_c_min
         )
-    )
-    delta_star = inputs.delta_c_star
-    m_v_c = inputs.m_v_c
-    if delta_star is None or m_v_c is None:
-        if inputs.k_r != inputs.k_c:
-            raise ValidationError(
-                "column envelope needs delta_c_star and m_v_c when cluster "
-                "counts differ"
-            )
-        delta_star = math.sqrt(2.0) if delta_star is None else delta_star
-        m_v_c = 1.0 if m_v_c is None else m_v_c
-    if delta_star == 0:
+    ))
+    if inputs.delta_c_star == 0:
         return ErrorEnvelope(f_r=f_r, f_c=math.inf)
-    f_c = (
+    f_c = _in_float_range("the column envelope", lambda: (
         c
         * inputs.gamma
         * inputs.theta_c_max**2
         * inputs.k_r
         * inputs.k_c
         * inputs.n_c_max
-        * balance
-        * log_n
+        * _theta_balance(inputs)
+        * math.log(inputs.n_r + inputs.n_c)
         / (
             inputs.theta_r_min**2
             * inputs.theta_c_min**4
-            * sigma2
-            * delta_star**2
-            * m_v_c**2
+            * inputs.sigma_min_mixing**2
+            * inputs.delta_c_star**2
+            * inputs.m_v_c**2
             * inputs.n_r_min
             * inputs.n_c_min**2
         )
-    )
+    ))
     return ErrorEnvelope(f_r=f_r, f_c=f_c)
 
 
 # A model's theory: its name in messages, the optional inputs its signal
 # reads, the further ones its envelope reads, its signal ``(s, m)`` (see
-# check_assumption and deviation_bound) and its ``envelope(inputs, c)``.
-_Theory = namedtuple("_Theory", "label signal_fields envelope_fields signal envelope")
+# check_assumption and deviation_bound), its ``envelope(inputs, c)`` and
+# its column gaps, each mapped to the value it takes, given ``inputs``,
+# when the cluster counts agree.
+_Theory = namedtuple("_Theory", "label signal_fields envelope_fields signal envelope gaps")
 
 _THEORIES = {
     "bidfm": _Theory(
         "plain-model", ("rho",), (),
         lambda inputs: (inputs.rho, max(inputs.n_r, inputs.n_c)),
         _plain_envelope,
+        {"delta_c": lambda inputs: math.sqrt(2.0 / inputs.n_c_max)},
     ),
     "bidcdfm": _Theory(
         "degree-corrected",
@@ -327,6 +320,7 @@ _THEORIES = {
         ("theta_r_min", "theta_c_min"),
         lambda inputs: (_theta_balance(inputs), 1.0),
         _corrected_envelope,
+        {"delta_c_star": lambda inputs: math.sqrt(2.0), "m_v_c": lambda inputs: 1.0},
     ),
 }
 
@@ -355,9 +349,10 @@ def check_assumption(model: str, inputs: TheoryInputs) -> AssumptionCheck:
     ``(rho, max(n_r, n_c))`` for the plain model and
     ``(max(theta_r_max * |theta_c|_1, theta_c_max * |theta_r|_1), 1)`` for
     the degree-corrected one."""
-    s, m = _theory(model, inputs, "assumption check").signal(inputs)
-    lhs = inputs.gamma * s
-    if math.isinf(inputs.tau):
+    signal = _theory(model, inputs, "assumption check").signal
+    lhs = _in_float_range("the assumption's signal",
+                          lambda: inputs.gamma * signal(inputs)[0])
+    if inputs.tau == math.inf:  # isinf would fail on an int beyond the float range
         return AssumptionCheck(
             holds=None,
             ratio=None,
@@ -366,13 +361,16 @@ def check_assumption(model: str, inputs: TheoryInputs) -> AssumptionCheck:
             note="tau is unbounded for this law; substitute an empirical "
             "max|A - Omega| (heuristic) to obtain a verdict",
         )
-    rhs = inputs.tau**2 * math.log(inputs.n_r + inputs.n_c) / m
+    rhs = _in_float_range("the assumption's noise level", lambda: (
+        inputs.tau**2 * math.log(inputs.n_r + inputs.n_c) / signal(inputs)[1]))
     note = (
         "tau is an empirical max|A - Omega| surrogate; the verdict is heuristic"
         if inputs.tau_is_empirical
         else ""
     )
-    return AssumptionCheck(holds=lhs >= rhs, ratio=lhs / rhs, lhs=lhs, rhs=rhs, note=note)
+    return AssumptionCheck(holds=lhs >= rhs,
+                           ratio=_in_float_range("the assumption's ratio", lambda: lhs / rhs),
+                           lhs=lhs, rhs=rhs, note=note)
 
 
 def deviation_bound(model: str, inputs: TheoryInputs, c_alpha: float = 1.0) -> float:
@@ -380,15 +378,30 @@ def deviation_bound(model: str, inputs: TheoryInputs, c_alpha: float = 1.0) -> f
     ``C_alpha * sqrt(gamma * s * m * log(n_r + n_c))``, with ``model``'s
     signal ``(s, m)`` as in :func:`check_assumption`.  The two models'
     bounds agree when every theta is ``sqrt(rho)``."""
-    s, m = _theory(model, inputs, "deviation bound").signal(inputs)
-    return c_alpha * math.sqrt(inputs.gamma * s * m * math.log(inputs.n_r + inputs.n_c))
+    signal = _theory(model, inputs, "deviation bound").signal
+
+    def bound():
+        s, m = signal(inputs)
+        return c_alpha * math.sqrt(inputs.gamma * s * m * math.log(inputs.n_r + inputs.n_c))
+
+    return _in_float_range("the deviation bound", bound)
 
 
 def error_envelope(model: str, inputs: TheoryInputs, c: float = 1.0) -> ErrorEnvelope:
     """Order-of-magnitude misclustering envelopes ``(f_r, f_c)`` of
     ``model``; see :func:`_plain_envelope` and :func:`_corrected_envelope`
-    for the formulas and the gaps they substitute."""
-    return _theory(model, inputs, "envelope", envelope=True).envelope(inputs, c)
+    for the formulas.  A column gap left at ``None`` takes its value in the
+    model's ``gaps`` when the cluster counts agree, and is a
+    ``ValidationError`` otherwise."""
+    theory = _theory(model, inputs, "envelope", envelope=True)
+    absent = [name for name in theory.gaps if getattr(inputs, name) is None]
+    if absent and inputs.k_r != inputs.k_c:
+        raise ValidationError(f"column envelope needs {' and '.join(theory.gaps)} "
+                              "when cluster counts differ")
+    inputs = replace(inputs, **{
+        name: _in_float_range(f"the default {name}", lambda: theory.gaps[name](inputs))
+        for name in absent})
+    return theory.envelope(inputs, c)
 
 
 def _cluster_rows(matrix, labels):

@@ -14,7 +14,13 @@ from bidfm.cli import main
 from bidfm.errors import ParseError, ValidationError
 from bidfm.model import P2, BiDCDFMParams, BiDFMParams, Membership
 from bidfm.sampling import DistributionSpec
-from bidfm.theory import check_assumption, deviation_bound, error_envelope, theory_inputs
+from bidfm.theory import (
+    TheoryInputs,
+    check_assumption,
+    deviation_bound,
+    error_envelope,
+    theory_inputs,
+)
 
 
 # every field the assumption checks, bounds and envelopes of both models read
@@ -104,6 +110,13 @@ class TestMatrixFormat:
         back = fileio.read_matrix(path)
         assert back.dtype == a.dtype
         assert np.array_equal(back, a)
+
+    def test_written_bytes(self, tmp_path):
+        # each value is written as its shortest round-tripping repr
+        path = tmp_path / "m.txt"
+        fileio.write_matrix(path, np.array([[-0.0, 5e-324], [0.1, 1e300]]))
+        assert path.read_bytes() == (b"# bidfm dense matrix v1\n2 2\n"
+                                     b"-0.0 5e-324\n0.1 1e+300\n")
 
     def test_new_file_mode_follows_umask(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -578,6 +591,35 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
         assert payload["col_error_envelope"] is None
         assert math.isfinite(payload["row_error_envelope"])
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", 1e308),  # tau**2 overflows
+        ("sigma_min_mixing", 1e-200),  # its square underflows to a zero denominator
+        ("n_r", 10**400),  # no float holds it
+    ])
+    def test_theory_outside_float_range(self, tmp_path, capsys, key, value):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"inputs": {**THEORY_INPUTS, key: value}}))
+        assert main(["theory", "--config", str(path)]) == 2
+        assert "is outside the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["bidfm", "bidcdfm"])
+    @pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(TheoryInputs)
+                                     if field.name != "tau_is_empirical"] + ["c_alpha", "c"])
+    @pytest.mark.parametrize("value", [1e308, 1e-200, 10**400],
+                             ids=["1e308", "1e-200", "10**400"])
+    def test_theory_extreme_values(self, tmp_path, capsys, model, key, value):
+        # a report or a data error, never a traceback; every numeric key
+        # admits a JSON integer, so 10**400 too
+        config = {"model": model, "inputs": {**THEORY_INPUTS, "delta_c": 0.2,
+                                             "delta_c_star": 1.2, "m_v_c": 0.9}}
+        if key in ("c_alpha", "c"):
+            config[key] = value
+        else:
+            config["inputs"][key] = value
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps(config))
+        assert main(["theory", "--config", str(path)]) in (0, 2)
 
     @pytest.mark.parametrize("config, csv, json_text", [
         ({"inputs": {**THEORY_INPUTS, "k_c": 3, "delta_c": 0.2}},

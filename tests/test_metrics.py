@@ -278,6 +278,20 @@ class TestCriterionF:
         got = criterion_f(Membership(est, n_clusters=k), Membership(truth, n_clusters=k))
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("est, truth, f, error", [
+        # one more estimated cluster than truth clusters: no relabeling
+        # matches every estimated cluster, so f is infinite
+        ([1, 1, 2, 3], [1, 1, 2, 2], math.inf, 0.25),
+        ([1, 1, 2, 2], [1, 1, 1, 1], math.inf, 0.5),
+        # fewer estimated clusters: a truth cluster left without a partner
+        # costs 1
+        ([1, 1, 2, 2], [1, 1, 2, 3], 1.0, 0.25),
+        ([1, 1, 1, 1], [1, 1, 2, 2], 1.0, 0.5),
+    ])
+    def test_unequal_cluster_counts(self, est, truth, f, error):
+        assert criterion_f(est, truth) == f
+        assert hamming_error(est, truth) == error
+
     @pytest.mark.parametrize("seed", range(5))
     def test_bottleneck_path_matches_enumeration(self, seed, permutations_of_10):
         from bidfm import metrics as m
@@ -287,7 +301,7 @@ class TestCriterionF:
         n = 40
         truth = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
         est = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, n - k)])
-        costs = m._criterion_costs(Membership(est, k), Membership(truth, k))
+        costs = m._criterion_costs(confusion_matrix(Membership(est, k), Membership(truth, k)))
         # the max matched cost of every one of the 10! permutations, in chunks
         best = min(
             costs[np.arange(k), chunk].max(axis=1).min()

@@ -263,6 +263,45 @@ class TestErrorEnvelopes:
 THETAS = dict(theta_r_min=0.2, theta_r_max=0.9, theta_c_min=0.3, theta_c_max=0.8,
               theta_r_l1=100.0, theta_c_l1=150.0)
 
+PLAIN_GAP = "column envelope needs delta_c when cluster counts differ"
+CORRECTED_GAP = "column envelope needs delta_c_star and m_v_c when cluster counts differ"
+
+
+class TestGapRule:
+    # each column gap absent, given or zero, with equal (k_c = 2) and unequal
+    # (k_c = 3) cluster counts: the literal (f_r, f_c), or the exact message
+    @pytest.mark.parametrize("model, k_c, gaps, expected", [
+        ("bidfm", 2, {}, (8.528429047347414, 3.8561557175805286)),
+        ("bidfm", 2, {"delta_c": 0.2}, (8.528429047347414, 1.836264627419299)),
+        ("bidfm", 2, {"delta_c": 0.0}, (8.528429047347414, math.inf)),
+        ("bidfm", 3, {}, PLAIN_GAP),
+        ("bidfm", 3, {"delta_c": 0.2}, (8.528429047347414, 2.754396941128949)),
+        ("bidfm", 3, {"delta_c": 0.0}, (8.528429047347414, math.inf)),
+        ("bidcdfm", 2, {}, (10793.793013049068, 1713.8469855913459)),
+        ("bidcdfm", 2, {"delta_c_star": 1.2}, (10793.793013049068, 2380.343035543536)),
+        ("bidcdfm", 2, {"m_v_c": 0.8}, (10793.793013049068, 2677.885914986477)),
+        ("bidcdfm", 2, {"delta_c_star": 1.2, "m_v_c": 0.8},
+         (10793.793013049068, 3719.285993036775)),
+        ("bidcdfm", 2, {"delta_c_star": 0.0}, (10793.793013049068, math.inf)),
+        ("bidcdfm", 2, {"delta_c_star": 0.0, "m_v_c": 0.8}, (10793.793013049068, math.inf)),
+        ("bidcdfm", 3, {}, CORRECTED_GAP),
+        ("bidcdfm", 3, {"delta_c_star": 1.2}, CORRECTED_GAP),
+        ("bidcdfm", 3, {"m_v_c": 0.8}, CORRECTED_GAP),
+        ("bidcdfm", 3, {"delta_c_star": 0.0}, CORRECTED_GAP),
+        ("bidcdfm", 3, {"delta_c_star": 1.2, "m_v_c": 0.8},
+         (10793.793013049068, 5578.928989555163)),
+        ("bidcdfm", 3, {"delta_c_star": 0.0, "m_v_c": 0.8}, (10793.793013049068, math.inf)),
+    ])
+    def test_gap_rule(self, model, k_c, gaps, expected):
+        inputs = basic_inputs(k_c=k_c, **(THETAS if model == "bidcdfm" else {}), **gaps)
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as info:
+                error_envelope(model, inputs)
+            assert str(info.value) == expected
+        else:
+            envelope = error_envelope(model, inputs)
+            assert (envelope.f_r, envelope.f_c) == expected
+
 
 class TestMissingInputs:
     # each check, bound and envelope names every optional field it needs
