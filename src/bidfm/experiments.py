@@ -10,25 +10,22 @@ of the same configuration produce byte-identical reports.
 from __future__ import annotations
 
 import io
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import detect
+from . import detect, fileio
 from .errors import BidfmError, DimensionError, DomainError, ValidationError
 from .linalg import _count, _rng, as_matrix, truncated_svd
 from .metrics import _scores, combined_report, confusion_matrix
 from .model import (
     P1,
     P2,
-    BiDCDFMParams,
-    BiDFMParams,
     Membership,
     expected_adjacency,
-    sample_memberships,
-    sample_theta,
 )
 from .sampling import DistributionSpec, check_omega_range, sample_adjacency
 from .theory import MODELS
@@ -161,19 +158,16 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def _point_params(config, index, n_r, n_c, rho):
-    base = config.base_seed + _POINT_SEED_STRIDE * (index + 1)
-    rows = sample_memberships(n_r, config.k_r, base)
-    cols = sample_memberships(n_c, config.k_c, base + 1)
-    if config.model == "bidfm":
-        return BiDFMParams(rows, cols, config.mixing, rho)
-    return BiDCDFMParams(
-        rows,
-        cols,
-        config.mixing,
-        theta_row=sample_theta(n_r, rho, base + 2),
-        theta_col=sample_theta(n_c, rho, base + 3),
-    )
+def _point_config(config, index, n_r, n_c, rho, spec) -> dict:
+    """The model config of sweep point ``index``, read back from the JSON
+    text that ``bidfm generate`` would read it from."""
+    point = {
+        "model": config.model, "n_r": n_r, "n_c": n_c, "k_r": config.k_r, "k_c": config.k_c,
+        "mixing": config.mixing, "rho": rho,
+        "membership_seed": config.base_seed + _POINT_SEED_STRIDE * (index + 1),
+        "distribution": {"kind": spec.kind, "sigma2": spec.sigma2},
+    }
+    return json.loads(json.dumps(point, default=lambda value: value.tolist()))
 
 
 def run_simulation(config: SimulationConfig) -> ExperimentReport:
@@ -186,7 +180,7 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
     """
     points = []
     for index, (value, n_r, n_c, rho, spec) in enumerate(config._points()):
-        params = _point_params(config, index, n_r, n_c, rho)
+        params = fileio.params_from_config(_point_config(config, index, n_r, n_c, rho, spec))
         omega = expected_adjacency(params)
         scores = {alg: [] for alg in config.algorithms}
         failures = {alg: Counter() for alg in config.algorithms}

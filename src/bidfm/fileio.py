@@ -19,7 +19,6 @@ import warnings
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .experiments import SimulationConfig
 from .linalg import _count, as_matrix
 from .model import (_INT_MAX, P1, P2, BiDCDFMParams, BiDFMParams, Membership,
                     sample_memberships, sample_theta)
@@ -235,7 +234,8 @@ _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool, dict: dict,
 def _admits(hint, value) -> bool:
     """Whether a JSON value fits a field annotation: a plain type, a union,
     or a ``tuple[T, ...]`` given as a list of ``T`` values.  ``true`` and
-    ``false`` fit ``bool`` only, not a number."""
+    ``false`` fit ``bool`` only, not a number, and an integer fits ``float``
+    only within the float range."""
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return isinstance(value, (list, tuple)) and all(_admits(item, v) for v in value)
@@ -243,6 +243,8 @@ def _admits(hint, value) -> bool:
         return any(_admits(option, value) for option in typing.get_args(hint))
     if isinstance(value, bool):
         return hint is bool
+    if hint is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
     return isinstance(value, _JSON_TYPES[hint])
 
 
@@ -356,6 +358,7 @@ def params_from_config(data: dict):
 def simulation_config_from_config(data: dict) -> SimulationConfig:
     """A sweep from a config whose keys are :class:`SimulationConfig`'s
     fields; ``mixing`` defaults to ``"P1"``."""
+    from .experiments import SimulationConfig  # experiments imports this module
     kwargs = _field_kwargs(SimulationConfig, data, "simulation config", mixing="P1")
     kwargs["mixing"] = mixing_from_config(kwargs["mixing"])
     return SimulationConfig(**kwargs)

@@ -86,7 +86,7 @@ class Membership:
 
     def is_complete(self) -> bool:
         """True when every cluster holds at least one node."""
-        return bool(self.cluster_sizes().min() > 0)
+        return len(np.unique(self.labels)) == self.n_clusters
 
     def to_onehot(self) -> np.ndarray:
         z = np.zeros((len(self), self.n_clusters))

@@ -19,6 +19,7 @@ from bidfm.detect import ALGORITHMS
 from bidfm.experiments import FILTER_MODES
 
 HUGE = 10**29  # more than any numpy dimension
+BEYOND_FLOAT = 10**400  # more than any float holds
 HUGE_LABEL = "99999999999999999999"  # more than int64 holds
 
 NUMBER = st.sampled_from(["0", "1", "2", "0.5", "-1", "1e308", "-1e308"])
@@ -192,6 +193,18 @@ REPEATED_ID = "1\t1\n2\t2\n1\t1\n"
           {"m": "1 2\n-1e308 7.9e307\n"}))
 @example((["generate", "--config", "{c}"],
           {"c": json.dumps(_mutated("generate", [("n_r", HUGE)]))}))
+# integers where a float goes, beyond the float range, and a cluster count
+# beyond any index numpy can hold
+@example((["generate", "--config", "{c}"],
+          {"c": json.dumps(_mutated("generate", [("rho", BEYOND_FLOAT)]))}))
+@example((["generate", "--config", "{c}"], {"c": json.dumps(_mutated(
+    "generate", [("theta", {"floor": BEYOND_FLOAT})]))}))
+@example((["generate", "--config", "{c}"], {"c": json.dumps(_mutated(
+    "generate", [("distribution", {"kind": "normal", "sigma2": BEYOND_FLOAT})]))}))
+@example((["simulate", "--config", "{c}"],
+          {"c": json.dumps(_mutated("simulate", [("rho_grid", [BEYOND_FLOAT])]))}))
+@example((["generate", "--config", "{c}"], {"c": json.dumps(_mutated(
+    "generate", [("k_r", HUGE), ("row_labels", [1, 2, 1, 2, 1, 2])]))}))
 @example((["simulate", "--config", "{c}"], {"c": json.dumps(_mutated(
     "simulate", [("model", "bidcdfm"), ("rho_grid", [0.5, 3.0])]))}))
 @example((["simulate", "--config", "{c}"],

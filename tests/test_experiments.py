@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,11 +6,14 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from bidfm import experiments
+from bidfm.cli import main
 from bidfm.detect import nbisc
 from bidfm.errors import ConvergenceError, DimensionError, ValidationError
 from bidfm.experiments import (
     PRESET_NAMES,
     SimulationConfig,
+    _point_config,
     degree_profiles,
     estimate_k_eigengap,
     filter_zero_degree,
@@ -17,6 +21,7 @@ from bidfm.experiments import (
     row_column_similarity,
     run_simulation,
 )
+from bidfm.fileio import params_from_config, read_labels, read_matrix
 from bidfm.metrics import ari, hamming_error, nmi
 from bidfm.model import P1, P2, BiDFMParams, sample_memberships, expected_adjacency
 from bidfm.sampling import DistributionSpec, sample_adjacency
@@ -206,6 +211,59 @@ class TestRunSimulation:
         assert lines[1].split(",")[0] == "algorithm"
         # 2 sweep values x 2 algorithms
         assert len(lines) == 2 + 4
+
+
+class TestPointConfig:
+    """Each sweep point's model config, given to ``bidfm generate``, rebuilds
+    the point's parameters and every replicate the sweep sampled from it."""
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("sim2c", dict(n_r=20, n_c=30, sigma2_grid=(0.4, 1.2))),
+        ("sim1b", dict(n_r=30, n_c=45, rho_grid=(0.4, 0.6))),
+    ])
+    def test_generate_rebuilds_each_replicate(self, tmp_path, monkeypatch, capsys,
+                                              name, overrides):
+        config = preset(name, replicates=2, algorithms=("bisc",), base_seed=3, **overrides)
+        drawn, sampled = [], []  # each point's parameters and replicates, as swept
+
+        def draw(params):
+            drawn.append(params)
+            return expected_adjacency(params)
+
+        def sample(*args):
+            sampled.append(sample_adjacency(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr(experiments, "expected_adjacency", draw)
+        monkeypatch.setattr(experiments, "sample_adjacency", sample)
+        run_simulation(config)
+        for index, (_, n_r, n_c, rho, spec) in enumerate(config._points()):
+            params, point_seed = drawn[index], 3 + 100003 * (index + 1)
+            assert params.row_membership == sample_memberships(n_r, 2, point_seed)
+            assert params.col_membership == sample_memberships(n_c, 3, point_seed + 1)
+            path = tmp_path / "point.json"
+            path.write_text(json.dumps(_point_config(config, index, n_r, n_c, rho, spec)))
+            for rep in range(config.replicates):
+                prefix = str(tmp_path / f"point{index}_rep{rep}")
+                assert main(["generate", "--config", str(path), "--seed", str(3 + rep),
+                             "--output", prefix]) == 0
+                assert np.array_equal(read_matrix(f"{prefix}_omega.txt"),
+                                      expected_adjacency(params))
+                assert np.array_equal(read_labels(f"{prefix}_row_labels.txt")[1],
+                                      params.row_membership.labels)
+                assert np.array_equal(read_labels(f"{prefix}_col_labels.txt")[1],
+                                      params.col_membership.labels)
+                assert np.array_equal(read_matrix(f"{prefix}_adjacency.txt"),
+                                      sampled[index * config.replicates + rep])
+
+    def test_numpy_scalars_become_plain_numbers(self):
+        config = tiny_config(k_r=np.int64(2), base_seed=np.int64(11))
+        point = _point_config(config, 0, np.int64(30), np.int64(45), np.float64(0.5),
+                              DistributionSpec("normal", sigma2=np.float64(1.0)))
+        values = [v for k, v in point.items() if k not in ("model", "mixing", "distribution")]
+        assert [type(v) for v in values] == [int, int, int, int, float, int]
+        assert type(point["distribution"]["sigma2"]) is float
+        assert params_from_config(point).shape == (30, 45)
 
 
 class TestEstimateK:

@@ -69,6 +69,28 @@ PROBES = {
 }
 
 
+# configs holding a JSON integer beyond the float range where a float goes:
+# id -> (command, config, the key its error names)
+HUGE = 10**400
+UNSWEPT = {key: value for key, value in SIMULATION.items() if key != "rho_grid"}
+BEYOND_FLOAT = {
+    "rho": ("generate", {**MODEL, "rho": HUGE}, "rho"),
+    "mixing-entry": ("generate", {**MODEL, "mixing": [[HUGE, 0.2, 0.3], [0.3, 0.8, 0.2]]},
+                     "mixing"),
+    "theta-row-entry": ("generate", {**MODEL, "model": "bidcdfm",
+                                     "theta_row": [HUGE] + [0.5] * 5, "theta_col": [0.5] * 6},
+                        "theta_row"),
+    "theta-floor": ("generate", {**MODEL, "model": "bidcdfm", "theta": {"floor": HUGE}},
+                    "floor"),
+    "sigma2": ("generate", {**MODEL, "distribution": {"kind": "normal", "sigma2": HUGE}},
+               "sigma2"),
+    "rho-grid": ("simulate", {**SIMULATION, "rho_grid": [HUGE]}, "rho_grid"),
+    "fixed-rho": ("simulate", {**UNSWEPT, "rho": HUGE, "n_grid": [30]}, "'rho'"),
+    "sigma2-grid": ("simulate", {**UNSWEPT, "kind": "normal", "mixing": "P2", "rho": 0.5,
+                                 "sigma2_grid": [HUGE]}, "sigma2_grid"),
+}
+
+
 def _g(value):
     return format(value, ".10g")
 
@@ -426,6 +448,25 @@ class TestCli:
         assert main(["generate", "--config", str(path),
                      "--output", str(tmp_path / "out")]) == 2
         assert list(tmp_path.glob("out_*")) == []
+
+    @pytest.mark.parametrize("command, config, key", BEYOND_FLOAT.values(), ids=BEYOND_FLOAT)
+    def test_integer_beyond_float_range_is_data_error(self, tmp_path, capsys, command,
+                                                      config, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert list(tmp_path.glob("out*")) == []
+
+    def test_cluster_count_beyond_index_range_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**MODEL, "k_r": 10**30, "row_labels": [1, 2, 1, 2, 1, 2]}))
+        assert main(["generate", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "row membership leaves at least one cluster empty" in err
+        assert "exceeds K_c" in err and "mixing matrix shape" in err
+        assert list(tmp_path.glob("out*")) == []
 
     def test_simulate_deterministic_output(self, tmp_path, capsys):
         config = {

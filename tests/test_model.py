@@ -51,6 +51,10 @@ class TestMembership:
         assert list(m.cluster_sizes()) == [2, 1, 0]
         assert not m.is_complete()
 
+    def test_is_complete_needs_no_array_of_cluster_count_length(self):
+        assert Membership([1, 2], n_clusters=10**30).is_complete() is False
+        assert Membership([2, 1, 2]).is_complete() is True
+
 
 class TestExpectedAdjacency:
     def test_single_block(self):
