@@ -395,8 +395,9 @@ def theory_config_from_config(data: dict) -> tuple:
 
 @_names_its_file
 def load_json(path) -> dict:
-    """The JSON object in the UTF-8 file ``path``; any other top-level value
-    is a ParseError that names the file."""
+    """The JSON object in the UTF-8 file ``path``; any other top-level value,
+    or text ``json`` rejects (an integer past Python's digit limit too), is a
+    ParseError that names the file."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -404,6 +405,8 @@ def load_json(path) -> dict:
         raise ParseError(str(exc), line=exc.lineno) from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParseError(str(exc)) from None
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}")
     return data

@@ -16,19 +16,19 @@ import scipy.sparse.linalg
 from .errors import ConvergenceError, DimensionError, ValidationError
 
 # Up to this smaller side a full LAPACK decomposition is cheaper than
-# Lanczos, whose fixed cost per call is about 2 ms.  Measured medians of 61
-# calls of truncated_svd(a, 2) on signed +/-1 block matrices at aspect 1.5
-# (2 cores, OpenBLAS): dense 1.9 vs Lanczos 2.3 ms at 80, level (2.8 ms) at
-# 90, dense 3.9 vs 2.9 ms at 100 and 240 vs 27 ms at 600.
+# Lanczos.  Measured medians of 61 calls of truncated_svd(a, 2) on signed
+# +/-1 block matrices at aspect 1.5 (2 cores, OpenBLAS), as Lanczos / LAPACK
+# time: 1.7 at 80, 0.9-1.2 at 90 (level, 2-3 ms), 0.7-1.1 at 100, 0.5 at
+# 110 and 0.08 at 600 (14 vs 170 ms).
 _DENSE_SIDE = 90
 
 # Lanczos multiplies by a CSR copy instead of the dense array when at most
 # this share of the entries is nonzero.  Measured medians of truncated_svd(a,
 # 3) on 0/1 block matrices, CSR build included, as CSR / dense-array time (2
-# cores, OpenBLAS): 0.89 at 5% and 0.98 at 6% at 600x900, 0.73 at 5% and
-# 0.65 at 10% at 1000x1500, 0.85 at 5% and 1.01 at 8% at 3000x3000.  Below a
-# smaller side of about 300 the two are within 1 ms and CSR is up to 1.2x
-# slower at any share (200x300).
+# cores, OpenBLAS): at 600x900 0.34-0.48 at 2%, 0.64-0.73 at 5%, 0.81-0.88
+# at 8% and 1.01-1.08 at 10%; 0.57 at 5% and 0.56 at 10% at 1000x1500; 0.34
+# at 5% and 0.57 at 10% at 3000x3000.  At 200x300 both take 4-7 ms and CSR
+# takes 0.97-1.8x the dense-array time at any share.
 _SPARSE_SHARE = 0.05
 
 # Row norms and singular-vector entries below this are roundoff to the
@@ -103,6 +103,19 @@ def _canonicalize_signs(u, vt):
     return u * signs, vt * signs[:, None]
 
 
+def _blas_operator(a):
+    """The C-ordered array ``a`` as an operator whose products call scipy's
+    ``dgemv`` on its F-ordered view ``a.T``, without copying: ARPACK's BLAS
+    and LAPACK run in scipy's thread pool, and so do these products, where
+    ``a @ x`` would run them in numpy's."""
+    gemv = scipy.linalg.blas.dgemv
+    return scipy.sparse.linalg.LinearOperator(
+        a.shape, dtype=a.dtype,
+        matvec=lambda x: gemv(1.0, a.T, x.ravel(), trans=1),
+        rmatvec=lambda y: gemv(1.0, a.T, y.ravel()),
+    )
+
+
 def truncated_svd(m, k: int) -> SvdFactors:
     """Compute the ``k`` leading singular triplets of a dense or
     ``scipy.sparse`` matrix.
@@ -113,9 +126,10 @@ def truncated_svd(m, k: int) -> SvdFactors:
     is cheaper, ``k > 25`` or ``5 * k >= min(n, p)``, and the all-zero
     matrix.  Lanczos multiplies by a CSR copy of the matrix (``'sparse'``)
     when it is a sparse matrix or at most 5% of its entries are nonzero,
-    and by the dense array (``'lanczos'``) otherwise.  The result is
-    deterministic on every path, and ``path`` says which one ran; a sparse
-    matrix is densified only for LAPACK.
+    and by the dense array (``'lanczos'``) otherwise, through scipy's BLAS
+    (``dgemv``), the one ARPACK itself calls.  The result is deterministic on
+    every path, the same bits for C- and F-ordered input, and ``path`` says
+    which one ran; a sparse matrix is densified only for LAPACK.
 
     Every path decomposes the matrix scaled by the power of two that brings
     its largest entry into [0.5, 1), which is exact and keeps the products
@@ -148,7 +162,8 @@ def truncated_svd(m, k: int) -> SvdFactors:
         a = scipy.sparse.csr_array(a, copy=True)
         a.data *= scale
     else:
-        a = (a.toarray() if sparse else a) * scale
+        # C order whatever the input's, so both orders take the same products
+        a = np.multiply(a.toarray() if sparse else a, scale, order="C")
 
     if path == "dense":
         u, s, vt = scipy.linalg.svd(a, full_matrices=False)
@@ -159,7 +174,8 @@ def truncated_svd(m, k: int) -> SvdFactors:
         v0 /= np.linalg.norm(v0)
         try:
             u, s, vt = scipy.sparse.linalg.svds(
-                a, k=k, v0=v0, maxiter=1000 * k, tol=1e-10
+                a if path == "sparse" else _blas_operator(a),
+                k=k, v0=v0, maxiter=1000 * k, tol=1e-10,
             )
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = len(exc.eigenvalues) if exc.eigenvalues is not None else 0

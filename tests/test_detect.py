@@ -1,4 +1,8 @@
 import inspect
+import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -447,6 +451,32 @@ def test_ratio_methods_agree_across_paths_with_zero_degree_columns(monkeypatch):
     a = rng.poisson(0.5 * P1[np.ix_(rows, cols)]).astype(float)
     a[:, rng.choice(150, 3, replace=False)] = 0.0
     assert_same_labels_on_both_paths(monkeypatch, a, (2, 3), names=("dscore", "rdscore"))
+
+
+def test_labels_do_not_depend_on_the_blas_thread_count():
+    """One 600 x 900 block-model matrix on the Lanczos path, detected by all
+    five methods in a process with 1 and one with 2 OpenBLAS threads: the
+    singular values can differ in their last bits, the labels do not."""
+    script = (
+        "import json, numpy as np\n"
+        "from bidfm.detect import ALGORITHMS, run_algorithms\n"
+        "from bidfm.model import P1\n"
+        "rng = np.random.default_rng(11)\n"
+        "rows, cols = rng.integers(0, 2, 600), rng.integers(0, 3, 900)\n"
+        "a = rng.poisson(0.8 * P1[np.ix_(rows, cols)]).astype(float)\n"
+        "print(json.dumps({name: [r.diagnostics['svd_path'], r.row_labels.labels.tolist(),\n"
+        "                         r.col_labels.labels.tolist()]\n"
+        "                  for name, r in run_algorithms(ALGORITHMS, a, 2, 3, seed=1)}))\n"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        runs.append(json.loads(result.stdout))
+    assert list(runs[0]) == list(ALGORITHMS)
+    assert {path for path, _, _ in runs[0].values()} == {"lanczos"}
+    assert runs[0] == runs[1]
 
 
 def assert_same_labels_on_every_operand(monkeypatch, a, counts):

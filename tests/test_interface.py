@@ -268,6 +268,7 @@ class TestErrorsNameTheirFile:
         "bad-weight": (fileio.read_edge_list, "a b 1\na c w\n", "line 2: bad weight 'w'"),
         "bad-json": (fileio.load_json, '{"a": \n', "line 2: Expecting value"),
         "json-list": (fileio.load_json, "[1]", "expected a JSON object, got list"),
+        "json-digits": (fileio.load_json, '{"rho": 1' + "0" * 5000 + "}", "4300"),
         "not-utf8": (fileio.read_labels, "caf\xe9".encode("latin-1"), "not UTF-8 text"),
     }
 
@@ -457,6 +458,21 @@ class TestCli:
         assert main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command, config", [
+        ("generate", {**MODEL, "rho": "HUGE"}),
+        ("simulate", {**SIMULATION, "rho_grid": ["HUGE"]}),
+        ("theory", {"inputs": {**THEORY_INPUTS, "rho": "HUGE"}}),
+    ], ids=["generate", "simulate", "theory"])
+    def test_integer_beyond_digit_limit_is_data_error(self, tmp_path, capsys, command,
+                                                      config):
+        # 5001 digits: past Python's int-string limit, which json.dumps obeys too
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config).replace('"HUGE"', "1" + "0" * 5000))
+        assert main([command, "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
         assert list(tmp_path.glob("out*")) == []
 
     def test_cluster_count_beyond_index_range_is_data_error(self, tmp_path, capsys):

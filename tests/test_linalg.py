@@ -223,6 +223,35 @@ class TestSvdPathRule:
         assert np.array_equal(f.singular_values, [0.0, 0.0])
 
 
+class TestLanczosOperand:
+    """On the ``"lanczos"`` path ARPACK multiplies through scipy's ``dgemv``
+    on a C-ordered copy of the scaled matrix, whatever the input's order."""
+
+    @pytest.mark.parametrize("reorder", [
+        np.asfortranarray, lambda a: np.ascontiguousarray(a.T).T,
+    ], ids=["fortran", "transposed"])
+    def test_memory_order_gives_identical_factors(self, reorder):
+        a = np.random.default_rng(5).uniform(size=(600, 900))
+        b = reorder(a)
+        assert b.flags.f_contiguous and not b.flags.c_contiguous
+        f, g = truncated_svd(a, 3), truncated_svd(b, 3)
+        assert f.path == g.path == "lanczos"
+        for name in ("left", "singular_values", "right"):
+            assert np.array_equal(getattr(f, name), getattr(g, name)), name
+
+    @pytest.mark.parametrize("shape", [(600, 900), (900, 600)])
+    def test_operator_products_match_numpy(self, shape):
+        rng = np.random.default_rng(6)
+        a = rng.uniform(-1.0, 1.0, shape)
+        x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+        xs, ys = rng.standard_normal((shape[1], 3)), rng.standard_normal((shape[0], 3))
+        op = linalg._blas_operator(a)
+        for got, want in [(op.matvec(x), a @ x), (op.rmatvec(y), a.T @ y),
+                          (op.matmat(xs), a @ xs), (op.rmatmat(ys), a.T @ ys)]:
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
 class TestSparseInput:
     def test_kept_sparse_as_float_csr(self):
         m = scipy.sparse.coo_matrix(np.eye(3, 4, dtype=int))
