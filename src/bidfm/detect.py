@@ -35,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
+import scipy  # a sparse input has loaded scipy.sparse
 
 from .errors import BidfmError, DomainError, UnsupportedError, ValidationError
-from .linalg import ZERO_FLOOR, SvdFactors, _count, as_matrix, kmeans, row_normalize, truncated_svd
+from .linalg import (ZERO_FLOOR, SvdFactors, _count, _issparse, as_matrix, kmeans, row_normalize,
+                     truncated_svd)
 from .model import Membership
 
 # (operator, read-out) of each method, as in the table above
@@ -99,7 +100,7 @@ def _laplacian(a):
     with np.errstate(divide="ignore"):
         inv_r = np.where(d_r > 0, 1.0 / np.sqrt(d_r), 0.0)
         inv_c = np.where(d_c > 0, 1.0 / np.sqrt(d_c), 0.0)
-    if scipy.sparse.issparse(a):
+    if _issparse(a):
         scaled = scipy.sparse.diags_array(inv_r) @ a @ scipy.sparse.diags_array(inv_c)
     else:
         scaled = inv_r[:, None] * a * inv_c[None, :]
@@ -256,7 +257,7 @@ def shift_nonnegative(a) -> tuple:
     lo, hi = float(a.min()), float(a.max())
     if lo >= 0:
         return a, 0.0
-    if scipy.sparse.issparse(a):
+    if _issparse(a):
         raise DomainError(
             "a signed sparse matrix cannot be shifted to non-negative entries "
             "without filling in every zero entry; pass it as a dense array"

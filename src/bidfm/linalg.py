@@ -5,13 +5,13 @@ concurrent callers never share state.
 """
 from __future__ import annotations
 
+import importlib
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
+import scipy
 
 from .errors import ConvergenceError, DimensionError, ValidationError
 
@@ -41,21 +41,35 @@ _RESTARTS = 10
 _MAX_ITER = 300
 
 
+def _issparse(m):
+    """Whether ``m`` is a ``scipy.sparse`` matrix.  None exists before
+    ``scipy.sparse`` is imported, so the test never imports it."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(m)
+
+
 def as_matrix(m, name: str = "matrix", sparse: bool = False):
     """Coerce to a 2-D float64 array and reject NaN/Inf entries.
 
     With ``sparse``, a ``scipy.sparse`` matrix comes back as a float64 CSR
     array (sharing the caller's values where no conversion is needed) and
     only its stored values are checked; without it, a sparse matrix raises
-    ``DimensionError``.
+    ``DimensionError``.  Complex, non-numeric and ragged input raise
+    ``ValidationError``.
     """
-    if scipy.sparse.issparse(m):
-        if not sparse:
-            raise DimensionError(f"{name} must be a dense array, got a scipy.sparse matrix")
-        a = scipy.sparse.csr_array(m, dtype=float)
-        values = a.data
-    else:
-        a = values = np.asarray(m, dtype=float)
+    is_sparse = _issparse(m)
+    if is_sparse and not sparse:
+        raise DimensionError(f"{name} must be a dense array, got a scipy.sparse matrix")
+    try:
+        if not is_sparse:
+            m = np.asarray(m)
+        if m.dtype.kind != "c":
+            a = scipy.sparse.csr_array(m, dtype=float) if is_sparse else m.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise ValidationError(f"{name} must be an array of real numbers: {exc}") from None
+    if m.dtype.kind == "c":
+        raise ValidationError(f"{name} must be real, got dtype {m.dtype}")
+    values = a.data if is_sparse else a
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
     if 0 in a.shape:
@@ -108,6 +122,8 @@ def _blas_operator(a):
     ``dgemv`` on its F-ordered view ``a.T``, without copying: ARPACK's BLAS
     and LAPACK run in scipy's thread pool, and so do these products, where
     ``a @ x`` would run them in numpy's."""
+    importlib.import_module("scipy.linalg")
+    importlib.import_module("scipy.sparse.linalg")
     gemv = scipy.linalg.blas.dgemv
     return scipy.sparse.linalg.LinearOperator(
         a.shape, dtype=a.dtype,
@@ -144,7 +160,7 @@ def truncated_svd(m, k: int) -> SvdFactors:
     a = as_matrix(m, sparse=True)
     n, p = a.shape
     _count(k, "k", min(n, p))
-    sparse = scipy.sparse.issparse(a)
+    sparse = _issparse(a)
     nonzero = a.count_nonzero() if sparse else np.count_nonzero(a)
     scale = np.ldexp(1.0, -int(np.frexp(max(a.max(), -a.min()))[1]))
 
@@ -156,6 +172,7 @@ def truncated_svd(m, k: int) -> SvdFactors:
         path = "sparse"
     else:
         path = "lanczos"
+    importlib.import_module("scipy.linalg" if path == "dense" else "scipy.sparse.linalg")
     if path == "sparse":
         # the scaled copy holds the values a * scale would, without the
         # dense temporary

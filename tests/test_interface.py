@@ -926,12 +926,82 @@ class TestCli:
         assert (tmp_path / "sub_omega.txt").exists()
 
 
+# the scipy submodules a cold command loads only when it computes with them;
+# in-process tests cannot see a missing load, since earlier tests load them
+SCIPY_SUBMODULES = ("scipy.linalg", "scipy.sparse", "scipy.optimize")
+
+
 def test_cli_import_leaves_scipy_optimize_out():
-    """``generate`` and ``detect`` never solve an assignment, so a cold
-    ``import bidfm.cli`` does not pay for ``scipy.optimize``."""
+    """A cold ``import bidfm.cli`` pays for no scipy submodule: not for
+    ``scipy.optimize``, which only ``evaluate`` and the sweeps use, nor for
+    ``scipy.linalg`` and ``scipy.sparse``, which only an SVD uses."""
     result = subprocess.run(
         [sys.executable, "-c",
-         "import sys, bidfm.cli; assert 'scipy.optimize' not in sys.modules"],
+         f"import sys, bidfm.cli; loaded = set({SCIPY_SUBMODULES}) & set(sys.modules); "
+         "assert not loaded, loaded"],
         capture_output=True, text=True,
     )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["generate", "theory"])
+def test_cold_command_loads_no_scipy_submodule(tmp_path, model_config, command):
+    theory = tmp_path / "theory.json"
+    theory.write_text(json.dumps({"model": "bidfm", "inputs": THEORY_INPUTS}))
+    args = {"generate": ["generate", "--config", str(model_config),
+                         "--output", str(tmp_path / "gen")],
+            "theory": ["theory", "--config", str(theory)]}[command]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from bidfm.cli import main; code = main(sys.argv[1:]); "
+         f"loaded = set({SCIPY_SUBMODULES}) & set(sys.modules); "
+         "assert not loaded, loaded; sys.exit(code)", *args],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("n_r, n_c, alg", [(40, 60, "nbisc"), (120, 150, "nbisc"),
+                                           (120, 150, "disim")],
+                         ids=["lapack", "lanczos", "laplacian"])
+def test_cold_detect_writes_the_in_process_labels(tmp_path, capsys, n_r, n_c, alg):
+    """A fresh ``bidfm detect`` loads the scipy it needs on first use and
+    writes the same bytes as a run in an interpreter that had it loaded."""
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({**MODEL, "n_r": n_r, "n_c": n_c, "membership_seed": 3,
+                                  "distribution": {"kind": "bernoulli"}}))
+    assert main(["generate", "--config", str(config), "--seed", "7",
+                 "--output", str(tmp_path / "gen")]) == 0
+    args = ["detect", "--input", str(tmp_path / "gen_adjacency.txt"), "--alg", alg,
+            "--kr", "2", "--kc", "3", "--seed", "1", "--output"]
+    assert main([*args, str(tmp_path / "warm")]) == 0
+    capsys.readouterr()
+    result = subprocess.run([sys.executable, "-m", "bidfm", *args, str(tmp_path / "cold")],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    for side in ("row", "col"):
+        assert ((tmp_path / f"cold_{side}_labels.txt").read_bytes()
+                == (tmp_path / f"warm_{side}_labels.txt").read_bytes())
+
+
+def test_sparse_input_after_a_cold_import():
+    """``scipy.sparse`` imported after ``bidfm`` still makes a sparse input:
+    a CSR array takes the sparse SVD path, and a dense-only caller rejects it."""
+    result = subprocess.run([sys.executable, "-c", """
+import bidfm
+import numpy as np
+import scipy.sparse
+from bidfm.errors import DimensionError
+from bidfm.linalg import as_matrix, truncated_svd
+
+rng = np.random.default_rng(0)
+a = scipy.sparse.csr_array(np.where(rng.random((120, 150)) < 0.02, 1.0, 0.0))
+assert truncated_svd(a, 2).path == "sparse"
+try:
+    as_matrix(a)
+except DimensionError:
+    pass
+else:
+    raise AssertionError("as_matrix accepted a sparse matrix")
+"""], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

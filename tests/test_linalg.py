@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bidfm import linalg
-from bidfm.detect import bisc
+from bidfm.detect import bisc, nbisc
 from bidfm.errors import ConvergenceError, DimensionError, ValidationError
 from bidfm.experiments import estimate_k_eigengap, preset
 from bidfm.linalg import (
@@ -283,6 +283,38 @@ class TestSparseInput:
             kmeans(m, 2, seed=0)
         with pytest.raises(DimensionError):
             row_normalize(m)
+
+
+class TestInputContract:
+    """Input that is not a matrix of real numbers raises ``ValidationError``,
+    never a truncating cast or a raw numpy error."""
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a + 5j,
+        lambda a: (a + 5j).astype(np.complex64),
+        lambda a: scipy.sparse.csr_array(a + 1j),
+    ], ids=["complex128", "complex64", "sparse-complex"])
+    def test_complex_rejected(self, make):
+        m = make(np.arange(6.0).reshape(2, 3))
+        with pytest.raises(ValidationError, match="must be real"):
+            as_matrix(m, sparse=True)
+        with pytest.raises(ValidationError, match="must be real"):
+            truncated_svd(m, 1)
+
+    def test_complex_rejected_by_the_methods(self):
+        a = np.random.default_rng(3).random((20, 30))
+        with pytest.raises(ValidationError, match="must be real"):
+            nbisc(a + 5j, 2, 3)
+
+    @pytest.mark.parametrize("m", [
+        [["a", "b"], ["c", "d"]], [[1, 2], [3]], {"a": 1}, [[1.0, 10**400]],
+        np.array([[1.0, {}]], dtype=object),
+    ], ids=["strings", "ragged", "dict", "int-beyond-float", "object-dict"])
+    def test_not_numbers_rejected(self, m):
+        with pytest.raises(ValidationError, match="array of real numbers"):
+            as_matrix(m)
+        with pytest.raises(ValidationError, match="array of real numbers"):
+            kmeans(m, 1, seed=0)
 
 
 class TestRowNormalize:

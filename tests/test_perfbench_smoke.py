@@ -1,6 +1,7 @@
 """The benchmark's own invariants on a toy traced sweep: its output checks
-pass, no replicate's operator is decomposed twice, and every method still
-shows up as its own ``detect.<method>`` span.  About 4 s."""
+pass, no replicate's operator is decomposed twice, scipy's SVD calls are
+counted, and every method still shows up as its own ``detect.<method>``
+span.  About 4 s."""
 import json
 import os
 import subprocess
@@ -20,6 +21,9 @@ def test_traced_toy_sweep_keeps_benchmark_invariants():
     assert result["correct"] is True and result["failed"] == 0, result
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     assert metrics["linalg.truncated_svd.useful_ratio"] == 1.0
+    # the tracer counts scipy's SVD calls through ``linalg.scipy``; a loader
+    # that bypasses that name would zero these counts
+    assert metrics["linalg.svd_dense.calls"] + metrics["linalg.svd_lanczos.calls"] > 0
     assert metrics["linalg.kmeans.iterations"] > 0
     assert metrics["linalg.kmeans.restarts"] > 0
     for method in ("bisc", "nbisc", "disim", "dscore", "rdscore"):
