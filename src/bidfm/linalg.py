@@ -150,7 +150,9 @@ def truncated_svd(m, k: int) -> SvdFactors:
     Every path decomposes the matrix scaled by the power of two that brings
     its largest entry into [0.5, 1), which is exact and keeps the products
     clear of overflow and underflow, and scales the singular values back;
-    none comes back negative or ``-0.0``.
+    none comes back negative or ``-0.0``.  The exponent is applied with
+    ``np.ldexp``, so an all-subnormal matrix, whose factor would overflow,
+    scales too.
 
     Raises ``ValidationError`` for a non-integer ``k``, ``DimensionError``
     when ``k`` is out of range and ``ConvergenceError`` if the iterative
@@ -162,7 +164,7 @@ def truncated_svd(m, k: int) -> SvdFactors:
     _count(k, "k", min(n, p))
     sparse = _issparse(a)
     nonzero = a.count_nonzero() if sparse else np.count_nonzero(a)
-    scale = np.ldexp(1.0, -int(np.frexp(max(a.max(), -a.min()))[1]))
+    e = int(np.frexp(max(a.max(), -a.min()))[1])
 
     # An all-zero matrix gives Lanczos a zero starting vector, which it
     # rejects; LAPACK returns its (zero) spectrum like any other.
@@ -174,13 +176,12 @@ def truncated_svd(m, k: int) -> SvdFactors:
         path = "lanczos"
     importlib.import_module("scipy.linalg" if path == "dense" else "scipy.sparse.linalg")
     if path == "sparse":
-        # the scaled copy holds the values a * scale would, without the
-        # dense temporary
+        # the scaled copy, without the dense temporary
         a = scipy.sparse.csr_array(a, copy=True)
-        a.data *= scale
+        a.data = np.ldexp(a.data, -e)
     else:
         # C order whatever the input's, so both orders take the same products
-        a = np.multiply(a.toarray() if sparse else a, scale, order="C")
+        a = np.ldexp(a.toarray() if sparse else a, -e, order="C")
 
     if path == "dense":
         u, s, vt = scipy.linalg.svd(a, full_matrices=False)
@@ -208,7 +209,7 @@ def truncated_svd(m, k: int) -> SvdFactors:
 
     u, vt = _canonicalize_signs(u, vt)
     with np.errstate(over="ignore"):  # a singular value beyond the float range is inf
-        s = np.where(s > 0.0, s, 0.0) / scale
+        s = np.ldexp(np.where(s > 0.0, s, 0.0), e)
     return SvdFactors(left=u, singular_values=s, right=vt.T, path=path)
 
 

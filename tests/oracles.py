@@ -101,6 +101,17 @@ def brute_force_hamming(estimated, truth, k):
     return best / n
 
 
+def brute_force_assignment(cost):
+    """Least total cost of matching each line of the shorter side of
+    ``cost`` to a distinct line of the other, by enumerating every injection."""
+    cost = np.asarray(cost)
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    rows = range(cost.shape[0])
+    return min(sum(cost[i, cols[i]] for i in rows)
+               for cols in itertools.permutations(range(cost.shape[1]), len(rows)))
+
+
 def brute_force_criterion(estimated, truth, k):
     """Worst-cluster symmetric-difference criterion by full enumeration."""
     est_sets = _clusters(estimated, k)

@@ -933,8 +933,9 @@ SCIPY_SUBMODULES = ("scipy.linalg", "scipy.sparse", "scipy.optimize")
 
 def test_cli_import_leaves_scipy_optimize_out():
     """A cold ``import bidfm.cli`` pays for no scipy submodule: not for
-    ``scipy.optimize``, which only ``evaluate`` and the sweeps use, nor for
-    ``scipy.linalg`` and ``scipy.sparse``, which only an SVD uses."""
+    ``scipy.linalg`` and ``scipy.sparse``, which only an SVD uses, nor for
+    ``scipy.optimize``, which the package never uses: label matching has a
+    solver of its own."""
     result = subprocess.run(
         [sys.executable, "-c",
          f"import sys, bidfm.cli; loaded = set({SCIPY_SUBMODULES}) & set(sys.modules); "
@@ -944,13 +945,21 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("command", ["generate", "theory"])
+@pytest.mark.parametrize("command", ["generate", "theory", "evaluate"])
 def test_cold_command_loads_no_scipy_submodule(tmp_path, model_config, command):
     theory = tmp_path / "theory.json"
     theory.write_text(json.dumps({"model": "bidfm", "inputs": THEORY_INPUTS}))
+    # label files written directly, so no SVD runs before ``evaluate``
+    ids = [str(i) for i in range(1, 9)]
+    for name, labels in [("est", [1, 1, 2, 2, 3, 3, 1, 2]), ("truth", [1, 1, 1, 2, 2, 2, 3, 3])]:
+        fileio.write_labels(tmp_path / f"{name}.txt", ids, labels)
     args = {"generate": ["generate", "--config", str(model_config),
                          "--output", str(tmp_path / "gen")],
-            "theory": ["theory", "--config", str(theory)]}[command]
+            "theory": ["theory", "--config", str(theory)],
+            "evaluate": ["evaluate", "--est-rows", str(tmp_path / "est.txt"),
+                         "--truth-rows", str(tmp_path / "truth.txt"),
+                         "--est-cols", str(tmp_path / "truth.txt"),
+                         "--truth-cols", str(tmp_path / "est.txt")]}[command]
     result = subprocess.run(
         [sys.executable, "-c",
          "import sys; from bidfm.cli import main; code = main(sys.argv[1:]); "
@@ -958,6 +967,25 @@ def test_cold_command_loads_no_scipy_submodule(tmp_path, model_config, command):
          "assert not loaded, loaded; sys.exit(code)", *args],
         capture_output=True, text=True,
     )
+    assert result.returncode == 0, result.stderr
+
+
+def test_scoring_loads_no_scipy_submodule():
+    """``hamming_error``, ``combined_report`` and ``criterion_f`` match
+    labels in numpy: a fresh interpreter that calls them gains no ``scipy.*``
+    module beyond those the bare ``scipy`` package loads at import."""
+    result = subprocess.run([sys.executable, "-c", """
+import sys
+from bidfm.metrics import combined_report, criterion_f, hamming_error
+
+before = {name for name in sys.modules if name.startswith("scipy")}
+est, truth = [1, 1, 2, 2, 3, 3, 1, 2], [1, 1, 1, 2, 2, 2, 3, 3]
+assert hamming_error(est, truth) == 0.375
+assert criterion_f(est, truth) == 1.5
+combined_report(est, truth, truth, est)
+loaded = {name for name in sys.modules if name.startswith("scipy")} - before
+assert not loaded, loaded
+"""], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 
 
@@ -982,6 +1010,22 @@ def test_cold_detect_writes_the_in_process_labels(tmp_path, capsys, n_r, n_c, al
     for side in ("row", "col"):
         assert ((tmp_path / f"cold_{side}_labels.txt").read_bytes()
                 == (tmp_path / f"warm_{side}_labels.txt").read_bytes())
+
+
+@pytest.mark.parametrize("alg", ["bisc", "nbisc", "disim", "dscore", "rdscore"])
+def test_detect_on_a_subnormal_matrix(tmp_path, alg):
+    """Every entry below 2**-1024: ``detect`` writes labels with warnings
+    raised as errors, where the SVD's scale factor used to overflow."""
+    path = tmp_path / "tiny.txt"
+    path.write_text(f"{fileio.MATRIX_HEADER}\n2 2\n1e-310 0\n0 2e-310\n")
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bidfm", "detect", "--input", str(path),
+         "--alg", alg, "--kr", "2", "--kc", "2", "--output", str(tmp_path / "out")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert fileio.read_labels(tmp_path / "out_row_labels.txt")[1].tolist() == [1, 2]
 
 
 def test_sparse_input_after_a_cold_import():

@@ -118,6 +118,27 @@ class TestTruncatedSvd:
         assert got.path == path
         assert got.singular_values == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("shape, convert, path", [
+        ((50, 60), np.asarray, "dense"), ((150, 200), np.asarray, "lanczos"),
+        ((150, 200), scipy.sparse.csr_array, "sparse"),
+    ], ids=["lapack", "lanczos", "csr"])
+    def test_subnormal_matrix_matches_unscaled(self, shape, convert, path):
+        # every entry below 2**-1024, where the factor 2**-e would overflow;
+        # a 0/1 matrix times 2**-1060 is exact, so the bits must match
+        a = (np.random.default_rng(2).random(shape) < 0.5).astype(float)
+        expected = truncated_svd(convert(a), k=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = truncated_svd(convert(np.ldexp(a, -1060)), k=2)
+            labels = nbisc(convert(np.ldexp(a, -1060)), 2, 2, seed=1)
+        assert got.path == expected.path == path
+        assert np.array_equal(got.singular_values, np.ldexp(expected.singular_values, -1060))
+        assert np.array_equal(got.left, expected.left)
+        assert np.array_equal(got.right, expected.right)
+        unscaled = nbisc(convert(a), 2, 2, seed=1)
+        assert np.array_equal(labels.row_labels.labels, unscaled.row_labels.labels)
+        assert np.array_equal(labels.col_labels.labels, unscaled.col_labels.labels)
+
     def test_no_negative_zero_singular_values(self):
         from bidfm.detect import dscore
 

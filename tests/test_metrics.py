@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bidfm import metrics
+from bidfm.cli import main
 from bidfm.errors import DimensionError
+from bidfm.fileio import write_labels
 from bidfm.metrics import (
     ari,
     combined_report,
@@ -18,6 +22,7 @@ from bidfm.metrics import (
 from bidfm.model import Membership
 
 from oracles import (
+    brute_force_assignment,
     brute_force_criterion,
     brute_force_hamming,
     confusion_of,
@@ -308,3 +313,100 @@ class TestCriterionF:
             for chunk in np.array_split(permutations_of_10, 16)
         )
         assert m._bottleneck_assignment(costs) == pytest.approx(best, abs=1e-12)
+
+
+def _cost_matrix(kind, shape, rng):
+    """A test matrix of one of the shapes of input the solver meets."""
+    if kind == "counts":  # a negated confusion matrix, as _hamming solves
+        return -rng.integers(0, 20, shape)
+    if kind == "signed":
+        return rng.integers(-10, 10, shape)
+    if kind == "penalty":  # the 0/1 matrices of the bottleneck search
+        return (rng.random(shape) < 0.5).astype(int)
+    if kind == "ties":  # few distinct values, and every row the same
+        c = rng.integers(0, 2, shape)
+        return c if rng.random() < 0.5 else np.broadcast_to(c[:1], shape)
+    if kind == "zero lines":  # empty clusters on either side
+        c = -rng.integers(0, 20, shape)
+        c[rng.random(shape[0]) < 0.4] = 0
+        c[:, rng.random(shape[1]) < 0.4] = 0
+        return c
+    return rng.random(shape)  # "uniform": no ties at all
+
+
+def _solved(cost):
+    """The solver's optimum, transposing a tall matrix as its callers do."""
+    cost = np.asarray(cost, dtype=float)
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    cols = metrics._assignment(cost)
+    assert sorted(set(cols.tolist())) == sorted(cols.tolist())  # distinct columns
+    assert ((cols >= 0) & (cols < cost.shape[1])).all()
+    return cost[np.arange(len(cost)), cols].sum()
+
+
+KINDS = ["counts", "signed", "penalty", "ties", "zero lines", "uniform"]
+
+
+class TestAssignment:
+    """The label-matching solver against two oracles, on objectives only:
+    several assignments can share the optimum."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_scipy(self, kind):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(len(kind))
+        for _ in range(150):
+            cost = _cost_matrix(kind, tuple(rng.integers(1, 10, 2)), rng)
+            rows, cols = linear_sum_assignment(cost)
+            assert _solved(cost) == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(KINDS), rows=st.integers(1, 6), cols=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_enumeration(self, kind, rows, cols, seed):
+        cost = _cost_matrix(kind, (rows, cols), np.random.default_rng(seed))
+        assert _solved(cost) == pytest.approx(brute_force_assignment(cost), abs=1e-9)
+
+    @pytest.mark.parametrize("cost, best", [
+        ([[0]], 0), ([[3, 1, 2]], 1), ([[5, 5], [5, 5]], 10), ([[0, 0, 0]] * 2, 0),
+        # every row prefers column 0: two rows must move, at least cost
+        ([[0, 1, 5], [0, 2, 5], [0, 9, 1]], 2),
+    ])
+    def test_small_cases(self, cost, best):
+        assert _solved(cost) == best
+
+    def test_hamming_matches_scipy_on_rectangular_confusions(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            k_est, k_truth = rng.integers(1, 12, 2)
+            n = int(rng.integers(max(k_est, k_truth), 60))
+            est = np.concatenate([np.arange(1, k_est + 1), rng.integers(1, k_est + 1, n - k_est)])
+            truth = np.concatenate([np.arange(1, k_truth + 1),
+                                    rng.integers(1, k_truth + 1, n - k_truth)])
+            c = confusion_matrix(est, truth)
+            rows, cols = linear_sum_assignment(-c)
+            assert hamming_error(est, truth) == (n - c[rows, cols].sum()) / n
+
+    def test_evaluate_singletons_against_three_clusters(self, tmp_path, capsys):
+        """2000 singleton clusters against 3 true clusters on the rows and
+        the reverse on the columns: the 3 x 2000 confusion is solved as it
+        is and the 2000 x 3 one transposed, so each side needs at most 3
+        augmentations of at most 2000 steps."""
+        n = 2000
+        ids = [str(i) for i in range(1, n + 1)]
+        singletons, three = np.arange(1, n + 1), np.arange(n) % 3 + 1
+        files = {}
+        for name, labels in [("est_r", singletons), ("truth_r", three),
+                             ("est_c", three), ("truth_c", singletons)]:
+            files[name] = str(tmp_path / f"{name}.txt")
+            write_labels(files[name], ids, labels)
+        assert main(["evaluate", "--format", "json",
+                     "--est-rows", files["est_r"], "--truth-rows", files["truth_r"],
+                     "--est-cols", files["est_c"], "--truth-cols", files["truth_c"]]) == 0
+        report = json.loads(capsys.readouterr().out)
+        # three nodes keep a matched label on each side
+        assert report["error_rate_r"] == report["error_rate_c"] == (n - 3) / n
