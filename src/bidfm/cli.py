@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 from . import detect as detect_mod
@@ -112,9 +111,12 @@ def build_parser() -> _Parser:
 
 def _emit(args, payload, csv_text):
     """Write a report to ``--output`` or stdout: ``payload`` as JSON under
-    ``--format json``, ``csv_text`` otherwise."""
-    text = (json.dumps(payload, indent=2, default=list) + "\n" if args.format == "json"
-            else csv_text)
+    ``--format json``, ``csv_text`` otherwise.  JSON has no NaN or infinity:
+    a non-finite number is written as ``null``."""
+    text = csv_text
+    if args.format == "json":
+        plain = json.loads(json.dumps(payload, default=list), parse_constant=lambda _: None)
+        text = json.dumps(plain, indent=2) + "\n"
     if args.output:
         fileio.atomic_write_text(args.output, text)
     else:
@@ -258,9 +260,7 @@ def _cmd_theory(args):
     csv_text = "# bidfm theory report v1\nquantity,value\n" + "\n".join(
         f"{k},{v}" for k, v in payload.items()
     ) + "\n"
-    # JSON has no infinity: a void bound (inf in CSV) is written as null
-    _emit(args, {k: None if isinstance(v, float) and not math.isfinite(v) else v
-                 for k, v in payload.items()}, csv_text)
+    _emit(args, payload, csv_text)  # a void bound: inf in CSV, null in JSON
     return 0
 
 

@@ -27,8 +27,7 @@ from .model import (
     Membership,
     expected_adjacency,
 )
-from .sampling import DistributionSpec, check_omega_range, sample_adjacency
-from .theory import MODELS
+from .sampling import check_omega_range, sample_adjacency
 
 # Per-point parameter seeds stride by this prime so they never collide
 # with the per-replicate draw seeds (base_seed + rep).
@@ -63,38 +62,35 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
-        if self.model not in MODELS:
-            raise ValidationError(f"unknown model {self.model!r}")
         grids = [
             g for g in (self.rho_grid, self.n_grid, self.sigma2_grid) if g is not None
         ]
         if len(grids) != 1 or len(grids[0]) == 0:
             raise ValidationError("exactly one non-empty swept grid is required")
-        for key in ("replicates", "k_r", "k_c"):
-            _count(getattr(self, key), key)
+        _count(self.replicates, "replicates")
         _rng(self.base_seed)  # raises for a seed no replicate could draw from
         if self.n_grid is None and (self.n_r is None or self.n_c is None):
             raise ValidationError("fixed dimensions n_r, n_c are required")
         if self.rho_grid is None and self.rho is None:
             raise ValidationError("rho is required when not swept")
-        # each point's law must be valid and admit rho * mixing: those are
-        # the plain model's expected entries, and they bound the
-        # degree-corrected ones, since thetas never exceed sqrt(rho) and
-        # every law's interval contains 0
-        for _, _, _, rho, spec in self._points():
-            if not rho > 0:
-                raise ValidationError(f"rho must be positive, got {rho}")
-            try:
-                check_omega_range(rho * self.mixing, spec)
-            except DomainError as exc:
-                raise ValidationError(
-                    f"the law does not admit rho * mixing at rho = {rho}: {exc}") from None
         if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
             raise ValidationError(f"algorithms must name one or more methods, none twice, "
                                   f"got {list(self.algorithms)}")
         unknown = set(self.algorithms) - set(detect.ALGORITHMS)
         if unknown:
             raise ValidationError(f"unknown algorithms: {sorted(unknown)}")
+        # each point must be a config `bidfm generate` reads, and its law must
+        # admit rho * mixing: those are the plain model's expected entries,
+        # and they bound the degree-corrected ones, since thetas never exceed
+        # sqrt(rho) and every law's interval contains 0
+        for _, point in self._points():
+            fileio.params_from_config(point)
+            spec = fileio.distribution_from_config(point["distribution"])
+            try:
+                check_omega_range(point["rho"] * self.mixing, spec)
+            except DomainError as exc:
+                raise ValidationError(f"the law does not admit rho * mixing at "
+                                      f"rho = {point['rho']}: {exc}") from None
 
     @property
     def swept(self) -> tuple:
@@ -106,14 +102,25 @@ class SimulationConfig:
         return "sigma2", tuple(self.sigma2_grid)
 
     def _points(self):
-        """``(value, n_r, n_c, rho, DistributionSpec)`` at each swept value."""
+        """``(value, config)`` at each swept value: the point's model config,
+        read back from the JSON text ``bidfm generate`` would read it from."""
         swept_name, values = self.swept
-        for value in values:
-            n_r = int(value) if swept_name == "n" else self.n_r
-            n_c = int(value) if swept_name == "n" else self.n_c
-            rho = value if swept_name == "rho" else self.rho
-            sigma2 = value if swept_name == "sigma2" else self.sigma2
-            yield value, n_r, n_c, rho, DistributionSpec(self.kind, sigma2=sigma2)
+        for index, value in enumerate(values):
+            point = {
+                "model": self.model, "n_r": self.n_r, "n_c": self.n_c, "k_r": self.k_r,
+                "k_c": self.k_c, "mixing": self.mixing, "rho": self.rho,
+                "membership_seed": self.base_seed + _POINT_SEED_STRIDE * (index + 1),
+                "distribution": {"kind": self.kind, "sigma2": self.sigma2},
+            }
+            if swept_name == "n":
+                point["n_r"] = point["n_c"] = int(value)
+            elif swept_name == "rho":
+                point["rho"] = value
+            else:
+                point["distribution"]["sigma2"] = value
+            # numpy values become plain numbers, other non-JSON values a repr the reader rejects
+            yield value, json.loads(json.dumps(
+                point, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v)))
 
 
 @dataclass(frozen=True)
@@ -158,18 +165,6 @@ class ExperimentReport:
         return out.getvalue()
 
 
-def _point_config(config, index, n_r, n_c, rho, spec) -> dict:
-    """The model config of sweep point ``index``, read back from the JSON
-    text that ``bidfm generate`` would read it from."""
-    point = {
-        "model": config.model, "n_r": n_r, "n_c": n_c, "k_r": config.k_r, "k_c": config.k_c,
-        "mixing": config.mixing, "rho": rho,
-        "membership_seed": config.base_seed + _POINT_SEED_STRIDE * (index + 1),
-        "distribution": {"kind": spec.kind, "sigma2": spec.sigma2},
-    }
-    return json.loads(json.dumps(point, default=lambda value: value.tolist()))
-
-
 def run_simulation(config: SimulationConfig) -> ExperimentReport:
     """Execute the sweep and average the scores per (algorithm, value).
 
@@ -179,8 +174,9 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
     matrix is decomposed once per operator and shared by the algorithms on it.
     """
     points = []
-    for index, (value, n_r, n_c, rho, spec) in enumerate(config._points()):
-        params = fileio.params_from_config(_point_config(config, index, n_r, n_c, rho, spec))
+    for value, point in config._points():
+        params = fileio.params_from_config(point)
+        spec = fileio.distribution_from_config(point["distribution"])
         omega = expected_adjacency(params)
         scores = {alg: [] for alg in config.algorithms}
         failures = {alg: Counter() for alg in config.algorithms}

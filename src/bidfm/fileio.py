@@ -134,7 +134,8 @@ def read_edge_list(path, delimiter: str | None = None, header: bool = False,
     universe in first-appearance order, producing a square matrix whose rows
     and columns index the same nodes; otherwise sources and targets get
     independent universes.  Duplicate (source, target) pairs are summed with
-    a warning.  Returns ``(matrix, row_ids, col_ids)``.
+    a warning; a pair whose weights sum beyond the float range is a
+    ``ParseError`` that names it.  Returns ``(matrix, row_ids, col_ids)``.
     """
     sources, targets, weights = [], [], []
     for lineno, text in _records(path, header):
@@ -161,7 +162,13 @@ def read_edge_list(path, delimiter: str | None = None, header: bool = False,
     rows = np.array([row_index[s] for s in sources])
     cols = np.array([col_index[t] for t in targets])
     matrix = np.zeros((len(row_index), len(col_index)))
-    np.add.at(matrix, (rows, cols), weights)  # in record order, as read
+    with np.errstate(over="ignore"):
+        np.add.at(matrix, (rows, cols), weights)  # in record order, as read
+    overflowed = ~np.isfinite(matrix[rows, cols])  # only a summed pair can overflow
+    if overflowed.any():
+        i = int(overflowed.argmax())
+        raise ParseError(f"the weights of ({sources[i]!r}, {targets[i]!r}) "
+                         "sum beyond the float range")
     duplicates = len(weights) - len(np.unique(rows * len(col_index) + cols))
     if duplicates:
         warnings.warn(f"{duplicates} duplicate (source, target) pairs were summed",

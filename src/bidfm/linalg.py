@@ -230,10 +230,16 @@ def row_normalize(m) -> RowNormalization:
     degenerate rows signal noise or rank deficiency and should stay visible.
     """
     a = as_matrix(m)
-    norms = np.linalg.norm(a, axis=1)
-    degenerate = norms < ZERO_FLOOR
-    safe = np.where(degenerate, 1.0, norms)
-    out = a / safe[:, None]
+    # each row scaled by the power of two that brings its largest |entry|
+    # into [0.5, 1), as in truncated_svd: exact, and the squares in its norm
+    # can neither overflow nor all underflow
+    e = np.frexp(np.abs(a).max(axis=1, keepdims=True))[1]
+    scaled = np.ldexp(a, -e)
+    norms = np.linalg.norm(scaled, axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf norm; a zero row's 0/0
+        degenerate = np.ldexp(norms[:, 0], e[:, 0]) < ZERO_FLOOR
+        out = scaled / norms
+    out[degenerate] = a[degenerate]
     return RowNormalization(
         matrix=out, degenerate_rows=tuple(int(i) + 1 for i in np.nonzero(degenerate)[0])
     )

@@ -23,7 +23,7 @@ from bidfm.detect import (
     shift_nonnegative,
 )
 from bidfm.errors import DimensionError, DomainError, UnsupportedError, ValidationError
-from bidfm.experiments import _point_config, filter_zero_degree, preset, run_simulation
+from bidfm.experiments import filter_zero_degree, preset, run_simulation
 from bidfm.metrics import hamming_error
 from bidfm.model import (
     P1,
@@ -522,9 +522,11 @@ def test_same_labels_on_every_operand_of_a_sweep_replicate(monkeypatch):
     """A sim1b replicate at 600 x 900 (rho = 0.6, about 8% nonzero, the
     second point of a sweep over (0.4, 0.6, 0.8)) with no zero-degree node."""
     config = preset("sim1b", rho_grid=(0.4, 0.6, 0.8), replicates=1, base_seed=1)
-    params = fileio.params_from_config(
-        _point_config(config, 1, 600, 900, 0.6, DistributionSpec("bernoulli")))
-    a = sample_adjacency(expected_adjacency(params), DistributionSpec("bernoulli"), seed=1)
+    value, point = list(config._points())[1]
+    assert (value, point["n_r"], point["n_c"]) == (0.6, 600, 900)
+    params = fileio.params_from_config(point)
+    spec = fileio.distribution_from_config(point["distribution"])
+    a = sample_adjacency(expected_adjacency(params), spec, seed=1)
     assert (np.abs(a).sum(axis=0) > 0).all() and (np.abs(a).sum(axis=1) > 0).all()
     assert_same_labels_on_every_operand(monkeypatch, a, (2, 3))
 

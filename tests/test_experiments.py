@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +11,10 @@ import scipy.sparse
 from bidfm import experiments
 from bidfm.cli import main
 from bidfm.detect import nbisc
-from bidfm.errors import ConvergenceError, DimensionError, ValidationError
+from bidfm.errors import ConvergenceError, DimensionError, InfeasibleError, ValidationError
 from bidfm.experiments import (
     PRESET_NAMES,
     SimulationConfig,
-    _point_config,
     degree_profiles,
     estimate_k_eigengap,
     filter_zero_degree,
@@ -145,6 +146,42 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             tiny_config(**overrides)
 
+    # each point is read as `bidfm generate` reads it, so a rule that reader
+    # applies fails the sweep when it is built, not when it reaches the point
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: preset("sim1c", n_grid=(60, 2), replicates=3), InfeasibleError,
+         "cannot place 2 nodes into 3 nonempty clusters"),
+        (lambda: preset("sim1a", k_r=3), ValidationError,
+         "mixing matrix shape (2, 3) does not match cluster counts (3, 3)"),
+        (lambda: tiny_config(mixing=[[1.0, 0.5, 0.5], [1.0, 0.5, 0.5]]), ValidationError,
+         "mixing matrix is rank deficient"),
+        (lambda: tiny_config(mixing=0.5 * P1), ValidationError, "max|P| must equal 1, got 0.5"),
+    ], ids=["node-count-below-k-c", "mixing-shape", "rank-deficient-mixing",
+            "max-abs-mixing-one-half"])
+    def test_point_that_generate_rejects_fails_the_build(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
+
+    @pytest.mark.parametrize("k_r", [2.5, Fraction(2)], ids=["float", "fraction"])
+    def test_non_integer_count_gets_the_reader_message(self, k_r):
+        with pytest.raises(ValidationError, match="config key 'k_r' has the wrong type"):
+            tiny_config(k_r=k_r)
+
+    def test_simulate_rejects_a_bad_point_before_any_replicate(self, tmp_path, capsys,
+                                                               monkeypatch):
+        def never(config):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("bidfm.cli.run_simulation", never)
+        path, out = tmp_path / "sim.json", tmp_path / "report.csv"
+        path.write_text(json.dumps({
+            "model": "bidfm", "kind": "bernoulli", "mixing": "P1", "rho": 0.5,
+            "n_grid": [50, 100, 150, 200, 250, 300, 350, 400, 450, 500, 2],
+            "replicates": 10}))
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        assert "cannot place 2 nodes into 3 nonempty clusters" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRunSimulation:
     def test_deterministic_reports(self):
@@ -237,12 +274,13 @@ class TestPointConfig:
         monkeypatch.setattr(experiments, "expected_adjacency", draw)
         monkeypatch.setattr(experiments, "sample_adjacency", sample)
         run_simulation(config)
-        for index, (_, n_r, n_c, rho, spec) in enumerate(config._points()):
+        for index, (_, point) in enumerate(config._points()):
             params, point_seed = drawn[index], 3 + 100003 * (index + 1)
-            assert params.row_membership == sample_memberships(n_r, 2, point_seed)
-            assert params.col_membership == sample_memberships(n_c, 3, point_seed + 1)
+            assert point["membership_seed"] == point_seed
+            assert params.row_membership == sample_memberships(point["n_r"], 2, point_seed)
+            assert params.col_membership == sample_memberships(point["n_c"], 3, point_seed + 1)
             path = tmp_path / "point.json"
-            path.write_text(json.dumps(_point_config(config, index, n_r, n_c, rho, spec)))
+            path.write_text(json.dumps(point))
             for rep in range(config.replicates):
                 prefix = str(tmp_path / f"point{index}_rep{rep}")
                 assert main(["generate", "--config", str(path), "--seed", str(3 + rep),
@@ -257,9 +295,10 @@ class TestPointConfig:
                                       sampled[index * config.replicates + rep])
 
     def test_numpy_scalars_become_plain_numbers(self):
-        config = tiny_config(k_r=np.int64(2), base_seed=np.int64(11))
-        point = _point_config(config, 0, np.int64(30), np.int64(45), np.float64(0.5),
-                              DistributionSpec("normal", sigma2=np.float64(1.0)))
+        config = tiny_config(kind="normal", mixing=P2, k_r=np.int64(2), n_r=np.int64(30),
+                             n_c=np.int64(45), sigma2=np.float64(1.0), base_seed=np.int64(11),
+                             rho_grid=(np.float64(0.5),))
+        _, point = next(config._points())
         values = [v for k, v in point.items() if k not in ("model", "mixing", "distribution")]
         assert [type(v) for v in values] == [int, int, int, int, float, int]
         assert type(point["distribution"]["sigma2"]) is float

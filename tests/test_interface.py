@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,12 @@ THEORY_INPUTS = {
     "n_c_max": 160, "rho": 0.5, "theta_r_min": 0.5, "theta_r_max": 0.9,
     "theta_c_min": 0.5, "theta_c_max": 0.9, "theta_r_l1": 140.0, "theta_c_l1": 210.0,
 }
+
+
+def _reject(token):
+    """A strict JSON parser's ``parse_constant``: NaN and infinities are not JSON."""
+    raise ValueError(f"not JSON: {token}")
+
 
 # a valid plain-model config, for the malformed variants below
 MODEL = {"n_r": 6, "n_c": 6, "k_r": 2, "k_c": 3, "mixing": "P1", "rho": 0.5}
@@ -187,6 +194,15 @@ class TestEdgeList:
         with pytest.warns(UserWarning, match="duplicate"):
             matrix, _, _ = fileio.read_edge_list(path)
         assert matrix[0, 1] == 3.5
+
+    @pytest.mark.parametrize("weight", ["1e308", "-1e308"])
+    def test_duplicates_summed_beyond_the_float_range_rejected(self, tmp_path, weight):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"a\tb\t1.0\nc\td\t{weight}\nc\td\t{weight}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match=r"\('c', 'd'\) sum beyond the float range"):
+                fileio.read_edge_list(path)
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "edges.csv"
@@ -550,6 +566,29 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k_suggestion"] == 2
         assert len(payload["singular_values"]) == 6
+
+    def test_simulate_json_is_strict_when_every_replicate_fails(self, tmp_path, capsys):
+        # dscore needs two clusters on a side, so each of its replicates fails
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "model": "bidfm", "kind": "bernoulli", "mixing": [[1.0]], "k_r": 1, "k_c": 1,
+            "n_r": 30, "n_c": 45, "rho_grid": [0.5], "replicates": 2,
+            "algorithms": ["bisc", "dscore"]}))
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == 0
+        bisc, dscore = json.loads(capsys.readouterr().out, parse_constant=_reject)["points"]
+        assert (dscore["replicates"], dscore["failed"]) == (0, 2)
+        assert [dscore[key] for key in ("mean_error", "se_nmi", "mean_ari")] == [None] * 3
+        assert bisc["mean_error"] == 0.0
+
+    def test_estimate_k_json_is_strict_beyond_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        fileio.write_matrix(path, np.full((2, 2), 1e308))
+        assert main(["estimate-k", "--input", str(path), "--m", "2", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        first, second = json.loads(out, parse_constant=_reject)["singular_values"]
+        assert first is None and math.isfinite(second)
+        assert main(["estimate-k", "--input", str(path), "--m", "2"]) == 0
+        assert "\n1,inf\n" in capsys.readouterr().out
 
     def test_preprocess(self, tmp_path, capsys):
         a = np.ones((4, 4))

@@ -349,6 +349,25 @@ class TestRowNormalize:
         assert np.array_equal(out.matrix, [[0.0, 0.0]])
         assert out.degenerate_rows == (1,)
 
+    @pytest.mark.parametrize("scale", [1e300, 1.7e308], ids=["1e300", "float-max"])
+    def test_huge_rows_unit_norm(self, scale):
+        a = scale * np.array([[1.0, 1.0], [0.6, 0.8], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = row_normalize(a)
+        assert np.abs(np.linalg.norm(out.matrix, axis=1) - 1.0).max() < 1e-15
+        assert out.degenerate_rows == ()
+
+    def test_tiny_rows_reported_not_warned(self):
+        # norms near 1e-300 lie below ZERO_FLOOR: the rows stay as they are
+        a = np.array([[1e-300, 1e-300], [3e-300, 4e-300], [1e-310, 0.0], [3.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = row_normalize(a)
+        assert np.array_equal(out.matrix[:3], a[:3])
+        assert np.allclose(out.matrix[3], [0.6, 0.8])
+        assert out.degenerate_rows == (1, 2, 3)
+
     def test_random_rows_unit_norm(self):
         rng = np.random.default_rng(5)
         out = row_normalize(rng.standard_normal((5, 3)))
