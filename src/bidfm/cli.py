@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -186,19 +185,18 @@ def _cmd_evaluate(args):
 def _cmd_simulate(args):
     if bool(args.preset) == bool(args.config):
         raise UsageError("simulate needs exactly one of --preset or --config")
-    if args.preset:
-        config = preset(args.preset)
-    else:
-        config = fileio.simulation_config_from_config(fileio.load_json(args.config))
-    overrides = {}
+    overrides = {}  # each flag replaces its field before the one build checks it
     if args.seed is not None:
         overrides["base_seed"] = args.seed
     if args.replicates is not None:
         overrides["replicates"] = args.replicates
     if args.algorithms is not None:
         overrides["algorithms"] = tuple(args.algorithms.split(","))
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    if args.preset:
+        config = preset(args.preset, **overrides)
+    else:
+        config = fileio.simulation_config_from_config(
+            {**fileio.load_json(args.config), **overrides})
     report = run_simulation(config)
     payload = {
         "model": report.model,

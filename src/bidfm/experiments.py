@@ -1,11 +1,12 @@
 """Reproducible simulation harness and network-exploration helpers.
 
 A simulation sweeps exactly one parameter (sparsity, size, or normal
-variance).  For each swept value the generative parameters are drawn once,
-``replicates`` adjacency matrices are sampled with seeds ``base_seed + rep``,
-every requested algorithm is scored against the truth, and the scores are
-averaged.  Everything is a pure function of the configuration, so two runs
-of the same configuration produce byte-identical reports.
+variance).  Building the sweep reads each swept value's model config once
+and keeps the generative parameters it draws; running it samples
+``replicates`` adjacency matrices per value with seeds ``base_seed + rep``,
+scores every requested algorithm against the truth, and averages the
+scores.  Everything is a pure function of the configuration, so two runs of
+the same configuration produce byte-identical reports.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ class SimulationConfig:
 
     Fixed dimensions go in ``n_r``/``n_c``; a size sweep uses ``n_grid`` and
     square ``n x n`` networks.  Degree-corrected thetas come from
-    :func:`~bidfm.model.sample_theta` with its default floor.
+    :func:`~bidfm.model.sample_theta` with its default floor.  A build reads
+    each point once into ``_points``: ``(value, config, params, spec)``.
     """
 
     model: str  # "bidfm" | "bidcdfm"
@@ -62,9 +64,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
-        grids = [
-            g for g in (self.rho_grid, self.n_grid, self.sigma2_grid) if g is not None
-        ]
+        grids = [tuple(g) if np.iterable(g) else () for g in
+                 (self.rho_grid, self.n_grid, self.sigma2_grid) if g is not None]
         if len(grids) != 1 or len(grids[0]) == 0:
             raise ValidationError("exactly one non-empty swept grid is required")
         _count(self.replicates, "replicates")
@@ -73,24 +74,48 @@ class SimulationConfig:
             raise ValidationError("fixed dimensions n_r, n_c are required")
         if self.rho_grid is None and self.rho is None:
             raise ValidationError("rho is required when not swept")
-        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+        algorithms = list(self.algorithms) if np.iterable(self.algorithms) else []
+        if (not algorithms or not all(isinstance(alg, str) for alg in algorithms)
+                or len(set(algorithms)) < len(algorithms)):
             raise ValidationError(f"algorithms must name one or more methods, none twice, "
-                                  f"got {list(self.algorithms)}")
-        unknown = set(self.algorithms) - set(detect.ALGORITHMS)
+                                  f"got {algorithms or self.algorithms!r}")
+        unknown = set(algorithms) - set(detect.ALGORITHMS)
         if unknown:
             raise ValidationError(f"unknown algorithms: {sorted(unknown)}")
-        # each point must be a config `bidfm generate` reads, and its law must
-        # admit rho * mixing: those are the plain model's expected entries,
-        # and they bound the degree-corrected ones, since thetas never exceed
-        # sqrt(rho) and every law's interval contains 0
-        for _, point in self._points():
-            fileio.params_from_config(point)
+        # each point is a config `bidfm generate` reads, read once here, and its
+        # law must admit rho * mixing: those are the plain model's expected
+        # entries, and they bound the degree-corrected ones, since thetas never
+        # exceed sqrt(rho) and every law's interval contains 0
+        swept_name, values = self.swept[0], grids[0]
+        points = []
+        for index, value in enumerate(values):
+            point = {
+                "model": self.model, "n_r": self.n_r, "n_c": self.n_c, "k_r": self.k_r,
+                "k_c": self.k_c, "mixing": self.mixing, "rho": self.rho,
+                "membership_seed": self.base_seed + _POINT_SEED_STRIDE * (index + 1),
+                "distribution": {"kind": self.kind, "sigma2": self.sigma2},
+            }
+            if swept_name == "n":
+                point["n_r"] = point["n_c"] = value  # uncast: the reader's integer rule
+            elif swept_name == "rho":
+                point["rho"] = value
+            else:
+                point["distribution"]["sigma2"] = value
+            # numpy values become plain numbers, other non-JSON values a repr the reader rejects
+            try:
+                point = json.loads(json.dumps(
+                    point, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v)))
+            except ValueError as exc:  # an integer past Python's digit limit
+                raise ValidationError(f"sweep point {index}: {exc}") from None
+            params = fileio.params_from_config(point)
             spec = fileio.distribution_from_config(point["distribution"])
             try:
                 check_omega_range(point["rho"] * self.mixing, spec)
             except DomainError as exc:
                 raise ValidationError(f"the law does not admit rho * mixing at "
                                       f"rho = {point['rho']}: {exc}") from None
+            points.append((value, point, params, spec))
+        object.__setattr__(self, "_points", tuple(points))
 
     @property
     def swept(self) -> tuple:
@@ -100,27 +125,6 @@ class SimulationConfig:
         if self.n_grid is not None:
             return "n", tuple(self.n_grid)
         return "sigma2", tuple(self.sigma2_grid)
-
-    def _points(self):
-        """``(value, config)`` at each swept value: the point's model config,
-        read back from the JSON text ``bidfm generate`` would read it from."""
-        swept_name, values = self.swept
-        for index, value in enumerate(values):
-            point = {
-                "model": self.model, "n_r": self.n_r, "n_c": self.n_c, "k_r": self.k_r,
-                "k_c": self.k_c, "mixing": self.mixing, "rho": self.rho,
-                "membership_seed": self.base_seed + _POINT_SEED_STRIDE * (index + 1),
-                "distribution": {"kind": self.kind, "sigma2": self.sigma2},
-            }
-            if swept_name == "n":
-                point["n_r"] = point["n_c"] = int(value)
-            elif swept_name == "rho":
-                point["rho"] = value
-            else:
-                point["distribution"]["sigma2"] = value
-            # numpy values become plain numbers, other non-JSON values a repr the reader rejects
-            yield value, json.loads(json.dumps(
-                point, default=lambda v: v.tolist() if hasattr(v, "tolist") else repr(v)))
 
 
 @dataclass(frozen=True)
@@ -170,20 +174,17 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
 
     Individual algorithm failures (for instance the ratio method with a
     single cluster) count as missing replicates instead of aborting the run,
-    and ``failure_reasons`` counts them by exception class.  Each replicate's
-    matrix is decomposed once per operator and shared by the algorithms on it.
+    and ``failure_reasons`` counts them by exception class.  The points are
+    the ones ``config`` read when built.  Each replicate's matrix is
+    decomposed once per operator and shared by the algorithms on it.
     """
+    seeds = range(config.base_seed, config.base_seed + config.replicates)
     points = []
-    for value, point in config._points():
-        params = fileio.params_from_config(point)
-        spec = fileio.distribution_from_config(point["distribution"])
+    for value, _, params, spec in config._points:
         omega = expected_adjacency(params)
         scores = {alg: [] for alg in config.algorithms}
         failures = {alg: Counter() for alg in config.algorithms}
-        seeds = []
-        for rep in range(config.replicates):
-            seed = config.base_seed + rep
-            seeds.append(seed)
+        for seed in seeds:
             a = sample_adjacency(omega, spec, seed)
             outcomes = detect.run_algorithms(config.algorithms, a, config.k_r, config.k_c, seed)
             for alg, result in outcomes:

@@ -522,7 +522,7 @@ def test_same_labels_on_every_operand_of_a_sweep_replicate(monkeypatch):
     """A sim1b replicate at 600 x 900 (rho = 0.6, about 8% nonzero, the
     second point of a sweep over (0.4, 0.6, 0.8)) with no zero-degree node."""
     config = preset("sim1b", rho_grid=(0.4, 0.6, 0.8), replicates=1, base_seed=1)
-    value, point = list(config._points())[1]
+    value, point, _, _ = config._points[1]
     assert (value, point["n_r"], point["n_c"]) == (0.6, 600, 900)
     params = fileio.params_from_config(point)
     spec = fileio.distribution_from_config(point["distribution"])

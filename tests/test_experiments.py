@@ -7,11 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bidfm import experiments
+from bidfm import experiments, fileio
 from bidfm.cli import main
-from bidfm.detect import nbisc
-from bidfm.errors import ConvergenceError, DimensionError, InfeasibleError, ValidationError
+from bidfm.detect import ALGORITHMS, nbisc
+from bidfm.errors import (
+    BidfmError, ConvergenceError, DimensionError, InfeasibleError, ValidationError,
+)
 from bidfm.experiments import (
     PRESET_NAMES,
     SimulationConfig,
@@ -182,6 +186,103 @@ class TestConfigValidation:
         assert "cannot place 2 nodes into 3 nonempty clusters" in capsys.readouterr().err
         assert not out.exists()
 
+    # a value is passed to the reader as given, so its integer rule, not a
+    # cast, decides an n (an integral float such as 50.0 included)
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(rho_grid=None, rho=0.5, n_grid=(float("nan"),)), "key 'n_r' has the wrong type"),
+        (dict(rho_grid=None, rho=0.5, n_grid=("abc",)), "key 'n_r' has the wrong type"),
+        (dict(rho_grid=None, rho=0.5, n_grid=(50.7,)), "key 'n_r' has the wrong type"),
+        (dict(rho_grid=None, rho=0.5, n_grid=(50.0,)), "key 'n_r' has the wrong type"),
+        (dict(rho_grid=None, rho=0.5, n_grid=(20, True)), "key 'n_r' has the wrong type"),
+        (dict(rho_grid=0.5), "exactly one non-empty swept grid"),
+        (dict(rho_grid=np.array(0.5)), "exactly one non-empty swept grid"),
+        (dict(algorithms=None), "algorithms must name one or more methods"),
+        (dict(algorithms=[["bisc"]]), "algorithms must name one or more methods"),
+        (dict(rho_grid=(10 ** 5000,)), "sweep point 0: Exceeds the limit"),
+    ], ids=["nan-n", "string-n", "fractional-n", "integral-float-n", "bool-n",
+            "scalar-grid", "zero-d-array-grid", "no-algorithms", "unhashable-algorithm",
+            "integer-past-the-digit-limit"])
+    def test_bad_python_value_is_a_validation_error(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            tiny_config(**overrides)
+
+
+# values of every type a Python caller might put in a sweep's grid, replicate
+# count or algorithm list, beside valid ones so that some sweeps build; n
+# stays small so that a point that builds is cheap
+_VALUES = st.one_of(
+    st.integers(-3, 80), st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+    st.text(max_size=3), st.none(), st.integers(-3, 80).map(np.int64),
+    st.floats(-2.0, 2.0).map(np.float64),
+    st.lists(st.integers(-3, 80), max_size=2).map(np.array),
+)
+_GOOD_VALUES = st.one_of(st.integers(3, 80), st.integers(3, 80).map(np.int64),
+                         st.floats(0.1, 2.0))
+
+
+def _mostly(good, bad):  # three draws in four from ``good``
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+_GRIDS = _mostly(
+    st.lists(_GOOD_VALUES, min_size=1, max_size=3).flatmap(
+        lambda values: st.sampled_from([values, tuple(values), np.array(values)])),
+    st.one_of(_VALUES, st.lists(_VALUES, max_size=3), st.lists(_VALUES, max_size=3).map(tuple)),
+)
+_ALGORITHMS = _mostly(
+    st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=2, unique=True).flatmap(
+        lambda names: st.sampled_from([names, tuple(names), np.array(names)])),
+    st.one_of(_VALUES, st.lists(st.one_of(st.sampled_from(ALGORITHMS), _VALUES), max_size=3)),
+)
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True)
+@given(swept=st.sampled_from(["rho_grid", "n_grid", "sigma2_grid"]), grid=_GRIDS,
+       other=_mostly(st.none(), _GRIDS), replicates=_mostly(st.integers(1, 3), _VALUES),
+       algorithms=_ALGORITHMS)
+def test_a_python_sweep_builds_or_raises_a_bidfm_error(swept, grid, other, replicates,
+                                                        algorithms):
+    fields = ["rho_grid", "n_grid", "sigma2_grid"]
+    fields.remove(swept)
+    try:
+        config = SimulationConfig(
+            model="bidfm", kind="normal", mixing=P2, n_r=30, n_c=45, rho=0.5, sigma2=1.0,
+            replicates=replicates, algorithms=algorithms, **{swept: grid, fields[0]: other})
+    except BidfmError:
+        return
+    assert len(config._points) == len(config.swept[1]) >= 1
+
+
+class TestOneBuild:
+    """A sweep's points are read once, when it is built, and its run reads none."""
+
+    def test_simulate_with_flags_reads_each_point_once(self, tmp_path, monkeypatch):
+        calls, read = [], fileio.params_from_config
+        monkeypatch.setattr(fileio, "params_from_config",
+                            lambda data: calls.append(data) or read(data))
+        assert main(["simulate", "--preset", "sim1a", "--replicates", "1", "--algorithms",
+                     "bisc", "--seed", "3", "--output", str(tmp_path / "report.csv")]) == 0
+        assert len(calls) == len(preset("sim1a").rho_grid) == 10
+
+    def test_run_reads_no_point(self, monkeypatch):
+        config = tiny_config(replicates=1)
+
+        def never(data):
+            raise AssertionError("a point was read again")
+
+        monkeypatch.setattr(fileio, "params_from_config", never)
+        monkeypatch.setattr(fileio, "distribution_from_config", never)
+        assert len(run_simulation(config).points) == 4
+
+    def test_flag_replaces_a_config_key_before_the_check(self, tmp_path):
+        path, out = tmp_path / "sim.json", tmp_path / "report.csv"
+        path.write_text(json.dumps({
+            "model": "bidfm", "kind": "bernoulli", "mixing": "P1", "n_r": 30, "n_c": 45,
+            "rho_grid": [0.5], "replicates": 0, "algorithms": ["bisc"]}))
+        assert main(["simulate", "--config", str(path), "--replicates", "2",
+                     "--output", str(out)]) == 0
+        assert [line.split(",")[-2] for line in out.read_text().splitlines()[2:]] == ["2"]
+
 
 class TestRunSimulation:
     def test_deterministic_reports(self):
@@ -274,7 +375,7 @@ class TestPointConfig:
         monkeypatch.setattr(experiments, "expected_adjacency", draw)
         monkeypatch.setattr(experiments, "sample_adjacency", sample)
         run_simulation(config)
-        for index, (_, point) in enumerate(config._points()):
+        for index, (_, point, _, _) in enumerate(config._points):
             params, point_seed = drawn[index], 3 + 100003 * (index + 1)
             assert point["membership_seed"] == point_seed
             assert params.row_membership == sample_memberships(point["n_r"], 2, point_seed)
@@ -298,7 +399,7 @@ class TestPointConfig:
         config = tiny_config(kind="normal", mixing=P2, k_r=np.int64(2), n_r=np.int64(30),
                              n_c=np.int64(45), sigma2=np.float64(1.0), base_seed=np.int64(11),
                              rho_grid=(np.float64(0.5),))
-        _, point = next(config._points())
+        _, point, _, _ = config._points[0]
         values = [v for k, v in point.items() if k not in ("model", "mixing", "distribution")]
         assert [type(v) for v in values] == [int, int, int, int, float, int]
         assert type(point["distribution"]["sigma2"]) is float
