@@ -144,8 +144,7 @@ def _cmd_generate(args):
     for name, matrix in matrices.items():
         written.append(f"{prefix}_{name}.txt")
         fileio.write_matrix(written[-1], matrix)
-    written += _write_label_pair(prefix, params.row_membership.labels,
-                                 params.col_membership.labels)
+    written += _write_label_pair(prefix, params.row_membership, params.col_membership)
     print("\n".join(written))
     return 0
 
@@ -157,8 +156,7 @@ def _cmd_detect(args):
     if "shift" in result.diagnostics:
         print(f"applied non-negative shift {result.diagnostics['shift']:.6g}",
               file=sys.stderr)
-    paths = _write_label_pair(args.output or "detected", result.row_labels.labels,
-                              result.col_labels.labels)
+    paths = _write_label_pair(args.output or "detected", result.row_labels, result.col_labels)
     print("\n".join(paths))
     return 0
 
@@ -245,13 +243,14 @@ def _cmd_theory(args):
     config = fileio.load_json(args.config)
     model, inputs, c_alpha, c = fileio.theory_config_from_config(config)
     check = check_assumption(model, inputs)
+    bound = deviation_bound(model, inputs, c_alpha)  # c_alpha is checked before c
     envelope = error_envelope(model, inputs, c)
     payload = {
         "model": model,
         "assumption_holds": check.holds,
         "assumption_ratio": check.ratio,
         "assumption_note": check.note,
-        "spectral_deviation_bound": deviation_bound(model, inputs, c_alpha),
+        "spectral_deviation_bound": bound,
         "row_error_envelope": envelope.f_r,
         "col_error_envelope": envelope.f_c,
     }

@@ -21,7 +21,7 @@ import numpy as np
 from . import detect, fileio
 from .errors import BidfmError, DimensionError, DomainError, ValidationError
 from .linalg import _count, _rng, as_matrix, truncated_svd
-from .metrics import _scores, combined_report, confusion_matrix
+from .metrics import _SCORES, _scores, combined_report, confusion_matrix
 from .model import (
     P1,
     P2,
@@ -34,13 +34,18 @@ from .sampling import check_omega_range, sample_adjacency
 # with the per-replicate draw seeds (base_seed + rep).
 _POINT_SEED_STRIDE = 100003
 
+# Each axis a sweep may sweep, and the field that holds its grid.
+_AXES = (("rho", "rho_grid"), ("n", "n_grid"), ("sigma2", "sigma2_grid"))
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
     """One simulation: a model, an edge law, and exactly one swept parameter.
 
     Fixed dimensions go in ``n_r``/``n_c``; a size sweep uses ``n_grid`` and
-    square ``n x n`` networks.  Degree-corrected thetas come from
+    square ``n x n`` networks.  A grid and ``algorithms`` may be any iterable
+    (a generator or a numpy array too): a build reads each once and stores
+    the tuple it read back in its field.  Degree-corrected thetas come from
     :func:`~bidfm.model.sample_theta` with its default floor.  A build reads
     each point once into ``_points``: ``(value, config, params, spec)``.
     """
@@ -64,10 +69,12 @@ class SimulationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
-        grids = [tuple(g) if np.iterable(g) else () for g in
-                 (self.rho_grid, self.n_grid, self.sigma2_grid) if g is not None]
-        if len(grids) != 1 or len(grids[0]) == 0:
+        grids = {axis: tuple(g) if np.iterable(g) else () for axis, name in _AXES
+                 if (g := getattr(self, name)) is not None}
+        if len(grids) != 1 or not all(grids.values()):
             raise ValidationError("exactly one non-empty swept grid is required")
+        [(swept_name, values)] = grids.items()
+        object.__setattr__(self, dict(_AXES)[swept_name], values)
         _count(self.replicates, "replicates")
         _rng(self.base_seed)  # raises for a seed no replicate could draw from
         if self.n_grid is None and (self.n_r is None or self.n_c is None):
@@ -82,25 +89,20 @@ class SimulationConfig:
         unknown = set(algorithms) - set(detect.ALGORITHMS)
         if unknown:
             raise ValidationError(f"unknown algorithms: {sorted(unknown)}")
-        # each point is a config `bidfm generate` reads, read once here, and its
-        # law must admit rho * mixing: those are the plain model's expected
-        # entries, and they bound the degree-corrected ones, since thetas never
-        # exceed sqrt(rho) and every law's interval contains 0
-        swept_name, values = self.swept[0], grids[0]
+        object.__setattr__(self, "algorithms", tuple(algorithms))  # read once, like the grid
+        # each point is a config `bidfm generate` reads, read once here: the
+        # fixed fields, with the swept value (uncast: the reader's integer
+        # rule) in those its axis sets.  Its law must admit rho * mixing: those
+        # are the plain model's expected entries, and they bound the
+        # degree-corrected ones, since thetas never exceed sqrt(rho) and every
+        # law's interval contains 0
+        swept_fields = ("n_r", "n_c") if swept_name == "n" else (swept_name,)
         points = []
         for index, value in enumerate(values):
-            point = {
-                "model": self.model, "n_r": self.n_r, "n_c": self.n_c, "k_r": self.k_r,
-                "k_c": self.k_c, "mixing": self.mixing, "rho": self.rho,
-                "membership_seed": self.base_seed + _POINT_SEED_STRIDE * (index + 1),
-                "distribution": {"kind": self.kind, "sigma2": self.sigma2},
-            }
-            if swept_name == "n":
-                point["n_r"] = point["n_c"] = value  # uncast: the reader's integer rule
-            elif swept_name == "rho":
-                point["rho"] = value
-            else:
-                point["distribution"]["sigma2"] = value
+            at = vars(self) | dict.fromkeys(swept_fields, value)
+            point = {key: at[key] for key in ("model", "n_r", "n_c", "k_r", "k_c", "mixing", "rho")}
+            point |= {"membership_seed": self.base_seed + _POINT_SEED_STRIDE * (index + 1),
+                      "distribution": {"kind": self.kind, "sigma2": at["sigma2"]}}
             # numpy values become plain numbers, other non-JSON values a repr the reader rejects
             try:
                 point = json.loads(json.dumps(
@@ -120,11 +122,8 @@ class SimulationConfig:
     @property
     def swept(self) -> tuple:
         """(parameter name, values) of the swept axis."""
-        if self.rho_grid is not None:
-            return "rho", tuple(self.rho_grid)
-        if self.n_grid is not None:
-            return "n", tuple(self.n_grid)
-        return "sigma2", tuple(self.sigma2_grid)
+        return next((axis, getattr(self, name)) for axis, name in _AXES
+                    if getattr(self, name) is not None)
 
 
 @dataclass(frozen=True)
@@ -212,25 +211,16 @@ def run_simulation(config: SimulationConfig) -> ExperimentReport:
 
 
 def _summarize(algorithm, value, reports, failures, seeds):
-    def stats(getter):
-        xs = np.array([getter(r) for r in reports])
-        if xs.size == 0:
-            return math.nan, math.nan
+    stats = {}  # each score's mean and standard error, NaN without a replicate
+    for name, short, _ in _SCORES:
+        xs = np.array([getattr(r, name) for r in reports])
         se = float(xs.std(ddof=1) / math.sqrt(xs.size)) if xs.size > 1 else 0.0
-        return float(xs.mean()), se
-
-    mean_error, se_error = stats(lambda r: r.error_rate)
-    mean_nmi, se_nmi = stats(lambda r: r.nmi)
-    mean_ari, se_ari = stats(lambda r: r.ari)
+        stats |= {f"mean_{short}": float(xs.mean()) if xs.size else math.nan,
+                  f"se_{short}": se if xs.size else math.nan}
     return PointSummary(
         algorithm=algorithm,
         value=value,
-        mean_error=mean_error,
-        mean_nmi=mean_nmi,
-        mean_ari=mean_ari,
-        se_error=se_error,
-        se_nmi=se_nmi,
-        se_ari=se_ari,
+        **stats,
         replicates=len(reports),
         failed=failures.total(),
         seeds=tuple(seeds),

@@ -200,7 +200,10 @@ def write_edge_list(path, m, row_ids=None, col_ids=None):
 
 
 def write_labels(path, ids, labels):
-    labels = np.asarray(labels, dtype=int)
+    """Write one ``id<TAB>label`` line per node.  The labels are read as a
+    :class:`~bidfm.model.Membership`, so the writer takes exactly the labels
+    :func:`read_labels` accepts."""
+    labels = Membership.coerce(labels).labels
     if len(ids) != len(labels):
         raise ValidationError(f"{len(ids)} node ids but {len(labels)} labels")
     _write_records(path, LABELS_HEADER,
@@ -386,18 +389,12 @@ _THEORY_KEYS = {"model": str, "inputs": dict, "c_alpha": float, "c": float}
 
 def theory_config_from_config(data: dict) -> tuple:
     """``(model, inputs, c_alpha, c)`` from a theory config; ``model`` is
-    ``"bidfm"`` (the default) or ``"bidcdfm"`` and the constants, which must
-    be positive, default to 1."""
+    ``"bidfm"`` (the default) or ``"bidcdfm"`` and the constants default to
+    1.  The theory functions that read the model and the constants check
+    them."""
     data = _fields(data, _THEORY_KEYS, "config", required=("inputs",))
-    model = data.get("model", "bidfm")
-    if model not in MODELS:
-        raise ValidationError(f"unknown model {model!r}")
-    constants = {key: data.get(key, 1.0) for key in ("c_alpha", "c")}
-    bad = [f"config key {key!r} must be a positive float, got {value!r}"
-           for key, value in constants.items() if not 0 < value <= sys.float_info.max]
-    if bad:
-        raise ValidationError(bad)
-    return model, theory_inputs_from_config(data["inputs"]), *map(float, constants.values())
+    return data.get("model", "bidfm"), theory_inputs_from_config(data["inputs"]), *(
+        data.get(key, 1.0) for key in ("c_alpha", "c"))
 
 
 @_names_its_file

@@ -6,6 +6,7 @@ concurrent callers never share state.
 from __future__ import annotations
 
 import importlib
+import inspect
 import numbers
 import sys
 from dataclasses import dataclass
@@ -90,6 +91,14 @@ def _count(value, name: str, most: int | None = None):
         raise DimensionError(f"{name}={value} must be {span}")
 
 
+def _positive(value, strict: bool = True, finite: bool = False) -> bool:
+    """Whether ``value`` is a real number, not a bool, above 0 (at least 0
+    unless ``strict``) and, if ``finite``, no larger than the largest float."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (value > 0 if strict else value >= 0)
+            and not (finite and value > sys.float_info.max))
+
+
 @dataclass(frozen=True)
 class SvdFactors:
     """Leading singular triplets: ``left @ diag(singular_values) @ right.T``.
@@ -130,6 +139,25 @@ def _blas_operator(a):
         matvec=lambda x: gemv(1.0, a.T, x.ravel(), trans=1),
         rmatvec=lambda y: gemv(1.0, a.T, y.ravel()),
     )
+
+
+def _lanczos(op, k, v0, maxiter):
+    """``scipy.sparse.linalg.svds(op, k, v0=v0, maxiter=maxiter, tol=1e-10)``
+    step for step, values in increasing order, except that ARPACK restarts a
+    Krylov space that runs out (as on a constant matrix) from a seeded
+    generator, not from fresh OS entropy (where ``eigsh`` takes one)."""
+    swap = op.shape[0] < op.shape[1]
+    a, at = (op.H, op) if swap else (op, op.H)
+    gram = scipy.sparse.linalg.LinearOperator(
+        (min(op.shape),) * 2, matvec=lambda x: at.matvec(a.matvec(x)), dtype=op.dtype)
+    eigsh = scipy.sparse.linalg.eigsh
+    takes_rng = "rng" in inspect.signature(eigsh).parameters
+    vectors = eigsh(gram, k=k, tol=1e-10 ** 2, maxiter=maxiter, v0=v0,
+                    **({"rng": np.random.default_rng(0)} if takes_rng else {}))[1]
+    vectors = np.linalg.qr(vectors)[0]
+    u, s, vh = scipy.linalg.svd(a.matmat(vectors), full_matrices=False, overwrite_a=True)
+    u, s, vh = u[:, ::-1], s[::-1], vh[::-1]
+    return (vectors @ vh.T, s, u.T) if swap else (u, s, vh @ vectors.T)
 
 
 def truncated_svd(m, k: int) -> SvdFactors:
@@ -191,10 +219,8 @@ def truncated_svd(m, k: int) -> SvdFactors:
         v0 = np.linspace(1.0, 2.0, min(n, p))
         v0 /= np.linalg.norm(v0)
         try:
-            u, s, vt = scipy.sparse.linalg.svds(
-                a if path == "sparse" else _blas_operator(a),
-                k=k, v0=v0, maxiter=1000 * k, tol=1e-10,
-            )
+            u, s, vt = _lanczos(scipy.sparse.linalg.aslinearoperator(a) if path == "sparse"
+                                else _blas_operator(a), k, v0, 1000 * k)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = len(exc.eigenvalues) if exc.eigenvalues is not None else 0
             raise ConvergenceError(

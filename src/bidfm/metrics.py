@@ -181,6 +181,11 @@ def _scores(counts) -> tuple:
     return _hamming(counts), _nmi(counts), _ari(counts)
 
 
+# Each score, in ``_scores`` order: its report name, its sweep-summary name,
+# and how a network's two sides combine into it (the worse side counts).
+_SCORES = (("error_rate", "error", max), ("nmi", "nmi", min), ("ari", "ari", min))
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Per-side scores plus the combined conventions: worst-side error rate,
@@ -209,22 +214,14 @@ class MetricsReport:
 
 def combined_report(est_r, truth_r, est_c, truth_c) -> MetricsReport:
     """Score both sides and combine: max of the error rates, min of NMI and
-    of ARI, so the combined numbers reflect the worse side.  Each side's
-    confusion matrix is built once for its three scores."""
-    c_r = confusion_matrix(est_r, truth_r)
-    c_c = confusion_matrix(est_c, truth_c)
-    (e_r, n_r, a_r), (e_c, n_c, a_c) = _scores(c_r), _scores(c_c)
-    return MetricsReport(
-        error_rate_r=e_r,
-        error_rate_c=e_c,
-        error_rate=max(e_r, e_c),
-        nmi_r=n_r,
-        nmi_c=n_c,
-        nmi=min(n_r, n_c),
-        ari_r=a_r,
-        ari_c=a_c,
-        ari=min(a_r, a_c),
-    )
+    of ARI, so the combined numbers reflect the worse side, as ``_SCORES``
+    states.  Each side's confusion matrix is built once for its scores."""
+    sides = zip(_SCORES, _scores(confusion_matrix(est_r, truth_r)),
+                _scores(confusion_matrix(est_c, truth_c)))
+    fields = {}
+    for (name, _, combine), row, col in sides:
+        fields |= {f"{name}_r": row, f"{name}_c": col, name: combine(row, col)}
+    return MetricsReport(**fields)
 
 
 def _criterion_costs(counts):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .linalg import _count, _rng, as_matrix
+from .linalg import _count, _positive, _rng, as_matrix
 
 # Mixing matrices used throughout the simulation protocol: the first for
 # laws that need non-negative block strengths, the second for signed ones.
@@ -41,8 +41,8 @@ class Membership:
     ``labels`` holds one integer in ``1..n_clusters`` per node; every cluster
     must be nonempty.  A label that is not an integer numpy can hold
     (``1.5``, ``"1"``, ``10**20``) is a ``ValidationError``, not truncated;
-    an integral float such as ``2.0`` is accepted.  Converts losslessly to a
-    one-hot matrix.
+    an integral float such as ``2.0`` is accepted, and so is an integer
+    ``n_clusters``.  Converts losslessly to a one-hot matrix.
     """
 
     __slots__ = ("labels", "n_clusters")
@@ -59,6 +59,8 @@ class Membership:
             raise DimensionError("labels must be a non-empty 1-D sequence")
         if n_clusters is None:
             n_clusters = int(labels.max())
+        else:
+            _count(n_clusters, "n_clusters")
         if labels.min() < 1 or labels.max() > n_clusters:
             raise ValidationError(
                 f"labels must lie in 1..{n_clusters}, "
@@ -106,11 +108,12 @@ class BiDFMParams:
     row_membership: Membership
     col_membership: Membership
     mixing: np.ndarray  # K_r x K_c, max|entry| = 1, full rank
-    rho: float  # global sparsity scale, > 0
+    rho: float  # global sparsity scale, > 0 and finite
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
-        _check(self, [] if self.rho > 0 else [f"rho must be positive, got {self.rho}"])
+        rho_ok = _positive(self.rho, finite=True)
+        _check(self, [] if rho_ok else [f"rho must be positive, got {self.rho}"])
 
     @property
     def shape(self):
@@ -119,7 +122,7 @@ class BiDFMParams:
 
 @dataclass(frozen=True)
 class BiDCDFMParams:
-    """Degree-corrected variant: per-node positive scale factors replace rho."""
+    """Degree-corrected variant: per-node positive real scale factors replace rho."""
 
     row_membership: Membership
     col_membership: Membership
@@ -129,14 +132,18 @@ class BiDCDFMParams:
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
-        object.__setattr__(self, "theta_row", np.asarray(self.theta_row, dtype=float))
-        object.__setattr__(self, "theta_col", np.asarray(self.theta_col, dtype=float))
         found = []
-        for side, theta, n in (
-            ("row", self.theta_row, len(self.row_membership)),
-            ("col", self.theta_col, len(self.col_membership)),
-        ):
-            if theta.shape != (n,):
+        for side, n in (("row", len(self.row_membership)), ("col", len(self.col_membership))):
+            try:
+                theta = np.asarray(getattr(self, f"theta_{side}"))
+            except ValueError:  # a ragged nesting
+                theta = np.asarray(None)
+            if theta.dtype.kind in "iuf":
+                theta = theta.astype(float)
+                object.__setattr__(self, f"theta_{side}", theta)
+            if theta.dtype.kind != "f":
+                found.append(f"theta_{side} must hold real numbers, got dtype {theta.dtype}")
+            elif theta.shape != (n,):
                 found.append(f"theta_{side} must have length {n}, got {theta.shape}")
             elif not np.all(theta > 0):
                 found.append(f"theta_{side} must be strictly positive")
@@ -149,7 +156,7 @@ class BiDCDFMParams:
     @classmethod
     def from_bidfm(cls, params: BiDFMParams) -> "BiDCDFMParams":
         """Constant-theta embedding: theta == sqrt(rho) on both sides."""
-        s = np.sqrt(params.rho)
+        s = np.sqrt(float(params.rho))
         return cls(
             row_membership=params.row_membership,
             col_membership=params.col_membership,
@@ -237,9 +244,9 @@ def sample_theta(n: int, rho: float, seed: int, floor: float = 0.05) -> np.ndarr
     (``ValidationError`` or ``DimensionError`` otherwise).
     """
     _count(n, "n", _INT_MAX)
-    if not rho > 0:
-        raise ValidationError(f"rho must be positive, got {rho}")
-    if not 0 <= floor < 1:
+    if not _positive(rho, finite=True):
+        raise ValidationError(f"rho must be a positive real within the float range, got {rho}")
+    if not (_positive(floor, strict=False) and floor < 1):
         raise ValidationError(f"floor must lie in [0, 1), got {floor}")
     rng = _rng(seed)
-    return np.sqrt(rho) * rng.uniform(floor, 1.0, size=n)
+    return np.sqrt(float(rho)) * rng.uniform(floor, 1.0, size=n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .linalg import _rng, as_matrix
+from .linalg import _positive, _rng, as_matrix
 
 
 # A law: its admissible mean interval [lo, hi], its entry variance
@@ -43,7 +43,7 @@ _LAWS = {
     "normal": _Law(
         -np.inf, np.inf,
         lambda w, spec: np.full_like(w, spec.sigma2),
-        lambda rng, w, spec: w + np.sqrt(spec.sigma2) * rng.standard_normal(w.shape),
+        lambda rng, w, spec: w + np.sqrt(float(spec.sigma2)) * rng.standard_normal(w.shape),
         lambda w: np.inf,
         lambda gamma, scale: gamma,
     ),
@@ -84,8 +84,8 @@ class DistributionSpec:
                 f"unknown distribution {self.kind!r}; choose from {KINDS}"
             )
         if self.kind == "normal":
-            if self.sigma2 is None or not self.sigma2 > 0:
-                raise ValidationError("normal law requires sigma2 > 0")
+            if not _positive(self.sigma2, finite=True):
+                raise ValidationError("normal law requires a sigma2 > 0 within the float range")
         elif self.sigma2 is not None:
             raise ValidationError("sigma2 is only meaningful for the normal law")
 

@@ -3,14 +3,14 @@ envelopes for the two generative models, plus population-level diagnostics.
 
 The envelopes are order-of-magnitude expressions: the concentration constant
 ``C_alpha`` and the big-O constants are not pinned by the theory, so callers
-supply them (default 1) and should read the outputs comparatively, e.g. for
-monotonicity in the model parameters, never as guarantees.
+supply them (positive, finite; default 1) and read the outputs comparatively,
+e.g. for monotonicity in the model parameters, never as guarantees.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import DimensionError, DomainError, ValidationError
 from .linalg import (
     SvdFactors,
     _canonicalize_signs,
+    _positive,
     as_matrix,
     row_normalize,
     truncated_svd,
@@ -81,12 +82,12 @@ class TheoryInputs:
     Build one by hand or from parameters via :func:`theory_inputs`.  Fields
     that only apply to one model may stay ``None``; a check, bound or
     envelope that reads one raises a single ``ValidationError`` naming every
-    such field it lacks.  Every number given must be positive, except
-    ``gamma`` and the gaps ``delta_c`` and ``delta_c_star``, which must be
-    non-negative; one ``ValidationError`` names every field that breaks
-    this.  A zero gap (two column clusters whose centroids coincide) voids
-    the column guarantee, not the model: the column envelope is then
-    infinite.
+    such field it lacks.  Every other field must be a real number (not a
+    bool) and positive, except ``gamma`` and the gaps ``delta_c`` and
+    ``delta_c_star``, which must be non-negative; one ``ValidationError``
+    names every field that breaks this.  A zero gap (two column clusters
+    whose centroids coincide) voids the column guarantee, not the model: the
+    column envelope is then infinite.
     """
 
     n_r: int
@@ -116,9 +117,9 @@ class TheoryInputs:
         zero_ok = ("gamma", "delta_c", "delta_c_star")
         bad = [f"{name} must be {'non-negative' if name in zero_ok else 'positive'}, "
                f"got {value!r}"
-               for name, value in vars(self).items()
-               if name != "tau_is_empirical" and value is not None
-               and not (value >= 0 if name in zero_ok else value > 0)]
+               for name, value, optional in ((f.name, getattr(self, f.name), f.default is None)
+                                             for f in fields(self)[:-1])  # not tau_is_empirical
+               if not (optional and value is None or _positive(value, strict=name not in zero_ok))]
         if bad:
             raise ValidationError(bad)
 
@@ -327,17 +328,22 @@ _THEORIES = {
 MODELS = tuple(_THEORIES)
 
 
-def _theory(model: str, inputs: TheoryInputs, what: str, envelope: bool = False):
-    """``model``'s row of ``_THEORIES``; raises one ``ValidationError``
-    naming every optional field that ``what`` reads and ``inputs`` leaves
-    at ``None``."""
+def _theory(model: str, inputs: TheoryInputs, what: str, envelope: bool = False, **constant):
+    """``model``'s row of ``_THEORIES``; raises a ``ValidationError`` for a
+    ``constant`` (``c_alpha=...`` or ``c=...``) that is not a positive real
+    within the float range, and one naming every optional field that
+    ``what`` reads and ``inputs`` leaves at ``None``."""
+    for name, value in constant.items():
+        if not _positive(value, finite=True):
+            raise ValidationError(f"{name!r} must be a positive real within the float range, "
+                                  f"got {value!r}")
     if model not in _THEORIES:
         raise ValidationError(f"unknown model {model!r}")
     theory = _THEORIES[model]
-    fields = theory.signal_fields
+    needed = theory.signal_fields
     if envelope:
-        fields = theory.envelope_fields + fields
-    missing = [name for name in fields if getattr(inputs, name) is None]
+        needed = theory.envelope_fields + needed
+    missing = [name for name in needed if getattr(inputs, name) is None]
     if missing:
         raise ValidationError(f"{theory.label} {what} needs {', '.join(missing)}")
     return theory
@@ -378,7 +384,7 @@ def deviation_bound(model: str, inputs: TheoryInputs, c_alpha: float = 1.0) -> f
     ``C_alpha * sqrt(gamma * s * m * log(n_r + n_c))``, with ``model``'s
     signal ``(s, m)`` as in :func:`check_assumption`.  The two models'
     bounds agree when every theta is ``sqrt(rho)``."""
-    signal = _theory(model, inputs, "deviation bound").signal
+    signal = _theory(model, inputs, "deviation bound", c_alpha=c_alpha).signal
 
     def bound():
         s, m = signal(inputs)
@@ -393,7 +399,7 @@ def error_envelope(model: str, inputs: TheoryInputs, c: float = 1.0) -> ErrorEnv
     for the formulas.  A column gap left at ``None`` takes its value in the
     model's ``gaps`` when the cluster counts agree, and is a
     ``ValidationError`` otherwise."""
-    theory = _theory(model, inputs, "envelope", envelope=True)
+    theory = _theory(model, inputs, "envelope", envelope=True, c=c)
     absent = [name for name in theory.gaps if getattr(inputs, name) is None]
     if absent and inputs.k_r != inputs.k_c:
         raise ValidationError(f"column envelope needs {' and '.join(theory.gaps)} "

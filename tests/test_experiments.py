@@ -253,6 +253,40 @@ def test_a_python_sweep_builds_or_raises_a_bidfm_error(swept, grid, other, repli
     assert len(config._points) == len(config.swept[1]) >= 1
 
 
+class TestGridReadOnce:
+    """A build reads the swept grid once and stores the tuple it read."""
+
+    def test_generator_grid(self):
+        config = SimulationConfig(model="bidfm", kind="bernoulli", mixing=P1, rho=0.5,
+                                  n_grid=(n for n in (30, 40)), replicates=1)
+        assert config.swept == ("n", (30, 40))
+        assert config.n_grid == (30, 40)
+        again = SimulationConfig(model="bidfm", kind="bernoulli", mixing=P1, rho=0.5,
+                                 n_grid=(30, 40), replicates=1)
+        assert run_simulation(config).to_csv() == run_simulation(again).to_csv()
+
+    def test_generator_algorithms(self):
+        config = tiny_config(algorithms=(name for name in ("bisc", "nbisc")))
+        assert config.algorithms == ("bisc", "nbisc")
+        assert run_simulation(config).to_csv() == run_simulation(tiny_config()).to_csv()
+
+    @pytest.mark.parametrize("field, grid", [
+        ("rho_grid", np.array([0.5, 0.9])), ("n_grid", np.array([30, 40])),
+        ("sigma2_grid", [0.5, 1.5]),
+    ])
+    def test_grid_field_holds_the_tuple_read(self, field, grid):
+        law = dict(kind="normal", mixing=P2, sigma2=None if field == "sigma2_grid" else 1.0)
+        fixed = {"rho_grid": dict(n_r=30, n_c=45), "n_grid": dict(rho=0.5),
+                 "sigma2_grid": dict(n_r=30, n_c=45, rho=0.5)}[field]
+        config = tiny_config(**{"rho_grid": None, **law, **fixed, field: grid})
+        assert getattr(config, field) == tuple(grid)
+        assert type(getattr(config, field)) is tuple
+        assert config.swept[1] is getattr(config, field)
+        assert [point[0] for point in config._points] == list(grid)
+        listed = tiny_config(**{"rho_grid": None, **law, **fixed, field: list(grid)})
+        assert run_simulation(config).to_csv() == run_simulation(listed).to_csv()
+
+
 class TestOneBuild:
     """A sweep's points are read once, when it is built, and its run reads none."""
 

@@ -12,7 +12,7 @@ import pytest
 
 from bidfm import fileio
 from bidfm.cli import main
-from bidfm.errors import ParseError, ValidationError
+from bidfm.errors import BidfmError, ParseError, ValidationError
 from bidfm.model import P2, BiDCDFMParams, BiDFMParams, Membership
 from bidfm.sampling import DistributionSpec
 from bidfm.theory import (
@@ -260,6 +260,20 @@ class TestLabelFiles:
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(ValidationError):
             fileio.write_labels(tmp_path / "x.txt", ["a"], [1, 2])
+
+    @pytest.mark.parametrize("labels", [[0, 1.5, 2], [1, 1.5, 2], [0, 1, 2], ["1", "2", "x"]],
+                             ids=["zero-and-fraction", "fraction", "zero", "string"])
+    def test_writes_only_labels_the_reader_accepts(self, tmp_path, labels):
+        # a label the reader would reject is an error here, and no file is written
+        path = tmp_path / "labels.txt"
+        with pytest.raises(BidfmError):
+            fileio.write_labels(path, ["a", "b", "c"], labels)
+        assert not path.exists()
+
+    def test_writes_a_membership(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        fileio.write_labels(path, ["a", "b"], Membership([2.0, 1.0], n_clusters=3))
+        assert fileio.read_labels(path)[1].tolist() == [2, 1]
 
     def test_repeated_id_reports_line(self, tmp_path):
         path = tmp_path / "labels.txt"
@@ -661,6 +675,13 @@ class TestCli:
             "spectral_deviation_bound": deviation_bound("bidcdfm", inputs, 2.0),
             "row_error_envelope": envelope.f_r, "col_error_envelope": envelope.f_c,
         }
+
+    def test_theory_reports_the_first_bad_constant(self, tmp_path, capsys):
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps({"inputs": THEORY_INPUTS, "c_alpha": -1.0, "c": 0}))
+        assert main(["theory", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: 'c_alpha' must be a positive real within the float range, got -1.0\n")
 
     def test_theory_missing_inputs_named(self, tmp_path, capsys):
         inputs = {k: v for k, v in THEORY_INPUTS.items()

@@ -97,10 +97,10 @@ class TestTruncatedSvd:
     def test_iterative_path_failure_is_convergence_error(self, monkeypatch):
         # 700 x 800 takes the Lanczos path; any ARPACK error it raises is
         # reported as a ConvergenceError
-        def failing_svds(*args, **kwargs):
+        def failing_eigsh(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackError(-9999)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         a = np.random.default_rng(0).uniform(size=(700, 800))
         with pytest.raises(ConvergenceError):
             truncated_svd(a, k=2)
@@ -166,24 +166,53 @@ class TestTruncatedSvd:
         (np.random.default_rng(0).uniform(size=(700, 800)), "the dense array"),
     ], ids=["sparse", "lanczos"])
     def test_convergence_error_names_the_operand(self, monkeypatch, a, operand):
-        def failing_svds(*args, **kwargs):
+        def failing_eigsh(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("stub", np.ones(1), None)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         with pytest.raises(ConvergenceError, match=f"Lanczos on {operand}.*1/2 triplets"):
             truncated_svd(a, k=2)
 
     def test_convergence_error_counts_the_triplets_found(self, monkeypatch):
-        def failing_svds(*args, **kwargs):
+        def failing_eigsh(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("stub", np.ones(1), None)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", failing_svds)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         a = np.random.default_rng(0).uniform(size=(700, 800))
         with pytest.raises(ConvergenceError) as info:
             truncated_svd(a, k=3)
         assert info.value.found == 1
         assert str(info.value) == ("SVD (Lanczos on the dense array) did not converge "
                                    "within 3000 iterations (1/3 triplets found)")
+
+    @staticmethod
+    def spike():
+        # one entry 1e300 above noise in [0, 1): every singular value past
+        # the first is below Lanczos' resolution
+        a = np.random.default_rng(1).uniform(size=(100, 150))
+        a[0, 0] = 1e300
+        return a
+
+    @pytest.mark.parametrize("make, path", [
+        (lambda: np.ones((100, 150)), "lanczos"),
+        (lambda: TestTruncatedSvd.spike(), "lanczos"),
+        (lambda: np.pad(np.ones((3, 3)), ((0, 97), (0, 147))), "sparse"),
+    ], ids=["constant", "spike", "constant-block"])
+    def test_lanczos_restarts_repeat(self, make, path):
+        # the Krylov space runs out on these, and ARPACK restarts from a
+        # generated vector: a seeded one, so every call gives the same bits
+        a = make()
+        runs = [truncated_svd(a, 2) for _ in range(3)]
+        assert runs[0].path == path
+        for f in runs[1:]:
+            for field in ("left", "singular_values", "right"):
+                assert np.array_equal(getattr(f, field), getattr(runs[0], field))
+
+    def test_lanczos_restarts_repeat_in_labels(self):
+        runs = [nbisc(self.spike(), 2, 3, seed=0) for _ in range(4)]
+        for r in runs[1:]:
+            assert np.array_equal(r.row_labels.labels, runs[0].row_labels.labels)
+            assert np.array_equal(r.col_labels.labels, runs[0].col_labels.labels)
 
     def test_iterative_path_matches_dense(self):
         rng = np.random.default_rng(3)

@@ -15,6 +15,9 @@ from bidfm.model import (
 
 from oracles import brute_force_expected_adjacency
 
+# an integer no float holds, with a readable test id
+HUGE = pytest.param(10**400, id="10**400")
+
 
 def small_instance(seed=0, p=P1, rho=0.5, n_r=8, n_c=12):
     rng = np.random.default_rng(seed)
@@ -45,6 +48,11 @@ class TestMembership:
 
     def test_integral_floats_accepted(self):
         assert np.array_equal(Membership([2.0, 1.0]).labels, [2, 1])
+
+    @pytest.mark.parametrize("n_clusters", ["x", 2.0, True, [2]])
+    def test_non_integer_cluster_count_rejected(self, n_clusters):
+        with pytest.raises(ValidationError, match="n_clusters must be an integer"):
+            Membership([1, 2], n_clusters=n_clusters)
 
     def test_cluster_sizes(self):
         m = Membership([1, 1, 2], n_clusters=3)
@@ -176,6 +184,19 @@ class TestSampleTheta:
         with pytest.raises(ValidationError):
             sample_theta(10, 1.0, seed=seed)
 
+    @pytest.mark.parametrize("rho", ["x", None, True, np.nan, np.inf, HUGE, 0.0])
+    def test_bad_rho_rejected(self, rho):
+        with pytest.raises(ValidationError, match="rho must be a positive real"):
+            sample_theta(10, rho, 0)
+
+    @pytest.mark.parametrize("floor", ["x", None, True, np.nan, -0.1, 1.0])
+    def test_bad_floor_rejected(self, floor):
+        with pytest.raises(ValidationError, match=r"floor must lie in \[0, 1\)"):
+            sample_theta(10, 0.5, 0, floor=floor)
+
+    def test_integer_rho_past_int64_within_the_float_range(self):
+        assert np.array_equal(sample_theta(5, 10**300, 1), sample_theta(5, 1e300, 1))
+
 
 def violations(cls, *args, **kwargs):
     """The violations building ``cls(*args, **kwargs)`` reports."""
@@ -211,6 +232,22 @@ class TestValidate:
         cols = Membership([1, 2, 3])
         found = violations(BiDFMParams, rows, cols, 0.5 * P1, rho=-1.0)
         assert len(found) >= 3
+
+    @pytest.mark.parametrize("rho", ["x", None, True, np.nan, np.inf, HUGE])
+    def test_rho_must_be_a_positive_float(self, rho):
+        params = small_instance()
+        assert violations(BiDFMParams, params.row_membership, params.col_membership,
+                          P1, rho) == [f"rho must be positive, got {rho}"]
+
+    @pytest.mark.parametrize("theta", [["x"] * 8, [None] * 8, [True] * 8, [[1.0], [1.0, 2.0]],
+                                       [10**400] * 8], ids=["strings", "none", "bools",
+                                                            "ragged", "beyond-float"])
+    def test_non_numeric_theta_rejected(self, theta):
+        params = small_instance()
+        found = violations(BiDCDFMParams, params.row_membership, params.col_membership,
+                           P1, theta, ["x"] * 12)
+        assert [v.split(" must")[0] for v in found] == ["theta_row", "theta_col"]
+        assert all("must hold real numbers" in v for v in found)
 
     def test_nonpositive_theta_rejected(self):
         params = small_instance()

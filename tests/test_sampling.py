@@ -4,6 +4,9 @@ import pytest
 from bidfm.errors import DomainError, ValidationError
 from bidfm.sampling import _LAWS, DistributionSpec, distribution_moments, sample_adjacency
 
+# an integer no float holds, with a readable test id
+HUGE = pytest.param(10**400, id="10**400")
+
 # Monte Carlo draws per entry for the unbiasedness / variance checks: each
 # entry of the small base matrix is replicated this many times in one call,
 # giving R independent realizations per entry.
@@ -51,6 +54,16 @@ class TestDistributionSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             DistributionSpec("cauchy")
+
+    @pytest.mark.parametrize("sigma2", ["x", True, np.nan, np.inf, HUGE, 0, -1.0])
+    def test_sigma2_must_be_a_positive_float(self, sigma2):
+        with pytest.raises(ValidationError, match="normal law requires a sigma2 > 0"):
+            DistributionSpec("normal", sigma2=sigma2)
+
+    def test_integer_sigma2_past_int64_draws(self):
+        omega = np.zeros((2, 3))
+        assert np.array_equal(sample_adjacency(omega, DistributionSpec("normal", 10**300), 1),
+                              sample_adjacency(omega, DistributionSpec("normal", 1e300), 1))
 
 
 class TestSampleAdjacency:

@@ -29,6 +29,9 @@ from bidfm.theory import (
     theory_inputs,
 )
 
+# an integer no float holds, with a readable test id
+HUGE = pytest.param(10**400, id="10**400")
+
 
 def plain_instance(seed=0, n_r=40, n_c=60, p=P1, rho=0.5, k_r=2, k_c=3):
     rows = sample_memberships(n_r, k_r, seed)
@@ -330,6 +333,26 @@ class TestMissingInputs:
             function("sbm", basic_inputs())
 
 
+class TestConstants:
+    # the library checks C_alpha and c: a positive real within the float range
+    @pytest.mark.parametrize("value", [-1.0, 0.0, 0, math.nan, math.inf, -math.inf, HUGE,
+                                       "1", None, True, np.float64(-2.0)])
+    @pytest.mark.parametrize("function, name", [(deviation_bound, "c_alpha"),
+                                                (error_envelope, "c")])
+    def test_bad_constant_rejected(self, function, name, value):
+        with pytest.raises(ValidationError,
+                           match=f"'{name}' must be a positive real within the float range"):
+            function("bidfm", basic_inputs(delta_c=0.2), value)
+
+    @pytest.mark.parametrize("value", [1, 2.5, np.float64(0.5), np.int64(3), 1e-300])
+    def test_good_constant_accepted(self, value):
+        inputs = basic_inputs(delta_c=0.2)
+        assert deviation_bound("bidfm", inputs, value) == pytest.approx(
+            value * deviation_bound("bidfm", inputs))
+        assert error_envelope("bidfm", inputs, value).f_r == pytest.approx(
+            value * error_envelope("bidfm", inputs).f_r)
+
+
 class TestEmpiricalTau:
     def test_max_deviation(self):
         omega = np.zeros((2, 2))
@@ -461,6 +484,23 @@ class TestTheoryInputs:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValidationError, match="delta_c_star must be non-negative, got -0.1"):
             basic_inputs(delta_c_star=-0.1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_r", "x"), ("n_r", None), ("tau", None), ("gamma", None), ("gamma", True),
+        ("rho", "0.5"), ("delta_c", False), ("sigma_min_mixing", [0.5]), ("n_c", math.nan),
+    ])
+    def test_non_number_rejected(self, field, value):
+        kind = "non-negative" if field in ("gamma", "delta_c") else "positive"
+        with pytest.raises(ValidationError) as info:
+            basic_inputs(**{field: value})
+        assert info.value.violations == [f"{field} must be {kind}, got {value!r}"]
+
+    def test_every_bad_field_named_once(self):
+        with pytest.raises(ValidationError) as info:
+            basic_inputs(n_r=None, tau="x", gamma=-1.0, rho=True, m_v_c=None)
+        assert info.value.violations == [
+            "n_r must be positive, got None", "gamma must be non-negative, got -1.0",
+            "tau must be positive, got 'x'", "rho must be positive, got True"]
 
 
 # K_r = 1 with two mixing entries of one sign: the two column clusters'
