@@ -143,9 +143,11 @@ def _blas_operator(a):
 
 def _lanczos(op, k, v0, maxiter):
     """``scipy.sparse.linalg.svds(op, k, v0=v0, maxiter=maxiter, tol=1e-10)``
-    step for step, values in increasing order, except that ARPACK restarts a
-    Krylov space that runs out (as on a constant matrix) from a seeded
-    generator, not from fresh OS entropy (where ``eigsh`` takes one)."""
+    step for step, but the triplets keep LAPACK's non-increasing order, and
+    where ``eigsh`` takes a generator (``rng``), ARPACK restarts a Krylov
+    space that runs out (as on a constant matrix) from a seeded one, not
+    from fresh OS entropy.  An ``eigsh`` without ``rng`` restarts from
+    ARPACK's own generator, whose state carries over from call to call."""
     swap = op.shape[0] < op.shape[1]
     a, at = (op.H, op) if swap else (op, op.H)
     gram = scipy.sparse.linalg.LinearOperator(
@@ -156,7 +158,6 @@ def _lanczos(op, k, v0, maxiter):
                     **({"rng": np.random.default_rng(0)} if takes_rng else {}))[1]
     vectors = np.linalg.qr(vectors)[0]
     u, s, vh = scipy.linalg.svd(a.matmat(vectors), full_matrices=False, overwrite_a=True)
-    u, s, vh = u[:, ::-1], s[::-1], vh[::-1]
     return (vectors @ vh.T, s, u.T) if swap else (u, s, vh @ vectors.T)
 
 
@@ -171,9 +172,10 @@ def truncated_svd(m, k: int) -> SvdFactors:
     matrix.  Lanczos multiplies by a CSR copy of the matrix (``'sparse'``)
     when it is a sparse matrix or at most 5% of its entries are nonzero,
     and by the dense array (``'lanczos'``) otherwise, through scipy's BLAS
-    (``dgemv``), the one ARPACK itself calls.  The result is deterministic on
-    every path, the same bits for C- and F-ordered input, and ``path`` says
-    which one ran; a sparse matrix is densified only for LAPACK.
+    (``dgemv``), the one ARPACK itself calls.  The result is the same bits
+    for C- and F-ordered input and from call to call (but see ``_lanczos``
+    for an older scipy), and ``path`` says which one ran; a sparse matrix is
+    densified only for LAPACK.
 
     Every path decomposes the matrix scaled by the power of two that brings
     its largest entry into [0.5, 1), which is exact and keeps the products
@@ -230,8 +232,6 @@ def truncated_svd(m, k: int) -> SvdFactors:
             ) from exc
         except scipy.sparse.linalg.ArpackError as exc:
             raise ConvergenceError(f"SVD (Lanczos on {operand}) failed: {exc}") from exc
-        order = np.argsort(s)[::-1]
-        u, s, vt = u[:, order], s[order], vt[order, :]
 
     u, vt = _canonicalize_signs(u, vt)
     with np.errstate(over="ignore"):  # a singular value beyond the float range is inf

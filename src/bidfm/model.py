@@ -100,6 +100,16 @@ class Membership:
         return value if isinstance(value, Membership) else cls(value)
 
 
+def _rho_violations(rho) -> list:
+    """What ``rho`` breaks of the sparsity scale's rule, a positive real (not
+    a bool) within the float range: nothing, or one message."""
+    if _positive(rho, finite=True):
+        return []
+    if isinstance(rho, numbers.Real) and not isinstance(rho, bool) and not rho > 0:
+        return [f"rho must be positive, got {rho}"]
+    return [f"rho must be a positive real within the float range, got {rho}"]
+
+
 @dataclass(frozen=True)
 class BiDFMParams:
     """Parameters of the distribution-free bipartite blockmodel; building an
@@ -112,8 +122,7 @@ class BiDFMParams:
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", as_matrix(self.mixing, "mixing"))
-        rho_ok = _positive(self.rho, finite=True)
-        _check(self, [] if rho_ok else [f"rho must be positive, got {self.rho}"])
+        _check(self, _rho_violations(self.rho))
 
     @property
     def shape(self):
@@ -244,8 +253,8 @@ def sample_theta(n: int, rho: float, seed: int, floor: float = 0.05) -> np.ndarr
     (``ValidationError`` or ``DimensionError`` otherwise).
     """
     _count(n, "n", _INT_MAX)
-    if not _positive(rho, finite=True):
-        raise ValidationError(f"rho must be a positive real within the float range, got {rho}")
+    if bad := _rho_violations(rho):
+        raise ValidationError(bad)
     if not (_positive(floor, strict=False) and floor < 1):
         raise ValidationError(f"floor must lie in [0, 1), got {floor}")
     rng = _rng(seed)

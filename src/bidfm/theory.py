@@ -115,11 +115,13 @@ class TheoryInputs:
 
     def __post_init__(self):
         zero_ok = ("gamma", "delta_c", "delta_c_star")
+        optional = {f.name for f in fields(self) if f.default is None}
         bad = [f"{name} must be {'non-negative' if name in zero_ok else 'positive'}, "
                f"got {value!r}"
-               for name, value, optional in ((f.name, getattr(self, f.name), f.default is None)
-                                             for f in fields(self)[:-1])  # not tau_is_empirical
-               if not (optional and value is None or _positive(value, strict=name not in zero_ok))]
+               for name, value in vars(self).items()
+               if name != "tau_is_empirical"
+               and not (value is None and name in optional
+                        or _positive(value, strict=name not in zero_ok))]
         if bad:
             raise ValidationError(bad)
 

@@ -15,8 +15,16 @@ from bidfm.model import (
 
 from oracles import brute_force_expected_adjacency
 
-# an integer no float holds, with a readable test id
-HUGE = pytest.param(10**400, id="10**400")
+# a rho that is no sparsity scale, and the rule its message states, the same
+# from BiDFMParams and from sample_theta: a real (not a bool) that is not
+# above 0 breaks "positive", anything else "a positive real within the float
+# range"
+_FLOAT_RANGE = "a positive real within the float range"
+BAD_RHO = pytest.mark.parametrize("rho, rule", [
+    ("x", _FLOAT_RANGE), (None, _FLOAT_RANGE), (True, _FLOAT_RANGE), (np.inf, _FLOAT_RANGE),
+    pytest.param(10**400, _FLOAT_RANGE, id="10**400"),
+    (np.nan, "positive"), (0.0, "positive"), (-1.0, "positive"),
+])
 
 
 def small_instance(seed=0, p=P1, rho=0.5, n_r=8, n_c=12):
@@ -184,10 +192,11 @@ class TestSampleTheta:
         with pytest.raises(ValidationError):
             sample_theta(10, 1.0, seed=seed)
 
-    @pytest.mark.parametrize("rho", ["x", None, True, np.nan, np.inf, HUGE, 0.0])
-    def test_bad_rho_rejected(self, rho):
-        with pytest.raises(ValidationError, match="rho must be a positive real"):
+    @BAD_RHO
+    def test_bad_rho_rejected(self, rho, rule):
+        with pytest.raises(ValidationError) as info:
             sample_theta(10, rho, 0)
+        assert info.value.violations == [f"rho must be {rule}, got {rho}"]
 
     @pytest.mark.parametrize("floor", ["x", None, True, np.nan, -0.1, 1.0])
     def test_bad_floor_rejected(self, floor):
@@ -233,11 +242,11 @@ class TestValidate:
         found = violations(BiDFMParams, rows, cols, 0.5 * P1, rho=-1.0)
         assert len(found) >= 3
 
-    @pytest.mark.parametrize("rho", ["x", None, True, np.nan, np.inf, HUGE])
-    def test_rho_must_be_a_positive_float(self, rho):
+    @BAD_RHO
+    def test_rho_must_be_a_positive_float(self, rho, rule):
         params = small_instance()
         assert violations(BiDFMParams, params.row_membership, params.col_membership,
-                          P1, rho) == [f"rho must be positive, got {rho}"]
+                          P1, rho) == [f"rho must be {rule}, got {rho}"]
 
     @pytest.mark.parametrize("theta", [["x"] * 8, [None] * 8, [True] * 8, [[1.0], [1.0, 2.0]],
                                        [10**400] * 8], ids=["strings", "none", "bools",
