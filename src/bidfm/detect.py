@@ -20,9 +20,11 @@ reference baselines for comparison studies.  The pipeline assumes
 ``k_r <= k_c``; called the other way round it transposes the problem and
 swaps the labels and per-side diagnostics back.  Every method is
 ``method(a, k_r, k_c, *, seed=0)`` with ``a`` a dense or ``scipy.sparse``
-matrix; ``run_algorithms`` runs several methods on one matrix and
-decomposes each operator once for all of them.  The Laplacian adds each
-side's mean degree to that side's degrees, the DI-SIM default of Rohe,
+matrix; ``run_algorithms`` runs several methods on one matrix,
+decomposes each operator once for all of them, reads every method out and
+then clusters each side once: one lockstep k-means carries every method's
+restarts, and each method gets the bits it gets alone.  The Laplacian adds
+each side's mean degree to that side's degrees, the DI-SIM default of Rohe,
 Qin & Yu (2016).  It needs non-negative entries: it is formed from
 ``shift_nonnegative`` of the matrix, and the methods on it record a
 non-zero shift as ``diagnostics['shift']``.  The read-out settings are
@@ -38,8 +40,8 @@ import numpy as np
 import scipy  # a sparse input has loaded scipy.sparse
 
 from .errors import BidfmError, DomainError, UnsupportedError, ValidationError
-from .linalg import (ZERO_FLOOR, SvdFactors, _count, _issparse, as_matrix, kmeans, row_normalize,
-                     truncated_svd)
+from .linalg import (ZERO_FLOOR, SvdFactors, _count, _issparse, _kmeans_fits, as_matrix,
+                     row_normalize, truncated_svd)
 from .model import Membership
 
 # (operator, read-out) of each method, as in the table above
@@ -65,8 +67,8 @@ class DetectionResult:
 class Embedding:
     """Leading ``min(k_r, k_c)`` singular triplets of one operator of a
     matrix: what every method on that operator reads out, built once per
-    operator by ``run_algorithms`` and passed to each method in place of the
-    matrix.
+    operator by ``run_algorithms``.  A method takes one in place of the
+    matrix, too.
 
     When ``transposed`` (``k_r > k_c``) the factors decompose the operator of
     the transposed matrix, so the left factor always belongs to the side with
@@ -150,20 +152,62 @@ def _embed(a, k_r, k_c, operator):
     return Embedding(factors, transposed, regularizers, shift)
 
 
-def _read_out(embedding, readout, k_r, k_c, seed):
-    """Read each side's singular-vector rows out (``'raw'``, ``'normalize'``
-    or ``'ratio'``) and run k-means on them."""
+@dataclass(frozen=True)
+class Clustering:
+    """One method's read-out of an ``Embedding``, clustered: each side's
+    ``KMeansResult`` in ``fits`` and, for the normalizing read-outs, each
+    side's degenerate rows in ``degenerate``, both keyed ``'row'`` and
+    ``'col'``.  ``run_algorithms`` clusters every method's read-out first and
+    passes each method its own in place of the matrix; the method then only
+    assembles its result."""
+
+    embedding: Embedding
+    fits: dict
+    degenerate: dict
+
+
+def _read_out(embedding, readout):
+    """Each side's singular-vector rows read out (``'raw'``, ``'normalize'``
+    or ``'ratio'``), keyed ``'row'`` and ``'col'``, and the degenerate rows
+    of a normalizing read-out."""
     factors = embedding.factors
     sides = ("col", "row") if embedding.transposed else ("row", "col")
-    counts = {"row": k_r, "col": k_c}
-    fits, degenerate = {}, {}
+    xs, degenerate = {}, {}
     for side, x in zip(sides, (factors.left, factors.right)):
         if readout == "normalize":
             normalized = row_normalize(x)
             x, degenerate[side] = normalized.matrix, normalized.degenerate_rows
         elif readout == "ratio":
             x = _ratio_matrix(x)
-        fits[side] = kmeans(x, counts[side], seed=seed)
+        xs[side] = x
+    return xs, degenerate
+
+
+def _cluster(pipelines, k_r, k_c, seed):
+    """``Clustering`` of each ``(embedding, readout)`` in ``pipelines``:
+    every read-out first, then one k-means per side over all of them
+    (``_kmeans_fits``), each as it would run alone."""
+    read = [_read_out(embedding, readout) for embedding, readout in pipelines]
+    fits = {side: _kmeans_fits([xs[side] for xs, _ in read], k, seed)
+            for side, k in (("row", k_r), ("col", k_c))}
+    return [Clustering(embedding, {side: fits[side][i] for side in fits}, read[i][1])
+            for i, (embedding, _) in enumerate(pipelines)]
+
+
+def _cocluster(name, a, k_r, k_c, seed):
+    """The pipeline behind every method, on a matrix, on the ``Embedding``
+    that ``run_algorithms`` built for it (checks run in the same order for
+    both), or on the ``Clustering`` it clustered for it, which is only
+    assembled into the result."""
+    if not isinstance(a, Clustering):
+        operator, readout = _PIPELINES[name]
+        given = isinstance(a, Embedding)
+        if not given:
+            a = _checked(a, k_r, k_c)
+        _check_readout(readout, k_r, k_c)
+        embedding = a if given else _embed(a, k_r, k_c, operator)
+        [a] = _cluster([(embedding, readout)], k_r, k_c, seed)
+    embedding, fits, degenerate = a.embedding, a.fits, a.degenerate
     diagnostics = {f"{side}_{key}": getattr(fits[side], key)
                    for key in ("objective", "restart_objectives", "iterations", "converged")
                    for side in ("row", "col")}
@@ -172,25 +216,12 @@ def _read_out(embedding, readout, k_r, k_c, seed):
         diagnostics["degenerate_cols"] = degenerate["col"]
     if embedding.regularizers is not None:
         diagnostics["regularizers"] = embedding.regularizers
-    diagnostics["svd_path"] = factors.path
+    diagnostics["svd_path"] = embedding.factors.path
     if embedding.shift:
         diagnostics["shift"] = embedding.shift
-    rows, cols = (Membership(fits[side].labels, n_clusters=counts[side])
-                  for side in ("row", "col"))
-    return DetectionResult(rows, cols, factors.singular_values, diagnostics)
-
-
-def _cocluster(name, a, k_r, k_c, seed):
-    """The pipeline behind every method, on a matrix or on the ``Embedding``
-    that ``run_algorithms`` built for it; checks run in the same order for
-    both."""
-    operator, readout = _PIPELINES[name]
-    given = isinstance(a, Embedding)
-    if not given:
-        a = _checked(a, k_r, k_c)
-    _check_readout(readout, k_r, k_c)
-    embedding = a if given else _embed(a, k_r, k_c, operator)
-    return _read_out(embedding, readout, k_r, k_c, seed)
+    rows, cols = (Membership(fits[side].labels, n_clusters=k)
+                  for side, k in (("row", k_r), ("col", k_c)))
+    return DetectionResult(rows, cols, embedding.factors.singular_values, diagnostics)
 
 
 def bisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
@@ -274,7 +305,13 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
     Returns ``[(name, DetectionResult or BidfmError), ...]`` in the order of
     ``names``: a method that fails gives the error it would raise alone, and
     the others still run.  Each operator is decomposed at most once, so an
-    embedding that fails is the failure of every method sharing it.
+    embedding that fails is the failure of every method sharing it.  Every
+    method's read-out is taken first, then each side is clustered once for
+    all of them (``_kmeans_fits``: one lockstep Lloyd loop over every
+    method's 10 restarts), with each method's labels, objectives,
+    iterations and convergence the bits it gets alone.  Each method is then
+    called through its module attribute with its ``Clustering``, which it
+    only assembles into its result.
     """
     unknown = [name for name in names if name not in ALGORITHMS]
     if unknown:
@@ -284,7 +321,7 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
         a = _checked(a, k_r, k_c)
     except BidfmError as exc:
         return [(name, exc) for name in names]
-    embeddings, outcomes = {}, []
+    embeddings, outcomes = {}, {}
     for name in names:
         operator, readout = _PIPELINES[name]
         try:
@@ -294,13 +331,20 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
                     embeddings[operator] = _embed(a, k_r, k_c, operator)
                 except BidfmError as exc:
                     embeddings[operator] = exc
-            outcome = embeddings[operator]
-            if isinstance(outcome, Embedding):
-                # Looked up by name on the module at call time, so a wrapper
-                # bound over a method's module attribute (an instrumenting
-                # tracer) is what runs.
-                outcome = globals()[name](outcome, k_r, k_c, seed=seed)
+            outcomes[name] = embeddings[operator]
         except BidfmError as exc:
-            outcome = exc
-        outcomes.append((name, outcome))
-    return outcomes
+            outcomes[name] = exc
+    clustered = [name for name in dict.fromkeys(names) if isinstance(outcomes[name], Embedding)]
+    if clustered:
+        try:
+            fits = _cluster([(outcomes[name], _PIPELINES[name][1]) for name in clustered],
+                            k_r, k_c, seed)
+        except BidfmError as exc:  # a bad seed, which each of them raises alone
+            fits = [exc] * len(clustered)
+        for name, fit in zip(clustered, fits):
+            # Looked up by name on the module at call time, so a wrapper
+            # bound over a method's module attribute (an instrumenting
+            # tracer) is what runs.
+            outcomes[name] = fit if isinstance(fit, BidfmError) else globals()[name](
+                fit, k_r, k_c, seed=seed)
+    return [(name, outcomes[name]) for name in names]

@@ -49,6 +49,10 @@ def _issparse(m):
     return sparse is not None and sparse.issparse(m)
 
 
+# entry kinds that numpy casts to float but that are not numbers
+_NOT_NUMBERS = {"U": "strings", "S": "bytes", "b": "booleans"}
+
+
 def as_matrix(m, name: str = "matrix", sparse: bool = False):
     """Coerce to a 2-D float64 array and reject NaN/Inf entries.
 
@@ -56,7 +60,8 @@ def as_matrix(m, name: str = "matrix", sparse: bool = False):
     array (sharing the caller's values where no conversion is needed) and
     only its stored values are checked; without it, a sparse matrix raises
     ``DimensionError``.  Complex, non-numeric and ragged input raise
-    ``ValidationError``.
+    ``ValidationError``, and so do strings, bytes and booleans, dense or
+    sparse, in an array of their own or as entries of an object array.
     """
     is_sparse = _issparse(m)
     if is_sparse and not sparse:
@@ -64,12 +69,20 @@ def as_matrix(m, name: str = "matrix", sparse: bool = False):
     try:
         if not is_sparse:
             m = np.asarray(m)
-        if m.dtype.kind != "c":
-            a = scipy.sparse.csr_array(m, dtype=float) if is_sparse else m.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+    except (TypeError, ValueError) as exc:  # ragged
         raise ValidationError(f"{name} must be an array of real numbers: {exc}") from None
-    if m.dtype.kind == "c":
+    kind = m.dtype.kind
+    if kind == "O":
+        kind = next((np.asarray(v).dtype.kind for v in m.flat
+                     if isinstance(v, (str, bytes, bool, np.bool_))), kind)
+    if kind in _NOT_NUMBERS:
+        raise ValidationError(f"{name} must be an array of real numbers, got {_NOT_NUMBERS[kind]}")
+    if kind == "c":
         raise ValidationError(f"{name} must be real, got dtype {m.dtype}")
+    try:
+        a = scipy.sparse.csr_array(m, dtype=float) if is_sparse else m.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:  # not numbers
+        raise ValidationError(f"{name} must be an array of real numbers: {exc}") from None
     values = a.data if is_sparse else a
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
@@ -291,34 +304,36 @@ def _rng(seed, spawn_key=()):
     )
 
 
-def _squared_distances(x, centers):
-    # (..., n, K) squared Euclidean distances from the rows of x (n, d) to
-    # each stack of centers (..., K, d), summed from explicit differences:
-    # stable under orthogonal transformations of the data.  Each difference
-    # pass runs along the rows, not along the short d axis, and fills the
-    # contiguous (..., n, K, d) layout the einsum sums in.
-    *stack, k, d = centers.shape
-    diff = np.empty((*stack, x.shape[0], k, d))
+def _squared_distances(planes, centers):
+    """(K, R, n) squared Euclidean distances from the rows of each of the R
+    restarts' inputs to its K centers ``centers`` (R, K, d).  The inputs come
+    as their coordinate planes ``planes`` (d, R, n), or (d, 1, n) for one
+    input that every restart shares.  Each distance is summed from explicit
+    differences (stable under orthogonal transformations of the data) in
+    coordinate order, ((a0 + a1) + a2) + ..., and each pass runs along a
+    contiguous (R, n) plane, not along the short d axis."""
+    d = planes.shape[0]
+    n_restarts, k, _ = centers.shape
+    out = np.empty((k, n_restarts, planes.shape[2]))
+    term = np.empty(out.shape[1:])
     for c in range(k):
         for j in range(d):
-            np.subtract(x[:, j], centers[..., c, j, None], out=diff[..., c, j])
-    return np.einsum("...nkd,...nkd->...nk", diff, diff)
-
-
-def _own_distances(d2, labels):
-    """Each row's squared distance to its own center: the entries of ``d2``
-    (..., n, K) at the columns ``labels`` (..., n)."""
-    k = d2.shape[-1]
-    return d2.reshape(-1)[k * np.arange(labels.size).reshape(labels.shape) + labels]
+            plane = out[c] if j == 0 else term
+            np.subtract(planes[j], centers[:, c, j, None], out=plane)
+            np.multiply(plane, plane, out=plane)
+            if j:
+                np.add(out[c], term, out=out[c])
+    return out
 
 
 def _kmeans_pp_init(x, k, rngs):
     """Seed k centers per generator by D^2-weighted sampling (k-means++):
     (len(rngs), k, d), each center set drawn from its own generator."""
     n = x.shape[0]
+    planes = x.T[:, None]
     picks = np.empty((len(rngs), k), dtype=np.intp)
     picks[:, 0] = [rng.integers(n) for rng in rngs]
-    d2 = _squared_distances(x, x[picks[:, :1]])[..., 0]
+    d2 = _squared_distances(planes, x[picks[:, :1]])[0]
     for j in range(1, k):
         totals = d2.sum(axis=1).tolist()
         cumulative = np.cumsum(d2, axis=1)
@@ -329,7 +344,7 @@ def _kmeans_pp_init(x, k, rngs):
             else:
                 point = rng.random() * totals[r]
                 picks[r, j] = min(int(np.searchsorted(cumulative[r], point, side="right")), n - 1)
-        d2 = np.minimum(d2, _squared_distances(x, x[picks[:, j : j + 1]])[..., 0])
+        d2 = np.minimum(d2, _squared_distances(planes, x[picks[:, j : j + 1]])[0])
     return x[picks]
 
 
@@ -352,7 +367,9 @@ def _repair_empty(labels, dist_to_own, sizes):
 def _lloyd(x, centers, max_iter):
     """Lloyd iterations from each of the ``R`` center sets ``centers``
     (R, K, d), run in lockstep: every iteration advances the restarts that
-    are still running, and a restart stops as it would alone.
+    are still running, and a restart stops as it would alone.  ``x`` is one
+    input (n, d) that every restart clusters, or one input per restart
+    (R, n, d).
 
     A point equidistant to several centers joins the lowest-index one, an
     empty cluster is repaired with the farthest point of a cluster with two
@@ -366,24 +383,30 @@ def _lloyd(x, centers, max_iter):
     restarts, and ``histories[r]`` holds restart ``r``'s objective after
     each assignment, one entry per iteration it ran."""
     n_restarts, k, d = centers.shape
-    n = x.shape[0]
+    x = np.broadcast_to(x, (n_restarts, *x.shape[-2:]))
+    n = x.shape[1]
     labels = np.empty((n_restarts, n), dtype=np.intp)
     centers = centers.copy()
     objectives = np.empty(n_restarts)
     converged = np.zeros(n_restarts, dtype=bool)
     histories = [[] for _ in range(n_restarts)]
-    weights = np.tile(x.T, n_restarts)  # row j: x[:, j] once per restart
     offsets = k * np.arange(n_restarts)[:, None]  # (restart, cluster) ids for bincount
-    # the running restarts: their indices, labels, centers and settled flags
+    # the running restarts: their indices, input planes, labels, centers and
+    # settled flags
     run = np.arange(n_restarts)
+    run_planes = np.ascontiguousarray(np.moveaxis(x, 2, 0))
     run_labels = np.full((n_restarts, n), -1, dtype=np.intp)
     run_centers = centers
     settled = np.zeros(n_restarts, dtype=bool)
     for iteration in range(1, max_iter + 1):
         m = len(run)
-        d2 = _squared_distances(x, run_centers)
-        new_labels = d2.argmin(axis=2)  # argmin picks the lowest index on ties
-        dist_to_own = _own_distances(d2, new_labels)
+        # a sweep over the centers that keeps the lowest index on ties and
+        # leaves each row's distance to its own center, without a gather
+        d2 = _squared_distances(run_planes, run_centers)
+        new_labels, dist_to_own = np.zeros((m, n), dtype=np.intp), d2[0]
+        for c in range(1, k):
+            new_labels[d2[c] < dist_to_own] = c
+            np.minimum(dist_to_own, d2[c], out=dist_to_own)
         sizes = np.bincount((new_labels + offsets[:m]).ravel(), minlength=m * k).reshape(m, k)
         repaired = (sizes == 0).any(axis=1)
         for i in np.flatnonzero(repaired):
@@ -396,11 +419,12 @@ def _lloyd(x, centers, max_iter):
         # unchanged labels give back the centers they were computed from
         ids = (new_labels + offsets[:m]).ravel()
         run_centers = np.stack(
-            [np.bincount(ids, weights=w[: m * n], minlength=m * k) for w in weights], axis=1
+            [np.bincount(ids, weights=plane.ravel(), minlength=m * k) for plane in run_planes],
+            axis=1,
         ).reshape(m, k, d) / sizes[..., None]
         now_settled = np.zeros(m, dtype=bool)
         for i in np.flatnonzero(repaired & ~unchanged):
-            now_settled[i] = _one_row_per_cluster(x, new_labels[i])
+            now_settled[i] = _one_row_per_cluster(x[run[i]], new_labels[i])
         done = unchanged | (now_settled & settled)
         settled = now_settled
         converged[run[done]] = True
@@ -415,16 +439,57 @@ def _lloyd(x, centers, max_iter):
             objectives[run[unchanged]] = sums[unchanged]
             moved = done & ~unchanged
             if moved.any():
-                d2 = _squared_distances(x, run_centers[moved])
-                objectives[run[moved]] = _own_distances(d2, run_labels[moved]).sum(axis=1)
+                d2 = _squared_distances(run_planes[:, moved], run_centers[moved])
+                own = np.take_along_axis(d2, run_labels[moved][None], axis=0)[0]
+                objectives[run[moved]] = own.sum(axis=1)
             keep = ~done
-            run, run_labels, run_centers, settled = (
-                run[keep], run_labels[keep], run_centers[keep], settled[keep]
+            run, run_planes, run_labels, run_centers, settled = (
+                run[keep], run_planes[:, keep], run_labels[keep], run_centers[keep], settled[keep]
             )
             if not len(run):
                 break
     iterations = sum(len(history) for history in histories)
     return labels, centers, objectives, iterations, converged, histories
+
+
+def _kmeans_fits(xs, k: int, seed: int) -> list:
+    """``kmeans(x, k, seed)`` of each matrix ``x`` in ``xs`` (all with the
+    same rows), as a list, from one lockstep ``_lloyd`` over every input's
+    10 restarts.
+
+    The 10 Philox generators are built once and rewound to their first state
+    for each input, so each input seeds from the streams it would alone.  An
+    input narrower than the widest gets zero columns; a zero coordinate
+    adds an exact 0 to every distance and stays 0 in every centroid, so each
+    input's labels, centroids, objectives, iterations and convergence are
+    the bits it gets alone.
+    """
+    xs = [as_matrix(x) for x in xs]
+    _count(k, "k", xs[0].shape[0])
+    rngs = [_rng(seed, (r,)) for r in range(_RESTARTS)]
+    states = [rng.bit_generator.state for rng in rngs]
+    width = max(x.shape[1] for x in xs)
+    padded, starts = [], []
+    for x in xs:
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        padded.append(np.pad(x, ((0, 0), (0, width - x.shape[1]))))
+        starts.append(_kmeans_pp_init(padded[-1], k, rngs))
+    labels, centers, objectives, _, converged, histories = _lloyd(
+        np.repeat(np.stack(padded), _RESTARTS, axis=0), np.concatenate(starts), _MAX_ITER)
+    fits = []
+    for i, x in enumerate(xs):
+        span = slice(i * _RESTARTS, (i + 1) * _RESTARTS)
+        best = span.start + int(objectives[span].argmin())  # the first restart with the least
+        fits.append(KMeansResult(
+            labels=labels[best] + 1,
+            centroids=centers[best, :, : x.shape[1]],
+            objective=float(objectives[best]),
+            iterations=len(histories[best]),
+            converged=bool(converged[best]),
+            restart_objectives=tuple(objectives[span].tolist()),
+        ))
+    return fits
 
 
 def kmeans(x, k: int, seed: int) -> KMeansResult:
@@ -438,25 +503,16 @@ def kmeans(x, k: int, seed: int) -> KMeansResult:
     point equidistant to several centroids joins the lowest-index one; an
     empty cluster is reseeded at the point farthest from its current
     centroid among the clusters with two or more members, so exactly ``k``
-    clusters always come back.  Centroid sums run over the rows in order.
+    clusters always come back.  Squared distances are summed in coordinate
+    order and centroid sums run over the rows in order.  This is
+    ``_kmeans_fits`` on one input; the detection methods call that with one
+    read-out per method, and each comes out as it does here.
 
     Raises ``ValidationError`` for a non-integer ``k`` or a seed that is not
     a non-negative integer, and ``DimensionError`` when ``k`` is not in
     ``[1, rows of x]``.
     """
-    a = as_matrix(x)
-    _count(k, "k", a.shape[0])
-    centers = _kmeans_pp_init(a, k, [_rng(seed, (r,)) for r in range(_RESTARTS)])
-    labels, centers, objectives, _, converged, histories = _lloyd(a, centers, _MAX_ITER)
-    best = int(objectives.argmin())  # the first restart with the least objective
-    return KMeansResult(
-        labels=labels[best] + 1,
-        centroids=centers[best],
-        objective=float(objectives[best]),
-        iterations=len(histories[best]),
-        converged=bool(converged[best]),
-        restart_objectives=tuple(objectives.tolist()),
-    )
+    return _kmeans_fits([x], k, seed)[0]
 
 
 def spectral_deviation(a, b) -> float:

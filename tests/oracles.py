@@ -202,11 +202,17 @@ def exhaustive_kmeans_objective(points, k=2):
 
 
 # The sequential k-means that ran one restart after another before the
-# restarts ran in lockstep, kept verbatim as the reference for that rewrite.
+# restarts ran in lockstep, kept as the reference for that rewrite.  Its
+# squared distances sum the coordinates' squared differences in coordinate
+# order, ((a0 + a1) + a2) + ..., the rule the library states; an einsum
+# pairs them differently from d = 3 on.
 
 def _sequential_squared_distances(x, centers):
     diff = x[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    total = diff[..., 0] * diff[..., 0]
+    for j in range(1, diff.shape[2]):
+        total = total + diff[..., j] * diff[..., j]
+    return total
 
 
 def _sequential_kmeans_pp_init(x, k, rng):

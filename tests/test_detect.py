@@ -409,6 +409,95 @@ class TestRunAlgorithms:
             run_algorithms(("bisc", "magic"), noisy_instance(), 2, 3)
 
 
+def block_matrix(k_r, k_c, seed=0, shape=(60, 90)):
+    """A noisy non-negative block matrix with ``k_r`` row and ``k_c`` column
+    clusters."""
+    rng = np.random.default_rng([seed, k_r, k_c])
+    rows, cols = np.arange(shape[0]) % k_r, np.arange(shape[1]) % k_c
+    mixing = rng.uniform(0.1, 1.0, (k_r, k_c))
+    return mixing[np.ix_(rows, cols)] + 0.05 * rng.random(shape)
+
+
+def kmeans_per_read_out(a, k_r, k_c, name, seed):
+    """One ``kmeans`` call per side on method ``name``'s read-out of ``a``,
+    and the read-out's width."""
+    operator, readout = detect._PIPELINES[name]
+    xs, _ = detect._read_out(shared_embedding(a, k_r, k_c, operator), readout)
+    return {side: linalg.kmeans(xs[side], k, seed=seed)
+            for side, k in (("row", k_r), ("col", k_c))}, xs["row"].shape[1]
+
+
+def assert_batched_matches_alone(a, counts, seed):
+    """``run_algorithms`` gives each method the result it gets alone and,
+    on each side, the k-means of one ``kmeans`` call on its read-out, bit
+    for bit; returns the outcomes."""
+    outcomes = run_algorithms(ALGORITHMS, a, *counts, seed=seed)
+    for name, outcome in outcomes:
+        if isinstance(outcome, UnsupportedError):
+            continue
+        assert same_result(outcome, getattr(detect, name)(a, *counts, seed=seed)), name
+        fits, _ = kmeans_per_read_out(a, *counts, name, seed)
+        for side, fit in fits.items():
+            labels = getattr(outcome, f"{side}_labels").labels
+            assert np.array_equal(labels, fit.labels), (name, side)
+            for key in ("objective", "restart_objectives", "iterations", "converged"):
+                assert outcome.diagnostics[f"{side}_{key}"] == getattr(fit, key), (name, key)
+    return outcomes
+
+
+class TestOneKMeansPerSide:
+    """``run_algorithms`` reads every method out, then clusters each side
+    once for all of them; every method still gets its own bits."""
+
+    @pytest.mark.parametrize("counts, width", [
+        ((2, 3), 2), ((3, 4), 3), ((4, 5), 4), ((3, 2), 2), ((5, 4), 4),
+    ], ids=["d2", "d3", "d4", "d2-transposed", "d4-transposed"])
+    def test_every_method_matches_alone_and_one_kmeans_per_read_out(self, counts, width):
+        a = block_matrix(*counts)
+        assert kmeans_per_read_out(a, *counts, "bisc", 0)[1] == width
+        assert kmeans_per_read_out(a, *counts, "dscore", 0)[1] == width - 1
+        for seed in (0, 7):
+            outcomes = assert_batched_matches_alone(a, counts, seed)
+            assert all(not isinstance(outcome, Exception) for _, outcome in outcomes)
+
+    @pytest.mark.parametrize("counts", [(1, 3), (2, 3)], ids=["ratio-fails", "all-run"])
+    def test_zero_degree_rows_and_a_failing_ratio_read_out(self, counts):
+        # d = 1 at counts (1, 3): the ratio methods fail and the other three
+        # still cluster their one-column read-outs together
+        a = block_matrix(*counts, seed=2)
+        a[[0, 7, 30]] = 0.0
+        outcomes = dict(assert_batched_matches_alone(a, counts, seed=1))
+        for name in ("dscore", "rdscore"):
+            assert isinstance(outcomes[name], UnsupportedError) == (min(counts) == 1), name
+        for name in ("bisc", "nbisc", "disim"):
+            assert len(set(outcomes[name].col_labels.labels)) == 3, name
+        assert outcomes["nbisc"].diagnostics["degenerate_rows"] == (1, 8, 31)
+
+    def test_one_lloyd_loop_per_side(self, monkeypatch):
+        calls = []
+        real = linalg._lloyd
+
+        def counting(x, centers, max_iter):
+            calls.append(len(centers))
+            return real(x, centers, max_iter)
+
+        monkeypatch.setattr(linalg, "_lloyd", counting)
+        run_algorithms(ALGORITHMS, noisy_instance(), 2, 3)
+        assert calls == [50, 50]  # five methods' 10 restarts, row side then column side
+        calls.clear()
+        run_algorithms(("bisc", "dscore", "bisc"), noisy_instance(), 2, 3)
+        assert calls == [20, 20]  # a repeated name is clustered once
+
+    def test_bad_seed_fails_every_clustered_method_alike(self):
+        # the ratio methods fail their read-out check first, the others the seed
+        outcomes = run_algorithms(ALGORITHMS, noisy_instance(), 1, 3, seed=-1)
+        for name, outcome in outcomes:
+            with pytest.raises(UnsupportedError if name in ("dscore", "rdscore")
+                               else ValidationError) as alone:
+                getattr(detect, name)(noisy_instance(), 1, 3, seed=-1)
+            assert type(outcome) is alone.type and str(outcome) == str(alone.value), name
+
+
 def assert_same_labels_on_both_paths(monkeypatch, a, counts, names=ALGORITHMS):
     """``run_algorithms`` with the SVD forced through LAPACK, then through
     Lanczos, gives every method the same labels."""

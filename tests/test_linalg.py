@@ -375,6 +375,30 @@ class TestInputContract:
         with pytest.raises(ValidationError, match="array of real numbers"):
             kmeans(m, 1, seed=0)
 
+    @pytest.mark.parametrize("m, entries", [
+        ([["1.5", "2"], ["3", "4"]], "strings"),
+        (np.array([[b"1", b"2"]]), "bytes"),
+        (np.array([["1.5", 2.0]], dtype=object), "strings"),
+        (np.array([[1.0, b"2"]], dtype=object), "bytes"),
+        ([[True, False], [False, True]], "booleans"),
+        (np.array([[1.0, True]], dtype=object), "booleans"),
+        (np.array([[1.0, np.True_]], dtype=object), "booleans"),
+        (scipy.sparse.csr_array(np.eye(3, dtype=bool)), "booleans"),
+    ], ids=["strings", "bytes", "object-strings", "object-bytes", "bools", "object-bool",
+            "object-numpy-bool", "sparse-bools"])
+    def test_entries_that_cast_to_float_but_are_not_numbers_rejected(self, m, entries):
+        message = f"^matrix must be an array of real numbers, got {entries}$"
+        with pytest.raises(ValidationError, match=message):
+            as_matrix(m, sparse=True)
+        with pytest.raises(ValidationError, match=message.replace("matrix", "omega", 1)):
+            as_matrix(m, "omega", sparse=True)
+        with pytest.raises(ValidationError, match=message):
+            nbisc(m, 1, 2)
+
+    def test_object_array_of_numbers_accepted(self):
+        a = as_matrix(np.array([[1, 2.5], [np.float32(3), np.int8(4)]], dtype=object))
+        assert a.dtype == np.float64 and np.array_equal(a, [[1.0, 2.5], [3.0, 4.0]])
+
 
 class TestRowNormalize:
     def test_three_four_five(self):
@@ -684,6 +708,54 @@ class TestKMeansAgainstSequential:
             assert objectives[r] == o_objective
             assert (len(histories[r]), bool(converged[r])) == (o_iterations, o_converged)
             assert histories[r] == o_history
+
+
+    @pytest.mark.parametrize("max_iter", [2, 300])
+    def test_lockstep_restarts_on_their_own_inputs(self, max_iter):
+        # four restarts, each on its own input (d = 3): a clouds input, its
+        # negation, an input with two zero columns and one with three
+        # distinct rows; the second and fourth start from repeated centers,
+        # which leave a cluster empty in the first assignment
+        rng = np.random.default_rng(12)
+        clouds = np.repeat(3.0 * rng.standard_normal((3, 3)), 15, axis=0)
+        clouds += rng.standard_normal((45, 3))
+        narrow = np.pad(rng.standard_normal((45, 1)), ((0, 0), (0, 2)))
+        few = np.repeat(rng.integers(-4, 4, (3, 3)) / 2.0, [5, 10, 30], axis=0)
+        x = np.stack([clouds, -clouds, narrow, few])
+        starts = np.stack([clouds[[0, 20, 40]], -clouds[[5, 5, 44]], narrow[[1, 2, 3]],
+                           few[[0, 0, 44]]])
+        labels, centers, objectives, iterations, converged, histories = _lloyd(
+            x, starts, max_iter)
+        assert iterations == sum(len(h) for h in histories)
+        for r, start in enumerate(starts):
+            o_labels, o_centers, o_objective, o_iterations, o_converged, o_history = (
+                sequential_lloyd(x[r], start.copy(), max_iter))
+            assert np.array_equal(labels[r], o_labels), r
+            assert np.array_equal(centers[r], o_centers), r
+            assert objectives[r] == o_objective, r
+            assert (len(histories[r]), bool(converged[r])) == (o_iterations, o_converged), r
+            assert histories[r] == o_history, r
+
+
+class TestKMeansFits:
+    """``_kmeans_fits`` clusters several inputs of one side in one lockstep
+    loop; each comes out as ``kmeans`` gives it alone, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_inputs_of_every_width_match_kmeans_alone(self, k):
+        rng = np.random.default_rng(k)
+        xs = [rng.standard_normal((60, d)) + 2.0 * rng.standard_normal((5, d))[np.arange(60) % 5]
+              for d in (2, 1, 4, 3, 2)]
+        xs.append(np.repeat(xs[1][:3], 20, axis=0))  # three distinct rows
+        for seed in (0, 9):
+            for x, fit in zip(xs, linalg._kmeans_fits(xs, k, seed)):
+                alone = kmeans(x, k, seed=seed)
+                assert np.array_equal(fit.labels, alone.labels)
+                assert fit.centroids.shape == (k, x.shape[1])
+                assert np.array_equal(fit.centroids, alone.centroids)
+                assert (fit.objective, fit.restart_objectives) == (
+                    alone.objective, alone.restart_objectives)
+                assert (fit.iterations, fit.converged) == (alone.iterations, alone.converged)
 
 
 class TestSpectralDeviation:
