@@ -20,10 +20,11 @@ reference baselines for comparison studies.  The pipeline assumes
 ``k_r <= k_c``; called the other way round it transposes the problem and
 swaps the labels and per-side diagnostics back.  Every method is
 ``method(a, k_r, k_c, *, seed=0)`` with ``a`` a dense or ``scipy.sparse``
-matrix; ``run_algorithms`` runs several methods on one matrix,
-decomposes each operator once for all of them, reads every method out and
-then clusters each side once: one lockstep k-means carries every method's
-restarts, and each method gets the bits it gets alone.  The Laplacian adds
+matrix, nothing else, and runs as ``run_algorithms`` with its one name:
+that is the one place the pipeline runs.  Given several names on one
+matrix, it decomposes each operator once for all of them, reads every
+method out and then clusters each side once: one lockstep k-means carries
+every method's restarts, and each method gets the bits it gets alone.  The Laplacian adds
 each side's mean degree to that side's degrees, the DI-SIM default of Rohe,
 Qin & Yu (2016).  It needs non-negative entries: it is formed from
 ``shift_nonnegative`` of the matrix, and the methods on it record a
@@ -67,8 +68,7 @@ class DetectionResult:
 class Embedding:
     """Leading ``min(k_r, k_c)`` singular triplets of one operator of a
     matrix: what every method on that operator reads out, built once per
-    operator by ``run_algorithms``.  A method takes one in place of the
-    matrix, too.
+    operator by ``run_algorithms``.
 
     When ``transposed`` (``k_r > k_c``) the factors decompose the operator of
     the transposed matrix, so the left factor always belongs to the side with
@@ -124,21 +124,9 @@ def _ratio_matrix(u):
     return np.clip(ratios, -t, t)
 
 
-def _checked(a, k_r, k_c):
-    a = as_matrix(a, sparse=True)
-    _count(k_r, "k_r", a.shape[0])
-    _count(k_c, "k_c", a.shape[1])
-    return a
-
-
-def _check_readout(readout, k_r, k_c):
-    if readout == "ratio" and min(k_r, k_c) < 2:
-        raise UnsupportedError("ratio method needs min(k_r, k_c) >= 2")
-
-
 def _embed(a, k_r, k_c, operator):
     """Decompose ``operator`` (``'adjacency'`` or ``'laplacian'``) of a matrix
-    that passed ``_checked``; the one transpose site."""
+    that ``run_algorithms`` checked; the one transpose site."""
     a, shift = shift_nonnegative(a) if operator == "laplacian" else (a, 0.0)
     transposed = k_r > k_c
     if transposed:
@@ -158,8 +146,7 @@ class Clustering:
     ``KMeansResult`` in ``fits`` and, for the normalizing read-outs, each
     side's degenerate rows in ``degenerate``, both keyed ``'row'`` and
     ``'col'``.  ``run_algorithms`` clusters every method's read-out first and
-    passes each method its own in place of the matrix; the method then only
-    assembles its result."""
+    passes each method its own; the method then only assembles its result."""
 
     embedding: Embedding
     fits: dict
@@ -183,30 +170,15 @@ def _read_out(embedding, readout):
     return xs, degenerate
 
 
-def _cluster(pipelines, k_r, k_c, seed):
-    """``Clustering`` of each ``(embedding, readout)`` in ``pipelines``:
-    every read-out first, then one k-means per side over all of them
-    (``_kmeans_fits``), each as it would run alone."""
-    read = [_read_out(embedding, readout) for embedding, readout in pipelines]
-    fits = {side: _kmeans_fits([xs[side] for xs, _ in read], k, seed)
-            for side, k in (("row", k_r), ("col", k_c))}
-    return [Clustering(embedding, {side: fits[side][i] for side in fits}, read[i][1])
-            for i, (embedding, _) in enumerate(pipelines)]
-
-
 def _cocluster(name, a, k_r, k_c, seed):
-    """The pipeline behind every method, on a matrix, on the ``Embedding``
-    that ``run_algorithms`` built for it (checks run in the same order for
-    both), or on the ``Clustering`` it clustered for it, which is only
-    assembled into the result."""
+    """Every method: on a matrix, ``run_algorithms`` with its one name, which
+    calls the method back with the ``Clustering`` it built for it; that is
+    only assembled into the result."""
     if not isinstance(a, Clustering):
-        operator, readout = _PIPELINES[name]
-        given = isinstance(a, Embedding)
-        if not given:
-            a = _checked(a, k_r, k_c)
-        _check_readout(readout, k_r, k_c)
-        embedding = a if given else _embed(a, k_r, k_c, operator)
-        [a] = _cluster([(embedding, readout)], k_r, k_c, seed)
+        [(_, result)] = run_algorithms((name,), a, k_r, k_c, seed)
+        if isinstance(result, BidfmError):
+            raise result
+        return result
     embedding, fits, degenerate = a.embedding, a.fits, a.degenerate
     diagnostics = {f"{side}_{key}": getattr(fits[side], key)
                    for key in ("objective", "restart_objectives", "iterations", "converged")
@@ -300,51 +272,59 @@ def shift_nonnegative(a) -> tuple:
 
 
 def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
-    """Run several methods on one matrix, each as it would run alone.
+    """Run methods on one matrix: the pipeline of every method, which is
+    this with its one name.
 
     Returns ``[(name, DetectionResult or BidfmError), ...]`` in the order of
-    ``names``: a method that fails gives the error it would raise alone, and
-    the others still run.  Each operator is decomposed at most once, so an
-    embedding that fails is the failure of every method sharing it.  Every
-    method's read-out is taken first, then each side is clustered once for
-    all of them (``_kmeans_fits``: one lockstep Lloyd loop over every
-    method's 10 restarts), with each method's labels, objectives,
-    iterations and convergence the bits it gets alone.  Each method is then
+    ``names``, any iterable of method names: a method that fails gives the
+    error the method raises, and the others still run.  The matrix and
+    counts are checked first, then each method's read-out against the
+    counts.  Each operator is decomposed at most once, so an embedding that
+    fails is the failure of every method sharing it.  Every method's
+    read-out is taken first, then each side is clustered once for all of
+    them (``_kmeans_fits``: one lockstep Lloyd loop over every method's 10
+    restarts), with each method's labels, objectives, iterations and
+    convergence the bits it gets with its name alone.  Each method is then
     called through its module attribute with its ``Clustering``, which it
     only assembles into its result.
     """
+    if not np.iterable(names):
+        raise ValidationError(f"names must be an iterable of method names, got {names!r}")
+    names = tuple(names)  # read once: a generator is used up by one pass
     unknown = [name for name in names if name not in ALGORITHMS]
     if unknown:
         raise ValidationError(f"unknown algorithm {unknown[0]!r}; choose from {ALGORITHMS}")
-    # every method checks the matrix and counts before anything else
     try:
-        a = _checked(a, k_r, k_c)
+        a = as_matrix(a, sparse=True)
+        _count(k_r, "k_r", a.shape[0])
+        _count(k_c, "k_c", a.shape[1])
     except BidfmError as exc:
         return [(name, exc) for name in names]
     embeddings, outcomes = {}, {}
-    for name in names:
+    for name in dict.fromkeys(names):
         operator, readout = _PIPELINES[name]
-        try:
-            _check_readout(readout, k_r, k_c)
-            if operator not in embeddings:
-                try:
-                    embeddings[operator] = _embed(a, k_r, k_c, operator)
-                except BidfmError as exc:
-                    embeddings[operator] = exc
-            outcomes[name] = embeddings[operator]
-        except BidfmError as exc:
-            outcomes[name] = exc
-    clustered = [name for name in dict.fromkeys(names) if isinstance(outcomes[name], Embedding)]
+        if readout == "ratio" and min(k_r, k_c) < 2:
+            outcomes[name] = UnsupportedError("ratio method needs min(k_r, k_c) >= 2")
+            continue
+        if operator not in embeddings:
+            try:
+                embeddings[operator] = _embed(a, k_r, k_c, operator)
+            except BidfmError as exc:
+                embeddings[operator] = exc
+        outcomes[name] = embeddings[operator]
+    clustered = [name for name, outcome in outcomes.items() if isinstance(outcome, Embedding)]
     if clustered:
         try:
-            fits = _cluster([(outcomes[name], _PIPELINES[name][1]) for name in clustered],
-                            k_r, k_c, seed)
-        except BidfmError as exc:  # a bad seed, which each of them raises alone
-            fits = [exc] * len(clustered)
-        for name, fit in zip(clustered, fits):
-            # Looked up by name on the module at call time, so a wrapper
-            # bound over a method's module attribute (an instrumenting
-            # tracer) is what runs.
-            outcomes[name] = fit if isinstance(fit, BidfmError) else globals()[name](
-                fit, k_r, k_c, seed=seed)
+            read = [_read_out(outcomes[name], _PIPELINES[name][1]) for name in clustered]
+            fits = [_kmeans_fits([xs[side] for xs, _ in read], k, seed)
+                    for side, k in (("row", k_r), ("col", k_c))]
+        except BidfmError as exc:  # a bad seed, which each method raises
+            outcomes.update(dict.fromkeys(clustered, exc))
+        else:
+            for name, (_, degenerate), row, col in zip(clustered, read, *fits):
+                clustering = Clustering(outcomes[name], {"row": row, "col": col}, degenerate)
+                # Looked up by name on the module at call time, so a wrapper
+                # bound over a method's module attribute (an instrumenting
+                # tracer) is what runs.
+                outcomes[name] = globals()[name](clustering, k_r, k_c, seed=seed)
     return [(name, outcomes[name]) for name in names]

@@ -505,8 +505,9 @@ def kmeans(x, k: int, seed: int) -> KMeansResult:
     centroid among the clusters with two or more members, so exactly ``k``
     clusters always come back.  Squared distances are summed in coordinate
     order and centroid sums run over the rows in order.  This is
-    ``_kmeans_fits`` on one input; the detection methods call that with one
-    read-out per method, and each comes out as it does here.
+    ``_kmeans_fits`` on one input; ``detect.run_algorithms``, which every
+    detection method runs with its one name, calls that with one read-out
+    per method, and each comes out as it does here.
 
     Raises ``ValidationError`` for a non-integer ``k`` or a seed that is not
     a non-negative integer, and ``DimensionError`` when ``k`` is not in

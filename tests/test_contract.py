@@ -3,8 +3,11 @@
 The first property drives the parameter constructors with values of every
 type a Python caller might pass.  The second drives the five methods and
 ``run_algorithms`` on drawn matrices, from 1x1 up to 150 per side so that
-the Lanczos path runs too, across the whole exponent range.  Warnings are
-errors in this suite (``filterwarnings = error``), so a warning fails too.
+the Lanczos path runs too, across the whole exponent range.  A method on a
+matrix is ``run_algorithms`` with its one name, so the second property
+compares each method's one read-out, clustered alone, with the five
+clustered together.  Warnings are errors in this suite
+(``filterwarnings = error``), so a warning fails too.
 """
 import dataclasses
 import inspect

@@ -22,7 +22,8 @@ from bidfm.detect import (
     run_algorithms,
     shift_nonnegative,
 )
-from bidfm.errors import DimensionError, DomainError, UnsupportedError, ValidationError
+from bidfm.errors import (BidfmError, DimensionError, DomainError, UnsupportedError,
+                          ValidationError)
 from bidfm.experiments import filter_zero_degree, preset, run_simulation
 from bidfm.metrics import hamming_error
 from bidfm.model import (
@@ -290,7 +291,6 @@ class TestShiftNonnegative:
 
 
 METHODS = [bisc, nbisc, disim, dscore, rdscore]
-LAPLACIAN_METHODS = (disim, rdscore)
 
 
 def noisy_instance(seed=3):
@@ -309,17 +309,15 @@ def same_result(x, y):
 def shared_embedding(a, k_r, k_c, operator="adjacency"):
     """The ``Embedding`` that ``run_algorithms`` shares among the methods on
     ``operator``."""
-    return detect._embed(detect._checked(a, k_r, k_c), k_r, k_c, operator)
+    return detect._embed(linalg.as_matrix(a, sparse=True), k_r, k_c, operator)
 
 
 class TestEmbedding:
-    @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
     @pytest.mark.parametrize("method", METHODS, ids=lambda f: f.__name__)
-    def test_method_on_embedding_matches_method_on_matrix(self, method, counts):
-        a = noisy_instance()
-        operator = "laplacian" if method in LAPLACIAN_METHODS else "adjacency"
-        embedding = shared_embedding(a, *counts, operator)
-        assert same_result(method(embedding, *counts, seed=5), method(a, *counts, seed=5))
+    def test_method_rejects_an_embedding(self, method):
+        # a method takes a matrix; an Embedding is not one
+        with pytest.raises(ValidationError, match="matrix must be an array of real numbers"):
+            method(shared_embedding(noisy_instance(), 2, 3), 2, 3)
 
     def test_transposed_embedding_keeps_caller_orientation(self):
         a = noisy_instance()
@@ -327,10 +325,6 @@ class TestEmbedding:
         assert embedding.transposed
         assert embedding.factors.left.shape == (90, 2)  # the column side
         assert embedding.regularizers == shared_embedding(a, 2, 3, "laplacian").regularizers
-
-    def test_ratio_method_rejects_single_cluster_embedding(self):
-        with pytest.raises(UnsupportedError):
-            dscore(shared_embedding(noisy_instance(), 1, 3), 1, 3)
 
     def test_svd_path_recorded(self, monkeypatch):
         a = noisy_instance()
@@ -407,6 +401,17 @@ class TestRunAlgorithms:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError):
             run_algorithms(("bisc", "magic"), noisy_instance(), 2, 3)
+
+    def test_names_read_once(self):
+        a = noisy_instance()
+        outcomes = run_algorithms((name for name in ["bisc", "nbisc"]), a, 2, 3)
+        assert [name for name, _ in outcomes] == ["bisc", "nbisc"]
+        assert same_result(outcomes[1][1], nbisc(a, 2, 3))
+
+    @pytest.mark.parametrize("names", [None, 3])
+    def test_names_not_iterable_rejected(self, names):
+        with pytest.raises(ValidationError, match="names must be an iterable of method names"):
+            run_algorithms(names, noisy_instance(), 2, 3)
 
 
 def block_matrix(k_r, k_c, seed=0, shape=(60, 90)):
@@ -487,15 +492,28 @@ class TestOneKMeansPerSide:
         calls.clear()
         run_algorithms(("bisc", "dscore", "bisc"), noisy_instance(), 2, 3)
         assert calls == [20, 20]  # a repeated name is clustered once
+        calls.clear()
+        bisc(noisy_instance(), 2, 3)
+        assert calls == [10, 10]  # a method alone: its own 10 restarts per side
 
     def test_bad_seed_fails_every_clustered_method_alike(self):
-        # the ratio methods fail their read-out check first, the others the seed
-        outcomes = run_algorithms(ALGORITHMS, noisy_instance(), 1, 3, seed=-1)
-        for name, outcome in outcomes:
-            with pytest.raises(UnsupportedError if name in ("dscore", "rdscore")
-                               else ValidationError) as alone:
-                getattr(detect, name)(noisy_instance(), 1, 3, seed=-1)
-            assert type(outcome) is alone.type and str(outcome) == str(alone.value), name
+        # at (1, 3) the ratio methods fail their read-out check first, the
+        # others the seed; each method on a matrix raises what
+        # run_algorithms returns for its one name and for all five
+        a = noisy_instance()
+        for counts, seed, fails in (((1, 3), -1, ALGORITHMS), ((2, 3), -1, ALGORITHMS),
+                                    ((2, 100), 0, ALGORITHMS), ((1, 3), 0, ("dscore", "rdscore"))):
+            outcomes = run_algorithms(ALGORITHMS, a, *counts, seed=seed)
+            for name, outcome in outcomes:
+                [(_, own)] = run_algorithms((name,), a, *counts, seed=seed)
+                if name not in fails:
+                    assert same_result(outcome, own), name
+                    continue
+                assert isinstance(own, BidfmError), name
+                with pytest.raises(type(own)) as alone:
+                    getattr(detect, name)(a, *counts, seed=seed)
+                for other in (own, outcome):
+                    assert type(other) is alone.type and str(other) == str(alone.value), name
 
 
 def assert_same_labels_on_both_paths(monkeypatch, a, counts, names=ALGORITHMS):
