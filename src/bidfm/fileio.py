@@ -176,20 +176,37 @@ def read_edge_list(path, delimiter: str | None = None, header: bool = False,
     return matrix, list(row_index), list(col_index)
 
 
+def _node_ids(ids) -> list:
+    """``ids`` read once, as strings, each an id the readers read back: it
+    is non-empty, holds no whitespace (which separates fields) and does not
+    start with ``#`` (which opens a comment).  Any other id is a
+    ``ValidationError`` that names the first one."""
+    try:
+        ids = [str(node) for node in ids]
+    except TypeError:
+        raise ValidationError(f"node ids must be a sequence, got {ids!r}") from None
+    bad = next((node for node in ids if node.split() != [node] or node.startswith("#")), None)
+    if bad is not None:
+        raise ValidationError(f"node id {bad!r} would not read back: an id must be "
+                              "non-empty, hold no whitespace and not start with '#'")
+    return ids
+
+
 def write_edge_list(path, m, row_ids=None, col_ids=None):
     """Write nonzero entries, row by row, as tab-separated ``source target
     weight`` records.
 
-    Default ids are the canonical 1-based node numbers.  Zero entries are not
-    written, so a matrix round-trips through :func:`read_edge_list` exactly
-    when every node appears in some edge (and, for first-appearance id order,
-    when the first row is fully nonzero, as generated expected adjacencies
-    are).
+    Default ids are the canonical 1-based node numbers.  A given id must be
+    non-empty, hold no whitespace and not start with ``#``; any other is a
+    ``ValidationError``.  Zero entries are not written, so a matrix
+    round-trips through :func:`read_edge_list` exactly when every node
+    appears in some edge (and, for first-appearance id order, when the first
+    row is fully nonzero, as generated expected adjacencies are).
     """
     a = as_matrix(m)
     n_r, n_c = a.shape
-    row_ids = list(row_ids) if row_ids is not None else [str(i + 1) for i in range(n_r)]
-    col_ids = list(col_ids) if col_ids is not None else [str(j + 1) for j in range(n_c)]
+    row_ids = _node_ids(row_ids) if row_ids is not None else [str(i + 1) for i in range(n_r)]
+    col_ids = _node_ids(col_ids) if col_ids is not None else [str(j + 1) for j in range(n_c)]
     if len(row_ids) != n_r or len(col_ids) != n_c:
         raise ValidationError("id lists must match the matrix shape")
     rows, cols = np.nonzero(a)
@@ -200,9 +217,15 @@ def write_edge_list(path, m, row_ids=None, col_ids=None):
 
 
 def write_labels(path, ids, labels):
-    """Write one ``id<TAB>label`` line per node.  The labels are read as a
-    :class:`~bidfm.model.Membership`, so the writer takes exactly the labels
-    :func:`read_labels` accepts."""
+    """Write one ``id<TAB>label`` line per node.  Each id must be non-empty,
+    hold no whitespace, not start with ``#`` and appear once, and the labels
+    are read as a :class:`~bidfm.model.Membership`, so the writer takes
+    exactly the ids and labels :func:`read_labels` accepts."""
+    ids = _node_ids(ids)
+    seen = set()  # ``seen.add`` returns None, so only a repeat is picked
+    repeated = next((node for node in ids if node in seen or seen.add(node)), None)
+    if repeated is not None:
+        raise ValidationError(f"repeated node id {repeated!r}")
     labels = Membership.coerce(labels).labels
     if len(ids) != len(labels):
         raise ValidationError(f"{len(ids)} node ids but {len(labels)} labels")

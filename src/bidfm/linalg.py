@@ -139,38 +139,35 @@ def _canonicalize_signs(u, vt):
     return u * signs, vt * signs[:, None]
 
 
-def _blas_operator(a):
-    """The C-ordered array ``a`` as an operator whose products call scipy's
-    ``dgemv`` on its F-ordered view ``a.T``, without copying: ARPACK's BLAS
-    and LAPACK run in scipy's thread pool, and so do these products, where
-    ``a @ x`` would run them in numpy's."""
-    importlib.import_module("scipy.linalg")
-    importlib.import_module("scipy.sparse.linalg")
-    gemv = scipy.linalg.blas.dgemv
-    return scipy.sparse.linalg.LinearOperator(
-        a.shape, dtype=a.dtype,
-        matvec=lambda x: gemv(1.0, a.T, x.ravel(), trans=1),
-        rmatvec=lambda y: gemv(1.0, a.T, y.ravel()),
-    )
-
-
-def _lanczos(op, k, v0, maxiter):
-    """``scipy.sparse.linalg.svds(op, k, v0=v0, maxiter=maxiter, tol=1e-10)``
+def _lanczos(a, k, v0, maxiter):
+    """``scipy.sparse.linalg.svds(a, k, v0=v0, maxiter=maxiter, tol=1e-10)``
     step for step, but the triplets keep LAPACK's non-increasing order, and
     where ``eigsh`` takes a generator (``rng``), ARPACK restarts a Krylov
     space that runs out (as on a constant matrix) from a seeded one, not
     from fresh OS entropy.  An ``eigsh`` without ``rng`` restarts from
-    ARPACK's own generator, whose state carries over from call to call."""
-    swap = op.shape[0] < op.shape[1]
-    a, at = (op.H, op) if swap else (op, op.H)
+    ARPACK's own generator, whose state carries over from call to call.
+    The products multiply ``a`` itself: ``a @ x`` and ``a.T @ y`` for a CSR
+    array, and for a C-ordered array scipy's ``dgemv`` on the F-ordered view
+    ``a.T``, which copies nothing and runs in ARPACK's own BLAS thread pool,
+    where ``a @ x`` would run in numpy's."""
+    at = a.T
+    if _issparse(a):
+        products = (lambda x: a @ x), (lambda y: at @ y)
+    else:
+        gemv = scipy.linalg.blas.dgemv
+        products = (lambda x: gemv(1.0, at, x, trans=1)), (lambda y: gemv(1.0, at, y))
+    # the Gram matrix is the smaller side's: ``first`` maps it onto the larger
+    swap = a.shape[0] < a.shape[1]
+    first, second = products[::-1] if swap else products
     gram = scipy.sparse.linalg.LinearOperator(
-        (min(op.shape),) * 2, matvec=lambda x: at.matvec(a.matvec(x)), dtype=op.dtype)
+        (min(a.shape),) * 2, matvec=lambda x: second(first(x)), dtype=a.dtype)
     eigsh = scipy.sparse.linalg.eigsh
     takes_rng = "rng" in inspect.signature(eigsh).parameters
     vectors = eigsh(gram, k=k, tol=1e-10 ** 2, maxiter=maxiter, v0=v0,
                     **({"rng": np.random.default_rng(0)} if takes_rng else {}))[1]
     vectors = np.linalg.qr(vectors)[0]
-    u, s, vh = scipy.linalg.svd(a.matmat(vectors), full_matrices=False, overwrite_a=True)
+    u, s, vh = scipy.linalg.svd(np.column_stack([first(v) for v in vectors.T]),
+                                full_matrices=False, overwrite_a=True)
     return (vectors @ vh.T, s, u.T) if swap else (u, s, vh @ vectors.T)
 
 
@@ -182,13 +179,13 @@ def truncated_svd(m, k: int) -> SvdFactors:
     ``k`` triplets asked for; LAPACK's full decomposition takes over where
     that does not pay: a smaller side of at most 90, where the dense call
     is cheaper, ``k > 25`` or ``5 * k >= min(n, p)``, and the all-zero
-    matrix.  Lanczos multiplies by a CSR copy of the matrix (``'sparse'``)
-    when it is a sparse matrix or at most 5% of its entries are nonzero,
-    and by the dense array (``'lanczos'``) otherwise, through scipy's BLAS
-    (``dgemv``), the one ARPACK itself calls.  The result is the same bits
-    for C- and F-ordered input and from call to call (but see ``_lanczos``
-    for an older scipy), and ``path`` says which one ran; a sparse matrix is
-    densified only for LAPACK.
+    matrix.  Lanczos multiplies the scaled matrix directly: a CSR copy
+    (``'sparse'``) when it is a sparse matrix or at most 5% of its entries
+    are nonzero, and a C-ordered array (``'lanczos'``) otherwise, through
+    scipy's BLAS (``dgemv``), the one ARPACK itself calls.  The result is
+    the same bits for C- and F-ordered input and from call to call (but see
+    ``_lanczos`` for an older scipy), and ``path`` says which one ran; a
+    sparse matrix is densified only for LAPACK.
 
     Every path decomposes the matrix scaled by the power of two that brings
     its largest entry into [0.5, 1), which is exact and keeps the products
@@ -234,8 +231,7 @@ def truncated_svd(m, k: int) -> SvdFactors:
         v0 = np.linspace(1.0, 2.0, min(n, p))
         v0 /= np.linalg.norm(v0)
         try:
-            u, s, vt = _lanczos(scipy.sparse.linalg.aslinearoperator(a) if path == "sparse"
-                                else _blas_operator(a), k, v0, 1000 * k)
+            u, s, vt = _lanczos(a, k, v0, 1000 * k)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             found = len(exc.eigenvalues) if exc.eigenvalues is not None else 0
             raise ConvergenceError(

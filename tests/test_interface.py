@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -269,6 +270,39 @@ class TestLabelFiles:
         with pytest.raises(BidfmError):
             fileio.write_labels(path, ["a", "b", "c"], labels)
         assert not path.exists()
+
+    # ids a reader would drop or misread: empty, holding whitespace, or a
+    # comment (a label file's "#a" line reads as a comment, and an edge list's
+    # "c 5" target as target "c" with weight 5)
+    BAD_IDS = {"empty": "", "space": "c 5", "tab": "c\t5", "newline": "c\n5",
+               "padded": " c", "comment": "#a"}
+
+    @pytest.mark.parametrize("bad", BAD_IDS.values(), ids=BAD_IDS)
+    @pytest.mark.parametrize("side", ["labels", "edge-rows", "edge-cols"])
+    def test_writes_only_ids_the_reader_accepts(self, tmp_path, side, bad):
+        # the first bad id is named, and no file is written
+        path = tmp_path / "out.txt"
+        ids = ["a", bad, "d", "#z"]
+        with pytest.raises(ValidationError, match=re.escape(f"node id {bad!r} ")):
+            if side == "labels":
+                fileio.write_labels(path, ids, [1, 2, 1, 2])
+            else:
+                other = ["x", "y", "z", "w"]
+                names = (ids, other) if side == "edge-rows" else (other, ids)
+                fileio.write_edge_list(path, np.ones((4, 4)), *names)
+        assert not path.exists()
+
+    def test_repeated_label_id_rejected(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        with pytest.raises(ValidationError, match="repeated node id 'b'"):
+            fileio.write_labels(path, ["a", "b", 3, "b", 3], [1, 2, 1, 2, 1])
+        assert not path.exists()
+
+    def test_label_ids_read_once_as_strings(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        fileio.write_labels(path, (i for i in range(1, 4)), [1, 2, 1])
+        ids, labels = fileio.read_labels(path)
+        assert ids == ["1", "2", "3"] and labels.tolist() == [1, 2, 1]
 
     def test_writes_a_membership(self, tmp_path):
         path = tmp_path / "labels.txt"

@@ -283,8 +283,9 @@ class TestSvdPathRule:
 
 
 class TestLanczosOperand:
-    """On the ``"lanczos"`` path ARPACK multiplies through scipy's ``dgemv``
-    on a C-ordered copy of the scaled matrix, whatever the input's order."""
+    """ARPACK multiplies the scaled matrix itself: on the ``"lanczos"`` path
+    through scipy's ``dgemv`` on a C-ordered copy, whatever the input's
+    order, and on the ``"sparse"`` path through the CSR copy."""
 
     @pytest.mark.parametrize("reorder", [
         np.asfortranarray, lambda a: np.ascontiguousarray(a.T).T,
@@ -298,17 +299,23 @@ class TestLanczosOperand:
         for name in ("left", "singular_values", "right"):
             assert np.array_equal(getattr(f, name), getattr(g, name)), name
 
-    @pytest.mark.parametrize("shape", [(600, 900), (900, 600)])
-    def test_operator_products_match_numpy(self, shape):
+    @pytest.mark.parametrize("operand", ["array", "csr"])
+    @pytest.mark.parametrize("shape", [(600, 900), (900, 600)], ids=["600x900", "900x600"])
+    def test_lanczos_triplets_match_numpy(self, shape, operand):
+        # three planted singular values above the noise, at most 5% nonzero
         rng = np.random.default_rng(6)
-        a = rng.uniform(-1.0, 1.0, shape)
-        x, y = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
-        xs, ys = rng.standard_normal((shape[1], 3)), rng.standard_normal((shape[0], 3))
-        op = linalg._blas_operator(a)
-        for got, want in [(op.matvec(x), a @ x), (op.rmatvec(y), a.T @ y),
-                          (op.matmat(xs), a @ xs), (op.rmatmat(ys), a.T @ ys)]:
-            assert got.shape == want.shape
-            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        rows, cols = rng.integers(3, size=shape[0]), rng.integers(3, size=shape[1])
+        mean = np.where(rows[:, None] == cols, 0.04, 0.005)
+        a = np.where(rng.uniform(size=shape) < mean, rng.uniform(0.5, 1.0, shape), 0.0)
+        assert 0 < np.count_nonzero(a) <= 0.05 * a.size
+        if operand == "array":
+            a += rng.uniform(-0.01, 0.01, shape)
+        v0 = np.linspace(1.0, 2.0, min(shape))
+        u, s, vt = linalg._lanczos(a if operand == "array" else scipy.sparse.csr_array(a),
+                                   3, v0 / np.linalg.norm(v0), 3000)
+        assert u.shape == (shape[0], 3) and vt.shape == (3, shape[1])
+        assert np.max(np.linalg.norm(a @ vt.T - u * s, axis=0)) <= 1e-10 * s[0]
+        assert np.allclose(s, np.linalg.svd(a, compute_uv=False)[:3], rtol=1e-12, atol=0)
 
 
 class TestSparseInput:
