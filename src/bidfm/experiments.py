@@ -349,8 +349,13 @@ def filter_zero_degree(a, mode: str) -> FilterResult:
     ``rows``/``cols`` drop one side's zero-degree nodes only.  ``both-and``
     drops nodes dead on both sides, ``both-or`` nodes dead on either side;
     these two need a square matrix since they remove the same node from both
-    sides.  Retained entries are copied verbatim, into a CSR array when
-    ``a`` is ``scipy.sparse`` and a dense array otherwise.  ``removed``
+    sides.  A node is zero-degree when its row (or column) holds no
+    nonzero entry, which is an absolute degree of 0 (``degree_profiles``):
+    a dense matrix is scanned for it through the mask ``a != 0``, with no
+    absolute-value copy, and entries that cancel, subnormal entries and a
+    degree beyond the float range all leave a node in.  Retained entries
+    are copied verbatim, into a CSR array when ``a`` is ``scipy.sparse``
+    and a dense array otherwise.  ``removed``
     lists each side's zero-degree nodes, and in the two square modes also
     the nodes dead on both sides and on either side; every index is 1-based.
     """
@@ -363,7 +368,11 @@ def filter_zero_degree(a, mode: str) -> FilterResult:
             f"mode {mode!r} removes the same node from both sides and "
             f"needs a square matrix, got {a.shape}"
         )
-    zero_r, zero_c = (np.nonzero(d == 0)[0] for d in degree_profiles(a))
+    if isinstance(a, np.ndarray):  # a node with no nonzero entry, in a byte scan
+        nonzero = a != 0
+        zero_r, zero_c = (np.flatnonzero(~nonzero.any(axis=axis)) for axis in (1, 0))
+    else:
+        zero_r, zero_c = (np.nonzero(d == 0)[0] for d in degree_profiles(a))
     both, either = np.intersect1d(zero_r, zero_c), np.union1d(zero_r, zero_c)
     drop_r, drop_c = {"rows": (zero_r, zero_c[:0]), "cols": (zero_r[:0], zero_c),
                       "both-and": (both, both), "both-or": (either, either)}[mode]

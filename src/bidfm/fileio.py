@@ -169,7 +169,9 @@ def read_edge_list(path, delimiter: str | None = None, header: bool = False,
         i = int(overflowed.argmax())
         raise ParseError(f"the weights of ({sources[i]!r}, {targets[i]!r}) "
                          "sum beyond the float range")
-    duplicates = len(weights) - len(np.unique(rows * len(col_index) + cols))
+    occupied = np.zeros(matrix.shape, dtype=bool)
+    occupied[rows, cols] = True
+    duplicates = len(weights) - np.count_nonzero(occupied)
     if duplicates:
         warnings.warn(f"{duplicates} duplicate (source, target) pairs were summed",
                       stacklevel=2)
@@ -177,10 +179,10 @@ def read_edge_list(path, delimiter: str | None = None, header: bool = False,
 
 
 def _node_ids(ids) -> list:
-    """``ids`` read once, as strings, each an id the readers read back: it
-    is non-empty, holds no whitespace (which separates fields) and does not
-    start with ``#`` (which opens a comment).  Any other id is a
-    ``ValidationError`` that names the first one."""
+    """``ids`` read once, as strings, each an id the readers read back as
+    its own node: it is non-empty, holds no whitespace (which separates
+    fields), does not start with ``#`` (which opens a comment) and appears
+    once.  Any other id is a ``ValidationError`` that names the first one."""
     try:
         ids = [str(node) for node in ids]
     except TypeError:
@@ -189,6 +191,10 @@ def _node_ids(ids) -> list:
     if bad is not None:
         raise ValidationError(f"node id {bad!r} would not read back: an id must be "
                               "non-empty, hold no whitespace and not start with '#'")
+    seen = set()  # ``seen.add`` returns None, so only a repeat is picked
+    repeated = next((node for node in ids if node in seen or seen.add(node)), None)
+    if repeated is not None:
+        raise ValidationError(f"repeated node id {repeated!r}")
     return ids
 
 
@@ -197,8 +203,11 @@ def write_edge_list(path, m, row_ids=None, col_ids=None):
     weight`` records.
 
     Default ids are the canonical 1-based node numbers.  A given id must be
-    non-empty, hold no whitespace and not start with ``#``; any other is a
-    ``ValidationError``.  Zero entries are not written, so a matrix
+    non-empty, hold no whitespace, not start with ``#`` and appear once
+    among the row ids (or among the column ids), since the reader would
+    merge two nodes of one name; any other is a ``ValidationError``, raised
+    before the file is written.  A row id may equal a column id: both name
+    one node of the shared universe.  Zero entries are not written, so a matrix
     round-trips through :func:`read_edge_list` exactly when every node
     appears in some edge (and, for first-appearance id order, when the first
     row is fully nonzero, as generated expected adjacencies are).
@@ -209,7 +218,7 @@ def write_edge_list(path, m, row_ids=None, col_ids=None):
     col_ids = _node_ids(col_ids) if col_ids is not None else [str(j + 1) for j in range(n_c)]
     if len(row_ids) != n_r or len(col_ids) != n_c:
         raise ValidationError("id lists must match the matrix shape")
-    rows, cols = np.nonzero(a)
+    rows, cols = np.divmod(np.flatnonzero(a != 0), n_c)
     _write_records(path, EDGES_HEADER, (
         f"{row_ids[i]}\t{col_ids[j]}\t{value!r}"
         for i, j, value in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist())
@@ -222,10 +231,6 @@ def write_labels(path, ids, labels):
     are read as a :class:`~bidfm.model.Membership`, so the writer takes
     exactly the ids and labels :func:`read_labels` accepts."""
     ids = _node_ids(ids)
-    seen = set()  # ``seen.add`` returns None, so only a repeat is picked
-    repeated = next((node for node in ids if node in seen or seen.add(node)), None)
-    if repeated is not None:
-        raise ValidationError(f"repeated node id {repeated!r}")
     labels = Membership.coerce(labels).labels
     if len(ids) != len(labels):
         raise ValidationError(f"{len(ids)} node ids but {len(labels)} labels")

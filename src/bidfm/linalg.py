@@ -25,11 +25,13 @@ _DENSE_SIDE = 90
 
 # Lanczos multiplies by a CSR copy instead of the dense array when at most
 # this share of the entries is nonzero.  Measured medians of truncated_svd(a,
-# 3) on 0/1 block matrices, CSR build included, as CSR / dense-array time (2
-# cores, OpenBLAS): at 600x900 0.34-0.48 at 2%, 0.64-0.73 at 5%, 0.81-0.88
-# at 8% and 1.01-1.08 at 10%; 0.57 at 5% and 0.56 at 10% at 1000x1500; 0.34
-# at 5% and 0.57 at 10% at 3000x3000.  At 200x300 both take 4-7 ms and CSR
-# takes 0.97-1.8x the dense-array time at any share.
+# 3) on 0/1 block matrices, CSR build (from the mask) included, as CSR /
+# dense-array time (2 cores, OpenBLAS): at 600x900 0.31 at 2%, 0.50 at 5%,
+# 0.67 at 8% and 0.80 at 10%; 0.41 at 5% and 0.62 at 10% at 1000x1500; 0.18
+# at 1%, 0.48 at 5% and 0.76 at 10% at 3000x3000.  At 200x300 both take 4-7
+# ms and CSR takes 0.99x the dense-array time at 2%, 1.07x at 5% and 1.21x
+# at 10%.  A higher share moves labels where zero-degree nodes exist, so
+# the share stays until a change checks them across the new boundary.
 _SPARSE_SHARE = 0.05
 
 # Row norms and singular-vector entries below this are roundoff to the
@@ -182,7 +184,11 @@ def truncated_svd(m, k: int) -> SvdFactors:
     matrix.  Lanczos multiplies the scaled matrix directly: a CSR copy
     (``'sparse'``) when it is a sparse matrix or at most 5% of its entries
     are nonzero, and a C-ordered array (``'lanczos'``) otherwise, through
-    scipy's BLAS (``dgemv``), the one ARPACK itself calls.  The result is
+    scipy's BLAS (``dgemv``), the one ARPACK itself calls.  A dense
+    matrix's nonzeros are found once, in the boolean mask ``a != 0``: its
+    count picks the path, and on ``'sparse'`` its positions give the CSR
+    copy, the arrays ``scipy.sparse.csr_array(a)`` would hold, so a dense
+    matrix and its CSR copy give the same bits.  The result is
     the same bits for C- and F-ordered input and from call to call (but see
     ``_lanczos`` for an older scipy), and ``path`` says which one ran; a
     sparse matrix is densified only for LAPACK.
@@ -203,8 +209,8 @@ def truncated_svd(m, k: int) -> SvdFactors:
     n, p = a.shape
     _count(k, "k", min(n, p))
     sparse = _issparse(a)
-    nonzero = a.count_nonzero() if sparse else np.count_nonzero(a)
-    e = int(np.frexp(max(a.max(), -a.min()))[1])
+    mask = None if sparse else a != 0
+    nonzero = a.count_nonzero() if sparse else np.count_nonzero(mask)
 
     # An all-zero matrix gives Lanczos a zero starting vector, which it
     # rejects; LAPACK returns its (zero) spectrum like any other.
@@ -216,10 +222,21 @@ def truncated_svd(m, k: int) -> SvdFactors:
         path = "lanczos"
     importlib.import_module("scipy.linalg" if path == "dense" else "scipy.sparse.linalg")
     if path == "sparse":
-        # the scaled copy, without the dense temporary
-        a = scipy.sparse.csr_array(a, copy=True)
+        # the scaled CSR copy, without a dense temporary: of a dense matrix,
+        # scipy's csr_array(a) (int32 indices where they fit) read off the
+        # mask.  Zeros are present, so the stored values hold the largest |entry|.
+        if sparse:
+            a = scipy.sparse.csr_array(a, copy=True)
+        else:
+            rows, cols = np.divmod(np.flatnonzero(mask), p)
+            index = np.int32 if max(nonzero, p) <= np.iinfo(np.int32).max else np.int64
+            a = scipy.sparse.csr_array(
+                (a[rows, cols], cols.astype(index),
+                 np.searchsorted(rows, np.arange(n + 1)).astype(index)), shape=(n, p))
+        e = int(np.frexp(max(a.data.max(), -a.data.min()))[1])
         a.data = np.ldexp(a.data, -e)
     else:
+        e = int(np.frexp(max(a.max(), -a.min()))[1])
         # C order whatever the input's, so both orders take the same products
         a = np.ldexp(a.toarray() if sparse else a, -e, order="C")
 

@@ -590,6 +590,31 @@ class TestFilterZeroDegree:
         assert (sparse.kept_rows, sparse.kept_cols, sparse.removed) == (
             dense.kept_rows, dense.kept_cols, dense.removed)
 
+    # a node is zero-degree when no entry of its row (or column) is nonzero:
+    # entries that cancel, a -0.0, a subnormal and degrees beyond the float
+    # range decide as they do in the CSR input's absolute degrees
+    AWKWARD = {
+        "cancelling": ([[1.0, -1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, -2.0]], (2,), ()),
+        "negative-zero": ([[1.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [2.0, -0.0, 0.0]], (2,), (2, 3)),
+        "subnormal": ([[5e-324, 0.0, 0.0], [0.0, 0.0, -4e-320], [0.0, 0.0, 0.0]], (3,), (2,)),
+        "overflowing": ([[1e308, 1e308, 0.0], [0.0, -1e308, 0.0], [0.0, -1e308, 0.0]],
+                        (), (3,)),
+    }
+
+    @pytest.mark.parametrize("stored", ["scipy", "every-entry"])
+    @pytest.mark.parametrize("case", AWKWARD)
+    def test_awkward_entries_give_the_csr_sets(self, case, stored):
+        a, zero_rows, zero_cols = self.AWKWARD[case]
+        a = np.array(a)
+        # scipy's CSR drops every zero; a CSR of every entry stores -0.0 too
+        csr = (scipy.sparse.csr_array(a) if stored == "scipy" else scipy.sparse.csr_array(
+            (a.ravel(), np.tile(np.arange(3), 3), np.arange(0, 10, 3)), shape=(3, 3)))
+        for mode in ("rows", "cols", "both-and", "both-or"):
+            dense, sparse = filter_zero_degree(a, mode), filter_zero_degree(csr, mode)
+            assert (dense.kept_rows, dense.kept_cols, dense.removed) == (
+                sparse.kept_rows, sparse.kept_cols, sparse.removed)
+            assert (dense.removed.rows, dense.removed.cols) == (zero_rows, zero_cols)
+
 
 class TestSparseNetwork:
     def test_twenty_thousand_nodes_without_densifying(self):

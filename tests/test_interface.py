@@ -196,6 +196,19 @@ class TestEdgeList:
             matrix, _, _ = fileio.read_edge_list(path)
         assert matrix[0, 1] == 3.5
 
+    @pytest.mark.parametrize("records, count, weight", [
+        ("a\tb\t1\na\tb\t2\nb\ta\t1\na\tb\t3\n", 2, 6.0),  # repeated
+        ("a\tb\t0\nb\ta\t1\na\tb\t0\n", 1, 0.0),  # zero weights
+        ("a\tb\t1.5\na\tb\t-1.5\nb\ta\t1\n", 1, 0.0),  # cancelling
+    ], ids=["repeated", "zero-weight", "cancelling"])
+    def test_duplicate_warning_counts_records(self, tmp_path, records, count, weight):
+        # every record past a pair's first is a duplicate, whatever it sums to
+        path = tmp_path / "edges.tsv"
+        path.write_text(records)
+        with pytest.warns(UserWarning, match=f"^{count} duplicate"):
+            matrix, _, _ = fileio.read_edge_list(path)
+        assert matrix[0, 1] == weight and matrix[1, 0] == 1.0
+
     @pytest.mark.parametrize("weight", ["1e308", "-1e308"])
     def test_duplicates_summed_beyond_the_float_range_rejected(self, tmp_path, weight):
         path = tmp_path / "edges.tsv"
@@ -232,6 +245,34 @@ class TestEdgeList:
         path.write_text("a\tb\t1.0\na\tc\tnope\n")
         with pytest.raises(ParseError, match="line 2"):
             fileio.read_edge_list(path)
+
+    @pytest.mark.parametrize("m, row_ids, col_ids, repeated", [
+        (np.eye(2), ["a", "a"], ["x", "y"], "a"),
+        ([[1.0, 2.0], [3.0, 4.0]], ["1", "2"], ["x", "x"], "x"),
+    ], ids=["rows", "cols"])
+    def test_repeated_id_rejected(self, tmp_path, m, row_ids, col_ids, repeated):
+        # the reader would merge the two nodes of one name: an error before
+        # any file is written
+        path = tmp_path / "edges.tsv"
+        with pytest.raises(ValidationError, match=f"^repeated node id '{repeated}'$"):
+            fileio.write_edge_list(path, m, row_ids, col_ids)
+        assert not os.listdir(tmp_path)
+
+    def test_a_row_id_may_name_a_column(self, tmp_path):
+        # one node of the shared universe, sending and receiving
+        path = tmp_path / "edges.tsv"
+        fileio.write_edge_list(path, [[0.0, 1.0], [2.0, 0.0]], ["a", "b"], ["a", "b"])
+        matrix, row_ids, col_ids = fileio.read_edge_list(path)
+        assert row_ids == col_ids == ["a", "b"]
+        assert matrix.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_written_row_by_row(self, tmp_path, order):
+        path = tmp_path / "edges.tsv"
+        a = np.asarray([[0.0, -0.0, 2.5], [1e-320, 0.0, -1.0]], order=order)
+        fileio.write_edge_list(path, a)
+        assert path.read_text() == (f"{fileio.EDGES_HEADER}\n1\t3\t2.5\n"
+                                    "2\t1\t1e-320\n2\t3\t-1.0\n")
 
     def test_generated_matrix_round_trips(self, tmp_path):
         from bidfm.model import P1, BiDFMParams, expected_adjacency, sample_memberships

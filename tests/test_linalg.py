@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -316,6 +317,86 @@ class TestLanczosOperand:
         assert u.shape == (shape[0], 3) and vt.shape == (3, shape[1])
         assert np.max(np.linalg.norm(a @ vt.T - u * s, axis=0)) <= 1e-10 * s[0]
         assert np.allclose(s, np.linalg.svd(a, compute_uv=False)[:3], rtol=1e-12, atol=0)
+
+
+def _mostly_zero(case):
+    """A 150x200 matrix with about 3% of its entries nonzero, altered as
+    ``case`` names."""
+    rng = np.random.default_rng(4)
+    a = np.where(rng.random((150, 200)) < 0.03, rng.standard_normal((150, 200)), 0.0)
+    if case == "fortran":
+        a = np.asfortranarray(a)
+    elif case == "negative":
+        a = -np.abs(a)
+    elif case == "single":
+        a = np.zeros_like(a)
+        a[7, 11] = -3.0
+    elif case == "negative-zero":
+        a[(a == 0) & (rng.random(a.shape) < 0.3)] = -0.0
+    elif case == "subnormal":
+        a[a > 1] = 4e-320
+    elif case == "all-subnormal":
+        a *= 1e-310
+    elif case == "empty-row":
+        a[[0, 5, 149]] = 0.0
+    return a
+
+
+MOSTLY_ZERO = ["c", "fortran", "negative", "negative-zero", "subnormal", "all-subnormal",
+               "empty-row", pytest.param("single", marks=pytest.mark.skipif(
+                   not SEEDED_RESTARTS, reason=NO_SEEDED_RESTARTS))]
+
+
+class TestCsrOperandOfADenseMatrix:
+    """On the ``"sparse"`` path a dense matrix's CSR operand is read off the
+    mask of its nonzeros: the arrays scipy's ``csr_array`` builds from it,
+    so the factors are those of the CSR input, bit for bit."""
+
+    @pytest.mark.parametrize("case", MOSTLY_ZERO)
+    def test_factors_equal_the_csr_input_factors(self, case):
+        a = _mostly_zero(case)
+        f, g = truncated_svd(a, 2), truncated_svd(scipy.sparse.csr_array(a), 2)
+        assert f.path == g.path == "sparse"
+        for name in ("left", "singular_values", "right"):
+            assert np.array_equal(getattr(f, name), getattr(g, name)), name
+
+    @pytest.mark.parametrize("case", ["c", "fortran", "negative-zero", "empty-row"])
+    def test_operand_holds_scipys_arrays(self, case, monkeypatch):
+        operands, built_from = [], []
+        lanczos, csr_array = linalg._lanczos, scipy.sparse.csr_array
+
+        def capture(a, *args):
+            operands.append(a)
+            return lanczos(a, *args)
+
+        def spy(arg, *args, **kwargs):
+            built_from.append(type(arg))
+            return csr_array(arg, *args, **kwargs)
+
+        a = _mostly_zero(case)
+        monkeypatch.setattr(linalg, "_lanczos", capture)
+        monkeypatch.setattr(scipy.sparse, "csr_array", spy)
+        truncated_svd(a, 2)
+        assert np.ndarray not in built_from  # no float scan of the dense array
+        truncated_svd(csr_array(a), 2)
+        mine, scipys = operands
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(mine, name), getattr(scipys, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    def test_fortran_input_is_not_copied(self):
+        # an F-ordered 2000x2000 matrix at 1%: its mask and the CSR arrays,
+        # far below one float64 copy (32 MB)
+        rng = np.random.default_rng(8)
+        a = np.asfortranarray(np.where(rng.random((2000, 2000)) < 0.01, 1.0, 0.0))
+        tracemalloc.start()
+        try:
+            f = truncated_svd(a, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.path == "sparse"
+        assert peak < a.nbytes / 2
 
 
 class TestSparseInput:
