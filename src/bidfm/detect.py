@@ -18,7 +18,7 @@ rdscore   regularized Laplacian  ratios of trailing columns to the leading one
 ``bisc`` and ``nbisc`` are the paper's methods; the other three are
 reference baselines for comparison studies.  The pipeline assumes
 ``k_r <= k_c``; called the other way round it transposes the problem and
-swaps the labels and per-side diagnostics back.  Every method is
+swaps the two sides' singular vectors back.  Every method is
 ``method(a, k_r, k_c, *, seed=0)`` with ``a`` a dense or ``scipy.sparse``
 matrix, nothing else, and runs as ``run_algorithms`` with its one name:
 that is the one place the pipeline runs.  Given several names on one
@@ -41,7 +41,7 @@ import numpy as np
 import scipy  # a sparse input has loaded scipy.sparse
 
 from .errors import BidfmError, DomainError, UnsupportedError, ValidationError
-from .linalg import (ZERO_FLOOR, SvdFactors, _count, _issparse, _kmeans_fits, as_matrix,
+from .linalg import (ZERO_FLOOR, _count, _issparse, _kmeans_fits, as_matrix,
                      row_normalize, truncated_svd)
 from .model import Membership
 
@@ -62,26 +62,6 @@ class DetectionResult:
     col_labels: Membership
     singular_values: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Leading ``min(k_r, k_c)`` singular triplets of one operator of a
-    matrix: what every method on that operator reads out, built once per
-    operator by ``run_algorithms``.
-
-    When ``transposed`` (``k_r > k_c``) the factors decompose the operator of
-    the transposed matrix, so the left factor always belongs to the side with
-    fewer clusters.  ``regularizers`` are the Laplacian's ``(row, column)``
-    degree regularizers and ``None`` for the adjacency; ``factors.path`` says
-    which SVD path ran.  ``shift`` is what ``shift_nonnegative`` added to
-    every entry before the Laplacian was formed, 0.0 when nothing was.
-    """
-
-    factors: SvdFactors
-    transposed: bool
-    regularizers: tuple | None
-    shift: float
 
 
 def _laplacian(a):
@@ -126,44 +106,53 @@ def _ratio_matrix(u):
 
 def _embed(a, k_r, k_c, operator):
     """Decompose ``operator`` (``'adjacency'`` or ``'laplacian'``) of a matrix
-    that ``run_algorithms`` checked; the one transpose site."""
+    that ``run_algorithms`` checked: ``(sides, singular_values, diagnostics)``
+    of its leading ``min(k_r, k_c)`` singular triplets, in the caller's
+    orientation.  ``sides`` holds each side's singular vectors, keyed
+    ``'row'`` and ``'col'``; ``diagnostics`` the Laplacian's ``(row,
+    column)`` regularizers, the SVD path and a non-zero shift.  The one
+    transpose site: for ``k_r > k_c`` it decomposes the transposed matrix,
+    so the left factor is the side with fewer clusters, then swaps back."""
     a, shift = shift_nonnegative(a) if operator == "laplacian" else (a, 0.0)
     transposed = k_r > k_c
     if transposed:
         a = a.T
-    regularizers = None
+    diagnostics = {}
     if operator == "laplacian":
         a, regularizers = _laplacian(a)
-        if transposed:
-            regularizers = regularizers[::-1]
+        diagnostics["regularizers"] = regularizers[::-1] if transposed else regularizers
     factors = truncated_svd(a, min(k_r, k_c))
-    return Embedding(factors, transposed, regularizers, shift)
+    diagnostics["svd_path"] = factors.path
+    if shift:
+        diagnostics["shift"] = shift
+    row, col = (factors.right, factors.left) if transposed else (factors.left, factors.right)
+    return {"row": row, "col": col}, factors.singular_values, diagnostics
 
 
 @dataclass(frozen=True)
 class Clustering:
-    """One method's read-out of an ``Embedding``, clustered: each side's
-    ``KMeansResult`` in ``fits`` and, for the normalizing read-outs, each
-    side's degenerate rows in ``degenerate``, both keyed ``'row'`` and
-    ``'col'``.  ``run_algorithms`` clusters every method's read-out first and
-    passes each method its own; the method then only assembles its result."""
+    """One method's read-out of its operator's embedding, clustered: the
+    operator's singular values, each side's ``KMeansResult`` in ``fits``,
+    keyed ``'row'`` and ``'col'``, and the ``diagnostics`` of the operator
+    and of the read-out.  ``run_algorithms`` clusters every method's
+    read-out first and passes each method its own; the method then only
+    assembles its result."""
 
-    embedding: Embedding
+    singular_values: np.ndarray
     fits: dict
-    degenerate: dict
+    diagnostics: dict
 
 
-def _read_out(embedding, readout):
+def _read_out(sides, readout):
     """Each side's singular-vector rows read out (``'raw'``, ``'normalize'``
-    or ``'ratio'``), keyed ``'row'`` and ``'col'``, and the degenerate rows
-    of a normalizing read-out."""
-    factors = embedding.factors
-    sides = ("col", "row") if embedding.transposed else ("row", "col")
+    or ``'ratio'``), keyed like ``sides``, and the degenerate rows of a
+    normalizing read-out under their diagnostic keys (``degenerate_rows``,
+    ``degenerate_cols``)."""
     xs, degenerate = {}, {}
-    for side, x in zip(sides, (factors.left, factors.right)):
+    for side, x in sides.items():
         if readout == "normalize":
             normalized = row_normalize(x)
-            x, degenerate[side] = normalized.matrix, normalized.degenerate_rows
+            x, degenerate[f"degenerate_{side}s"] = normalized.matrix, normalized.degenerate_rows
         elif readout == "ratio":
             x = _ratio_matrix(x)
         xs[side] = x
@@ -179,21 +168,12 @@ def _cocluster(name, a, k_r, k_c, seed):
         if isinstance(result, BidfmError):
             raise result
         return result
-    embedding, fits, degenerate = a.embedding, a.fits, a.degenerate
-    diagnostics = {f"{side}_{key}": getattr(fits[side], key)
+    diagnostics = {f"{side}_{key}": getattr(a.fits[side], key)
                    for key in ("objective", "restart_objectives", "iterations", "converged")
-                   for side in ("row", "col")}
-    if degenerate:
-        diagnostics["degenerate_rows"] = degenerate["row"]
-        diagnostics["degenerate_cols"] = degenerate["col"]
-    if embedding.regularizers is not None:
-        diagnostics["regularizers"] = embedding.regularizers
-    diagnostics["svd_path"] = embedding.factors.path
-    if embedding.shift:
-        diagnostics["shift"] = embedding.shift
-    rows, cols = (Membership(fits[side].labels, n_clusters=k)
+                   for side in ("row", "col")} | a.diagnostics
+    rows, cols = (Membership(a.fits[side].labels, n_clusters=k)
                   for side, k in (("row", k_r), ("col", k_c)))
-    return DetectionResult(rows, cols, embedding.factors.singular_values, diagnostics)
+    return DetectionResult(rows, cols, a.singular_values, diagnostics)
 
 
 def bisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
@@ -279,8 +259,9 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
     ``names``, any iterable of method names: a method that fails gives the
     error the method raises, and the others still run.  The matrix and
     counts are checked first, then each method's read-out against the
-    counts.  Each operator is decomposed at most once, so an embedding that
-    fails is the failure of every method sharing it.  Every method's
+    counts.  Each operator is decomposed at most once (``_embed``), which
+    also states its diagnostics once for every method sharing it, and an
+    embedding that fails is the failure of each of them.  Every method's
     read-out is taken first, then each side is clustered once for all of
     them (``_kmeans_fits``: one lockstep Lloyd loop over every method's 10
     restarts), with each method's labels, objectives, iterations and
@@ -312,17 +293,20 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
             except BidfmError as exc:
                 embeddings[operator] = exc
         outcomes[name] = embeddings[operator]
-    clustered = [name for name, outcome in outcomes.items() if isinstance(outcome, Embedding)]
+    clustered = [name for name, outcome in outcomes.items()
+                 if not isinstance(outcome, BidfmError)]
     if clustered:
         try:
-            read = [_read_out(outcomes[name], _PIPELINES[name][1]) for name in clustered]
+            read = [_read_out(outcomes[name][0], _PIPELINES[name][1]) for name in clustered]
             fits = [_kmeans_fits([xs[side] for xs, _ in read], k, seed)
                     for side, k in (("row", k_r), ("col", k_c))]
         except BidfmError as exc:  # a bad seed, which each method raises
             outcomes.update(dict.fromkeys(clustered, exc))
         else:
             for name, (_, degenerate), row, col in zip(clustered, read, *fits):
-                clustering = Clustering(outcomes[name], {"row": row, "col": col}, degenerate)
+                _, singular_values, diagnostics = outcomes[name]
+                clustering = Clustering(singular_values, {"row": row, "col": col},
+                                        degenerate | diagnostics)
                 # Looked up by name on the module at call time, so a wrapper
                 # bound over a method's module attribute (an instrumenting
                 # tracer) is what runs.

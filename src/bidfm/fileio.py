@@ -133,16 +133,20 @@ def read_edge_list(path, delimiter: str | None = None, header: bool = False,
     With ``directed_as_bipartite`` (the default) all node ids share one
     universe in first-appearance order, producing a square matrix whose rows
     and columns index the same nodes; otherwise sources and targets get
-    independent universes.  Duplicate (source, target) pairs are summed with
+    independent universes.  With a ``delimiter`` each field is stripped of
+    the whitespace around it, and an empty source or target is a
+    ``ParseError``.  Duplicate (source, target) pairs are summed with
     a warning; a pair whose weights sum beyond the float range is a
     ``ParseError`` that names it.  Returns ``(matrix, row_ids, col_ids)``.
     """
     sources, targets, weights = [], [], []
     for lineno, text in _records(path, header):
-        parts = text.split(delimiter) if delimiter else text.split()
+        parts = [part.strip() for part in text.split(delimiter)] if delimiter else text.split()
         if len(parts) < 3:
             raise ParseError(f"expected 'source target weight', got {text!r}",
                              line=lineno)
+        if not (parts[0] and parts[1]):
+            raise ParseError(f"empty node id in {text!r}", line=lineno)
         weight = _parse(float, parts[2], lineno, f"bad weight {parts[2]!r}")
         if not math.isfinite(weight):
             raise ParseError(f"non-finite weight {parts[2]!r}", line=lineno)

@@ -307,31 +307,36 @@ def same_result(x, y):
 
 
 def shared_embedding(a, k_r, k_c, operator="adjacency"):
-    """The ``Embedding`` that ``run_algorithms`` shares among the methods on
-    ``operator``."""
+    """The ``(sides, singular_values, diagnostics)`` that ``run_algorithms``
+    shares among the methods on ``operator``."""
     return detect._embed(linalg.as_matrix(a, sparse=True), k_r, k_c, operator)
 
 
 class TestEmbedding:
     @pytest.mark.parametrize("method", METHODS, ids=lambda f: f.__name__)
     def test_method_rejects_an_embedding(self, method):
-        # a method takes a matrix; an Embedding is not one
+        # a method takes a matrix; an embedding is not one
         with pytest.raises(ValidationError, match="matrix must be an array of real numbers"):
             method(shared_embedding(noisy_instance(), 2, 3), 2, 3)
 
     def test_transposed_embedding_keeps_caller_orientation(self):
         a = noisy_instance()
-        embedding = shared_embedding(a, 3, 2, "laplacian")
-        assert embedding.transposed
-        assert embedding.factors.left.shape == (90, 2)  # the column side
-        assert embedding.regularizers == shared_embedding(a, 2, 3, "laplacian").regularizers
+        sides, values, diagnostics = shared_embedding(a, 3, 2, "laplacian")
+        assert list(sides) == ["row", "col"] and sides["col"].shape == (90, 2)
+        assert diagnostics["regularizers"] == shared_embedding(
+            a, 2, 3, "laplacian")[2]["regularizers"]
+        # k_r > k_c decomposes the transpose: the mirror call's sides, swapped
+        mirror, mirror_values, _ = shared_embedding(a.T, 2, 3, "laplacian")
+        assert np.array_equal(sides["row"], mirror["col"])
+        assert np.array_equal(sides["col"], mirror["row"])
+        assert np.array_equal(values, mirror_values)
 
     def test_svd_path_recorded(self, monkeypatch):
         a = noisy_instance()
-        assert shared_embedding(a, 2, 3).factors.path == "dense"
+        assert shared_embedding(a, 2, 3)[2]["svd_path"] == "dense"
         assert bisc(a, 2, 3).diagnostics["svd_path"] == "dense"
         monkeypatch.setattr(linalg, "_DENSE_SIDE", 10)  # 60 x 90 now takes Lanczos
-        assert shared_embedding(a, 2, 3).factors.path == "lanczos"
+        assert shared_embedding(a, 2, 3)[2]["svd_path"] == "lanczos"
         assert bisc(a, 2, 3).diagnostics["svd_path"] == "lanczos"
 
     @pytest.mark.parametrize("counts", [(2, 3), (3, 2)], ids=["kr<kc", "kr>kc"])
@@ -360,11 +365,9 @@ class TestEmbedding:
 
 def bisc_side_fits(a, counts, seed):
     """k-means on each side's raw singular-vector rows, as bisc runs it."""
-    embedding = shared_embedding(a, *counts)
-    sides = ("col", "row") if embedding.transposed else ("row", "col")
-    k = dict(zip(("row", "col"), counts))
-    return {side: linalg.kmeans(x, k[side], seed=seed)
-            for side, x in zip(sides, (embedding.factors.left, embedding.factors.right))}
+    sides, _, _ = shared_embedding(a, *counts)
+    return {side: linalg.kmeans(sides[side], k, seed=seed)
+            for side, k in zip(("row", "col"), counts)}
 
 
 class TestRunAlgorithms:
@@ -427,7 +430,7 @@ def kmeans_per_read_out(a, k_r, k_c, name, seed):
     """One ``kmeans`` call per side on method ``name``'s read-out of ``a``,
     and the read-out's width."""
     operator, readout = detect._PIPELINES[name]
-    xs, _ = detect._read_out(shared_embedding(a, k_r, k_c, operator), readout)
+    xs, _ = detect._read_out(shared_embedding(a, k_r, k_c, operator)[0], readout)
     return {side: linalg.kmeans(xs[side], k, seed=seed)
             for side, k in (("row", k_r), ("col", k_c))}, xs["row"].shape[1]
 
@@ -666,9 +669,10 @@ class TestSparseInput:
 
     def test_embed_takes_the_csr_operand(self):
         a = self.poisson((300, 400))
-        embedding = shared_embedding(scipy.sparse.csr_array(a), 3, 2, "laplacian")
-        assert embedding.transposed and embedding.factors.path == "sparse"
-        assert embedding.regularizers == shared_embedding(a, 3, 2, "laplacian").regularizers
+        sides, _, diagnostics = shared_embedding(scipy.sparse.csr_array(a), 3, 2, "laplacian")
+        assert sides["col"].shape == (400, 2) and diagnostics["svd_path"] == "sparse"
+        assert diagnostics["regularizers"] == shared_embedding(
+            a, 3, 2, "laplacian")[2]["regularizers"]
 
     def test_shift_leaves_a_non_negative_sparse_matrix_alone(self):
         m = scipy.sparse.csr_array(self.poisson())

@@ -157,6 +157,13 @@ class TestMatrixFormat:
             os.umask(old)
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the write fails part way;
+        # neither the temporary file nor the target is left behind
+        with pytest.raises(UnicodeEncodeError):
+            fileio.atomic_write_text(tmp_path / "m.txt", "ok\ud800")
+        assert not os.listdir(tmp_path)
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
         fileio.write_matrix(path, np.ones((4, 2)))
@@ -224,6 +231,23 @@ class TestEdgeList:
         matrix, _, _ = fileio.read_edge_list(path, delimiter=",", header=True)
         assert matrix[0, 1] == 1.0
 
+    def test_delimited_fields_stripped(self, tmp_path):
+        # padding around a delimiter names no new node; inner whitespace
+        # stays part of the id
+        path = tmp_path / "edges.csv"
+        path.write_text("a, b, 1.0\nb ,a,2\nNew York,b\t,3\n")
+        matrix, row_ids, col_ids = fileio.read_edge_list(path, delimiter=",")
+        assert row_ids == col_ids == ["a", "b", "New York"]
+        assert matrix.tolist() == [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [0.0, 3.0, 0.0]]
+
+    @pytest.mark.parametrize("record", ["a,,1.0", ",b,1.0", "a, \t,1.0"],
+                             ids=["target", "source", "blank-target"])
+    def test_empty_delimited_id_rejected(self, tmp_path, record):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"a,b,1.0\n{record}\n")
+        with pytest.raises(ParseError, match=re.escape(f"line 2: empty node id in {record!r}")):
+            fileio.read_edge_list(path, delimiter=",")
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_text("\n")
@@ -245,6 +269,24 @@ class TestEdgeList:
         path.write_text("a\tb\t1.0\na\tc\tnope\n")
         with pytest.raises(ParseError, match="line 2"):
             fileio.read_edge_list(path)
+
+    @pytest.mark.parametrize("record, message", [
+        ("a\tb", "expected 'source target weight', got 'a\\tb'"),
+        ("a\tb\t1e400", "non-finite weight '1e400'"),
+    ], ids=["two-fields", "beyond-float"])
+    def test_bad_record_reports_line(self, tmp_path, record, message):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"a\tb\t1.0\n{record}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 2: {message}")):
+            fileio.read_edge_list(path)
+
+    @pytest.mark.parametrize("row_ids, col_ids", [
+        (["a"], None), (None, ["x", "y", "z"]),
+    ], ids=["rows", "cols"])
+    def test_id_lists_match_the_shape(self, tmp_path, row_ids, col_ids):
+        with pytest.raises(ValidationError, match="^id lists must match the matrix shape$"):
+            fileio.write_edge_list(tmp_path / "edges.tsv", np.eye(2), row_ids, col_ids)
+        assert not os.listdir(tmp_path)
 
     @pytest.mark.parametrize("m, row_ids, col_ids, repeated", [
         (np.eye(2), ["a", "a"], ["x", "y"], "a"),
@@ -331,6 +373,16 @@ class TestLabelFiles:
                 other = ["x", "y", "z", "w"]
                 names = (ids, other) if side == "edge-rows" else (other, ids)
                 fileio.write_edge_list(path, np.ones((4, 4)), *names)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("side", ["labels", "edge-rows"])
+    def test_ids_must_be_a_sequence(self, tmp_path, side):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValidationError, match="^node ids must be a sequence, got 5$"):
+            if side == "labels":
+                fileio.write_labels(path, 5, [1])
+            else:
+                fileio.write_edge_list(path, np.eye(1), 5)
         assert not path.exists()
 
     def test_repeated_label_id_rejected(self, tmp_path):
@@ -450,6 +502,14 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match=f"missing config key '{key}'"):
             fileio.params_from_config(config)
 
+    @pytest.mark.parametrize("config, message", [
+        ([1, 2], "config must be a JSON object, got [1, 2]"),
+        ({**MODEL, "mixing": "P3"}, "unknown named mixing matrix 'P3'"),
+    ], ids=["not-an-object", "unknown-mixing"])
+    def test_bad_config_rejected(self, config, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            fileio.params_from_config(config)
+
     def test_simulation_config_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown"):
             fileio.simulation_config_from_config({"model": "bidfm", "bogus": 1})
@@ -464,6 +524,10 @@ class TestConfigParsing:
             }
         )
         assert np.isinf(inputs.tau)
+        # "unbounded" names the default
+        unbounded = fileio.theory_inputs_from_config(
+            {**dataclasses.asdict(inputs), "tau": "unbounded"})
+        assert unbounded == inputs and np.isinf(unbounded.tau)
 
 
 @pytest.fixture
@@ -514,6 +578,24 @@ class TestCli:
         ids, labels = fileio.read_labels(f"{detected}_row_labels.txt")
         assert len(ids) == 40
         assert set(labels) <= {1, 2}
+
+    def test_numerical_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse.linalg  # loaded here: other tests time a cold CLI import
+
+        from bidfm import linalg
+
+        def no_convergence(*args):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([1.0]), None)
+
+        monkeypatch.setattr(linalg, "_lanczos", no_convergence)
+        path = tmp_path / "m.txt"  # 200 x 300 at about 63% nonzero: Lanczos on the array
+        fileio.write_matrix(path, np.random.default_rng(0).poisson(1.0, (200, 300)).astype(float))
+        assert main(["detect", "--input", str(path), "--alg", "bisc", "--kr", "2", "--kc", "3",
+                     "--output", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr() == ("", "numerical failure: SVD (Lanczos on the dense array) "
+                                       "did not converge within 2000 iterations "
+                                       "(1/2 triplets found)\n")
+        assert list(tmp_path.glob("out*")) == []
 
     def test_evaluate_identical_labels_zero_error(self, tmp_path, capsys):
         path = tmp_path / "labels.txt"

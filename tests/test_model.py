@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bidfm.errors import InfeasibleError, ValidationError
+from bidfm.errors import DimensionError, InfeasibleError, ValidationError
 from bidfm.model import (
     P1,
     P2,
@@ -47,6 +47,10 @@ class TestMembership:
             Membership([0, 1, 2])
         with pytest.raises(ValidationError):
             Membership([1, 4], n_clusters=3)
+
+    def test_rejects_no_labels(self):
+        with pytest.raises(DimensionError, match="^labels must be a non-empty 1-D sequence$"):
+            Membership([])
 
     @pytest.mark.parametrize("labels", [[1.5, 2.0], [1, np.nan], ["1", "2"], [1, 10**20]],
                              ids=["fraction", "nan", "strings", "beyond-int64"])
