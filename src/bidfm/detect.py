@@ -23,10 +23,11 @@ swaps the two sides' singular vectors back.  Every method is
 matrix, nothing else, and runs as ``run_algorithms`` with its one name:
 that is the one place the pipeline runs.  Given several names on one
 matrix, it decomposes each operator once for all of them, reads every
-method out and then clusters each side once: one lockstep k-means carries
-every method's restarts, and each method gets the bits it gets alone.  The Laplacian adds
-each side's mean degree to that side's degrees, the DI-SIM default of Rohe,
-Qin & Yu (2016).  It needs non-negative entries: it is formed from
+method out, clusters each side once (one lockstep k-means carries every
+method's restarts, and each method gets the bits it gets alone) and
+assembles each method's result.  The Laplacian adds each side's mean
+degree to that side's degrees, the DI-SIM default of Rohe, Qin & Yu
+(2016).  It needs non-negative entries: it is formed from
 ``shift_nonnegative`` of the matrix, and the methods on it record a
 non-zero shift as ``diagnostics['shift']``.  The read-out settings are
 fixed: 10 k-means restarts per side, each capped at 300 Lloyd iterations, a
@@ -129,20 +130,6 @@ def _embed(a, k_r, k_c, operator):
     return {"row": row, "col": col}, factors.singular_values, diagnostics
 
 
-@dataclass(frozen=True)
-class Clustering:
-    """One method's read-out of its operator's embedding, clustered: the
-    operator's singular values, each side's ``KMeansResult`` in ``fits``,
-    keyed ``'row'`` and ``'col'``, and the ``diagnostics`` of the operator
-    and of the read-out.  ``run_algorithms`` clusters every method's
-    read-out first and passes each method its own; the method then only
-    assembles its result."""
-
-    singular_values: np.ndarray
-    fits: dict
-    diagnostics: dict
-
-
 def _read_out(sides, readout):
     """Each side's singular-vector rows read out (``'raw'``, ``'normalize'``
     or ``'ratio'``), keyed like ``sides``, and the degenerate rows of a
@@ -159,21 +146,27 @@ def _read_out(sides, readout):
     return xs, degenerate
 
 
+@dataclass(frozen=True)
+class _FinishedResult:
+    """A method's ``DetectionResult``, which ``run_algorithms`` built, handed
+    back through the method's module attribute so that a wrapper bound over
+    that attribute (an instrumenting tracer) sees each method run.  It is a
+    carrier, not the result, so no public method accepts a result as input.
+    It goes with the hand-back once the tracer reads the pipeline's own
+    record of its work instead of wrapping the methods."""
+
+    result: DetectionResult
+
+
 def _cocluster(name, a, k_r, k_c, seed):
     """Every method: on a matrix, ``run_algorithms`` with its one name, which
-    calls the method back with the ``Clustering`` it built for it; that is
-    only assembled into the result."""
-    if not isinstance(a, Clustering):
-        [(_, result)] = run_algorithms((name,), a, k_r, k_c, seed)
-        if isinstance(result, BidfmError):
-            raise result
-        return result
-    diagnostics = {f"{side}_{key}": getattr(a.fits[side], key)
-                   for key in ("objective", "restart_objectives", "iterations", "converged")
-                   for side in ("row", "col")} | a.diagnostics
-    rows, cols = (Membership(a.fits[side].labels, n_clusters=k)
-                  for side, k in (("row", k_r), ("col", k_c)))
-    return DetectionResult(rows, cols, a.singular_values, diagnostics)
+    hands the method its finished result to return."""
+    if isinstance(a, _FinishedResult):
+        return a.result
+    [(_, result)] = run_algorithms((name,), a, k_r, k_c, seed)
+    if isinstance(result, BidfmError):
+        raise result
+    return result
 
 
 def bisc(a, k_r: int, k_c: int, *, seed: int = 0) -> DetectionResult:
@@ -256,20 +249,20 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
     this with its one name.
 
     Returns ``[(name, DetectionResult or BidfmError), ...]`` in the order of
-    ``names``, any iterable of method names: a method that fails gives the
-    error the method raises, and the others still run.  The matrix and
-    counts are checked first, then each method's read-out against the
-    counts.  Each operator is decomposed at most once (``_embed``), which
-    also states its diagnostics once for every method sharing it, and an
-    embedding that fails is the failure of each of them.  Every method's
+    ``names``, any iterable of method names but a string: a method that
+    fails gives the error the method raises, and the others still run.  The
+    matrix and counts are checked first, then each method's read-out
+    against the counts.  Each operator is decomposed at most once
+    (``_embed``), which also states its diagnostics once for every method
+    sharing it, and an embedding that fails is the failure of each of them.  Every method's
     read-out is taken first, then each side is clustered once for all of
     them (``_kmeans_fits``: one lockstep Lloyd loop over every method's 10
     restarts), with each method's labels, objectives, iterations and
-    convergence the bits it gets with its name alone.  Each method is then
-    called through its module attribute with its ``Clustering``, which it
-    only assembles into its result.
+    convergence the bits it gets with its name alone.  Each method's result
+    is then assembled here, and the method, called through its module
+    attribute with it, only hands it back (``_FinishedResult``).
     """
-    if not np.iterable(names):
+    if isinstance(names, (str, bytes)) or not np.iterable(names):
         raise ValidationError(f"names must be an iterable of method names, got {names!r}")
     names = tuple(names)  # read once: a generator is used up by one pass
     unknown = [name for name in names if name not in ALGORITHMS]
@@ -305,10 +298,12 @@ def run_algorithms(names, a, k_r: int, k_c: int, seed: int = 0) -> list:
         else:
             for name, (_, degenerate), row, col in zip(clustered, read, *fits):
                 _, singular_values, diagnostics = outcomes[name]
-                clustering = Clustering(singular_values, {"row": row, "col": col},
-                                        degenerate | diagnostics)
-                # Looked up by name on the module at call time, so a wrapper
-                # bound over a method's module attribute (an instrumenting
-                # tracer) is what runs.
-                outcomes[name] = globals()[name](clustering, k_r, k_c, seed=seed)
+                kmeans = {f"{side}_{key}": getattr(fit, key)
+                          for key in ("objective", "restart_objectives", "iterations", "converged")
+                          for side, fit in (("row", row), ("col", col))}
+                result = DetectionResult(Membership(row.labels, n_clusters=k_r),
+                                         Membership(col.labels, n_clusters=k_c), singular_values,
+                                         kmeans | degenerate | diagnostics)
+                # the hand-back that ``_FinishedResult`` explains
+                outcomes[name] = globals()[name](_FinishedResult(result), k_r, k_c, seed=seed)
     return [(name, outcomes[name]) for name in names]

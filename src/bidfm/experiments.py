@@ -44,7 +44,8 @@ class SimulationConfig:
 
     Fixed dimensions go in ``n_r``/``n_c``; a size sweep uses ``n_grid`` and
     square ``n x n`` networks.  A grid and ``algorithms`` may be any iterable
-    (a generator or a numpy array too): a build reads each once and stores
+    (a generator or a numpy array too, but for ``algorithms`` not a string,
+    which is one name, not its letters): a build reads each once and stores
     the tuple it read back in its field.  Degree-corrected thetas come from
     :func:`~bidfm.model.sample_theta` with its default floor.  A build reads
     each point once into ``_points``: ``(value, config, params, spec)``.
@@ -81,7 +82,8 @@ class SimulationConfig:
             raise ValidationError("fixed dimensions n_r, n_c are required")
         if self.rho_grid is None and self.rho is None:
             raise ValidationError("rho is required when not swept")
-        algorithms = list(self.algorithms) if np.iterable(self.algorithms) else []
+        listed = np.iterable(self.algorithms) and not isinstance(self.algorithms, (str, bytes))
+        algorithms = list(self.algorithms) if listed else []
         if (not algorithms or not all(isinstance(alg, str) for alg in algorithms)
                 or len(set(algorithms)) < len(algorithms)):
             raise ValidationError(f"algorithms must name one or more methods, none twice, "

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from bidfm.detect import bisc, nbisc
+from bidfm.detect import ALGORITHMS, bisc, nbisc, run_algorithms
 from bidfm.experiments import (
     estimate_k_eigengap,
     filter_zero_degree,
@@ -326,6 +326,75 @@ def test_polblogs_loader_on_synthetic_graph(tmp_path):
     assert a[0, 1] == 2.0
     assert a[2, 3] == 1.0
     assert list(truth) == [1, 1, 2, 2]
+
+
+def _digits(membership):
+    return "".join(str(label) for label in membership.labels)
+
+
+# The paper illustrates its methods on empirical networks too.  networkx
+# ships these two as code, so they run offline.  Labels are pinned at seed 0
+# as a regression check; an accuracy is asserted only where a method
+# recovers the reference partition exactly.
+_DAVIS_PINNED = {  # (k_c, method): (women, events)
+    (2, "bisc"): ("111111122222222222", "22222222111111"),
+    (2, "nbisc"): ("111111121222222222", "22222222111111"),
+    (3, "bisc"): ("111111122222222222", "22222233111111"),
+    (3, "nbisc"): ("111111121222222222", "11111122333333"),
+}
+
+
+@pytest.mark.parametrize("k_c", [2, 3])
+def test_davis_southern_women(k_c):
+    """Davis, Gardner & Gardner (1941), *Deep South*, recorded which of 14
+    social events each of 18 women attended, and described two groups of
+    women; Freeman (2003), "Finding social groups: a meta-analysis of the
+    southern women data", compares 21 published analyses of it.  The
+    reference partition is the first nine women (Evelyn Jefferson ... Ruth
+    DeSand) against the last nine (Verne Sanderson ... Flora Price).  The
+    ratio and Laplacian methods recover it exactly; the paper's two methods
+    are pinned only."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.davis_southern_women_graph()
+    women, events = graph.graph["top"], graph.graph["bottom"]
+    assert (women[0], women[8], women[9], women[17]) == (
+        "Evelyn Jefferson", "Ruth DeSand", "Verne Sanderson", "Flora Price")
+    a = np.array([[graph.has_edge(w, e) for e in events] for w in women], dtype=float)
+    assert a.shape == (18, 14)
+    truth = Membership([1] * 9 + [2] * 9, n_clusters=2)
+    for name, result in run_algorithms(ALGORITHMS, a, 2, k_c, 0):
+        if name in ("bisc", "nbisc"):
+            assert (_digits(result.row_labels), _digits(result.col_labels)) == \
+                _DAVIS_PINNED[k_c, name]
+        else:
+            assert nmi(result.row_labels, truth) == 1.0, name
+
+
+_KARATE_PINNED = {  # both sides of the symmetric matrix get these labels
+    "bisc": "2222222211222211221212111111111111",
+    "nbisc": "1111111122111122112121222222222222",
+    "disim": "1111111122111122112121222222222222",
+    "dscore": "1111111122111122112121222222222222",
+    "rdscore": "1111111122111122112121222222222222",
+}
+
+
+def test_karate_club():
+    """Zachary (1977), "An information flow model for conflict and fission
+    in small groups": 34 members of a karate club, edges weighted 1-7 by
+    the contexts in which two members met, and each member's club after
+    the split (the ``club`` attribute), the truth here.  Every method is
+    pinned at counts (2, 2); each misplaces one member per side, so no
+    accuracy is asserted."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.karate_club_graph()
+    a = nx.to_numpy_array(graph, nodelist=sorted(graph), weight="weight")
+    assert a.shape == (34, 34) and a.max() == 7.0
+    truth = [graph.nodes[node]["club"] for node in sorted(graph)]
+    assert truth.count("Mr. Hi") == 17
+    for name, result in run_algorithms(ALGORITHMS, a, 2, 2, 0):
+        pinned = _KARATE_PINNED[name]
+        assert (_digits(result.row_labels), _digits(result.col_labels)) == (pinned, pinned)
 
 
 def test_criterion_9_political_blogs():

@@ -6,7 +6,7 @@ type a Python caller might pass.  The second drives the five methods and
 the Lanczos path runs too, across the whole exponent range.  A method on a
 matrix is ``run_algorithms`` with its one name, so the second property
 compares each method's one read-out, clustered alone, with the five
-clustered together.  Warnings are errors in this suite
+clustered together, and ``4 * a`` with ``a``.  Warnings are errors in this suite
 (``filterwarnings = error``), so a warning fails too.
 """
 import dataclasses
@@ -141,6 +141,34 @@ def test_methods_give_labels_or_a_bidfm_error(a, k_r, k_c, seed):
     # layout, so disim and rdscore are held to the same error only.
     other = np.asfortranarray(a) if a.flags.c_contiguous else np.ascontiguousarray(a)
     assert _labels(_outcomes(other, k_r, k_c, seed)) == _labels(first)
+    largest = np.abs(a).max()
+    if largest <= 2.0**1000:  # 4 * a overflows no shift or degree
+        _assert_scales_by_4(a, k_r, k_c, seed, values=largest >= 2.0**-1000)
+
+
+def _assert_scales_by_4(a, k_r, k_c, seed, values):
+    """``4 * a`` gives the same labels as ``a``, or the same error.  A power
+    of two scales every normal float exactly, and so the shift, the
+    Laplacian's degrees and their square roots.  So with ``values`` (set
+    where no singular value, shift or regularizer is subnormal, which 4x
+    would round otherwise) the adjacency's singular values, the
+    regularizers and the shift are exactly 4x, the Laplacian's singular
+    values do not move, and every other diagnostic is equal."""
+    for (name, x), (_, y) in zip(run_algorithms(ALGORITHMS, a, k_r, k_c, seed),
+                                 run_algorithms(ALGORITHMS, 4 * a, k_r, k_c, seed)):
+        if isinstance(x, BidfmError) or isinstance(y, BidfmError):
+            assert type(x) is type(y), name
+            continue
+        assert np.array_equal(x.row_labels.labels, y.row_labels.labels), name
+        assert np.array_equal(x.col_labels.labels, y.col_labels.labels), name
+        if not values:
+            continue
+        factor = 1.0 if name in ("disim", "rdscore") else 4.0
+        assert np.array_equal(factor * x.singular_values, y.singular_values), name
+        assert list(x.diagnostics) == list(y.diagnostics), name
+        for key, value in x.diagnostics.items():
+            expected = np.multiply(4.0, value) if key in ("regularizers", "shift") else value
+            assert np.array_equal(expected, y.diagnostics[key]), (name, key)
 
 
 def _labels(outcomes):

@@ -411,7 +411,10 @@ class TestRunAlgorithms:
         assert [name for name, _ in outcomes] == ["bisc", "nbisc"]
         assert same_result(outcomes[1][1], nbisc(a, 2, 3))
 
-    @pytest.mark.parametrize("names", [None, 3])
+    # a bare string is one name, not an iterable of its letters: a one-name
+    # tuple written without its comma, ``("bisc")``, is this case
+    @pytest.mark.parametrize("names", [None, 3, pytest.param("bisc", id="str"),
+                                       pytest.param(b"bisc", id="bytes")])
     def test_names_not_iterable_rejected(self, names):
         with pytest.raises(ValidationError, match="names must be an iterable of method names"):
             run_algorithms(names, noisy_instance(), 2, 3)

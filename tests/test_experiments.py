@@ -198,10 +198,12 @@ class TestConfigValidation:
         (dict(rho_grid=np.array(0.5)), "exactly one non-empty swept grid"),
         (dict(algorithms=None), "algorithms must name one or more methods"),
         (dict(algorithms=[["bisc"]]), "algorithms must name one or more methods"),
+        (dict(algorithms="nbisc"),
+         "algorithms must name one or more methods, none twice, got 'nbisc'"),
         (dict(rho_grid=(10 ** 5000,)), "sweep point 0: Exceeds the limit"),
     ], ids=["nan-n", "string-n", "fractional-n", "integral-float-n", "bool-n",
             "scalar-grid", "zero-d-array-grid", "no-algorithms", "unhashable-algorithm",
-            "integer-past-the-digit-limit"])
+            "bare-string-algorithms", "integer-past-the-digit-limit"])
     def test_bad_python_value_is_a_validation_error(self, overrides, message):
         with pytest.raises(ValidationError, match=message):
             tiny_config(**overrides)

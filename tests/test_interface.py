@@ -427,6 +427,8 @@ class TestErrorsNameTheirFile:
         "json-list": (fileio.load_json, "[1]", "expected a JSON object, got list"),
         "json-digits": (fileio.load_json, '{"rho": 1' + "0" * 5000 + "}", "4300"),
         "not-utf8": (fileio.read_labels, "caf\xe9".encode("latin-1"), "not UTF-8 text"),
+        "json-not-utf8": (fileio.load_json, '{"name": "caf\xe9"}'.encode("latin-1"),
+                          "not UTF-8 text"),
     }
 
     @pytest.mark.parametrize("reader, text, message", CASES.values(), ids=CASES)
@@ -505,7 +507,9 @@ class TestConfigParsing:
     @pytest.mark.parametrize("config, message", [
         ([1, 2], "config must be a JSON object, got [1, 2]"),
         ({**MODEL, "mixing": "P3"}, "unknown named mixing matrix 'P3'"),
-    ], ids=["not-an-object", "unknown-mixing"])
+        ({**MODEL, "mixing": [[1.0, 0.2, 0.3], [0.3, 0.8]]},
+         "mixing rows differ in length: [[1.0, 0.2, 0.3], [0.3, 0.8]]"),
+    ], ids=["not-an-object", "unknown-mixing", "ragged-mixing"])
     def test_bad_config_rejected(self, config, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             fileio.params_from_config(config)
